@@ -299,8 +299,7 @@ class SharedPTManager(PrivatePTPolicy):
         private = self._privatize_table_for(kernel, proc, vpn, table)
         if private is None:
             self._revert_region_for(kernel, proc, vpn)
-            path = proc.tables.walk(vpn)
-            _level, new_table, new_index, _entry = path[-1]
+            _level, new_table, new_index, _entry = proc.tables.leaf_slot(vpn)
             return new_table, new_index, kernel.costs.pte_page_copy
         return private, index, kernel.costs.pte_page_copy
 
@@ -367,8 +366,7 @@ class SharedPTManager(PrivatePTPolicy):
         faulting write proceeds as a conventional CoW."""
         clones = self._revert_region_for(kernel, proc, vpn)
 
-        path = proc.tables.walk(vpn)
-        _level, table, index, pte = path[-1]
+        _level, table, index, pte = proc.tables.leaf_slot(vpn)
         outcome = kernel.default_cow_break(proc, vpn, table, index, pte)
         outcome.cycles += clones * kernel.costs.pte_page_copy
         outcome.invalidations.append(TLBInvalidation(

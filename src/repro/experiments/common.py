@@ -153,41 +153,43 @@ def _os_warmup(env, deployment):
     set each container actually visits (GraphChi containers, e.g., only
     traverse part of the graph).
     """
-    kernel = env.kernel
+    touch = env.kernel.touch
     profile = deployment.profile
     for container in deployment.containers:
         proc = container.proc
+        layout = proc.layout_group
+        heap = layout.base(SegmentKind.HEAP)
         for page in range(profile.private_pages):
-            kernel.touch(proc, proc.vpn_group(SegmentKind.HEAP, page),
-                         is_write=True)
+            touch(proc, heap + page, is_write=True)
         if profile.thp_blocks:
             for block in range(profile.thp_blocks):
-                kernel.touch(proc, proc.vpn_group(
-                    SegmentKind.HEAP, container.thp_offset + block * 512),
-                    is_write=True)
+                touch(proc, heap + container.thp_offset + block * 512,
+                      is_write=True)
         # Steady-state data set coverage: every container has visited the
         # hot head plus its own slice of the tail.
-        warm_pages = int(profile.dataset_pages * profile.warm_coverage)
-        for page in range(warm_pages):
-            kernel.touch(proc, proc.vpn_group(SegmentKind.MMAP, page))
+        mmap = layout.base(SegmentKind.MMAP)
+        for page in range(int(profile.dataset_pages * profile.warm_coverage)):
+            touch(proc, mmap + page)
         # Custom images may have no binary or library pages at all (e.g.
         # a pure-heap microbenchmark image); there is then no code/lib
         # working set to warm, so skip rather than divide by zero.
-        if profile.image.binary_pages:
+        binary_pages = profile.image.binary_pages
+        if binary_pages:
+            code = layout.base(SegmentKind.CODE)
             for page in range(profile.code_hot):
-                kernel.touch(proc, proc.vpn_group(
-                    SegmentKind.CODE, page % profile.image.binary_pages))
-        if profile.image.lib_pages:
+                touch(proc, code + page % binary_pages)
+        lib_pages = profile.image.lib_pages
+        if lib_pages:
+            libs = layout.base(SegmentKind.LIBS)
             for page in range(profile.lib_hot):
-                kernel.touch(proc, proc.vpn_group(
-                    SegmentKind.LIBS, page % profile.image.lib_pages))
+                touch(proc, libs + page % lib_pages)
         warm_trace = _make_trace(profile, container.index,
                                  requests=max(
                                      1, int(profile.requests * profile.warm_fraction)),
                                  tag=False, seed_offset=900_000)
+        vpn = layout.vpn
         for kind, segment, page, _line, _gap, _rid in warm_trace:
-            kernel.touch(proc, proc.vpn_group(segment, page),
-                         is_write=kind == 2)
+            touch(proc, vpn(segment, page), is_write=kind == 2)
 
 
 def _make_trace(profile, container_index, requests, tag, seed_offset=0,

@@ -15,6 +15,7 @@ from repro.kernel.errors import (
     ProtectionFault,
     SegmentationFault,
     SimulationError,
+    TouchDidNotConverge,
 )
 from repro.kernel.costs import KernelCosts
 from repro.kernel.frames import FrameAllocator, FrameKind
@@ -39,6 +40,7 @@ __all__ = [
     "SegmentationFault",
     "ProtectionFault",
     "OutOfMemoryError",
+    "TouchDidNotConverge",
     "KernelCosts",
     "FrameAllocator",
     "FrameKind",

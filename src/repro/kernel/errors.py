@@ -25,3 +25,13 @@ class ProtectionFault(SimulationError):
 
 class OutOfMemoryError(SimulationError):
     """The frame allocator ran out of physical frames."""
+
+
+class TouchDidNotConverge(SimulationError):
+    """A software touch kept faulting without ever finding a usable PTE
+    (the fault handler's install never became visible to the lookup)."""
+
+    def __init__(self, pid, vpn):
+        super().__init__("touch did not converge: pid=%d vpn=%#x" % (pid, vpn))
+        self.pid = pid
+        self.vpn = vpn

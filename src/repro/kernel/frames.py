@@ -31,6 +31,9 @@ class FrameAllocator:
         #: through the base PPN; freed as a unit.
         self._block_pages = {}
         self.allocated_by_kind = collections.Counter()
+        #: Frames currently allocated: a running total kept equal to
+        #: ``sum(allocated_by_kind.values())``.
+        self.allocated = 0
         self.peak_allocated = 0
 
     def alloc(self, kind=FrameKind.DATA, pages=1):
@@ -50,7 +53,9 @@ class FrameAllocator:
             self._refcount[base] = 1
             self._block_pages[base] = pages
             self.allocated_by_kind[kind] += pages
-            self.peak_allocated = max(self.peak_allocated, self.allocated)
+            self.allocated += pages
+            if self.allocated > self.peak_allocated:
+                self.peak_allocated = self.allocated
             return base
         if self._free:
             ppn = self._free.popleft()
@@ -66,7 +71,9 @@ class FrameAllocator:
         self._kind[ppn] = kind
         self._refcount[ppn] = 1
         self.allocated_by_kind[kind] += 1
-        self.peak_allocated = max(self.peak_allocated, self.allocated)
+        self.allocated += 1
+        if self.allocated > self.peak_allocated:
+            self.peak_allocated = self.allocated
 
     def incref(self, ppn):
         if ppn not in self._refcount:
@@ -84,6 +91,7 @@ class FrameAllocator:
             del self._refcount[ppn]
             pages = self._block_pages.pop(ppn, 1)
             self.allocated_by_kind[kind] -= pages
+            self.allocated -= pages
             if pages == 1:
                 self._free.append(ppn)
             return 0
@@ -95,10 +103,6 @@ class FrameAllocator:
 
     def kind(self, ppn):
         return self._kind.get(ppn)
-
-    @property
-    def allocated(self):
-        return sum(self.allocated_by_kind.values())
 
     def count(self, kind):
         return self.allocated_by_kind[kind]

@@ -12,7 +12,11 @@ import dataclasses
 
 from repro.hw.types import ENTRIES_PER_TABLE, PageSize
 from repro.kernel.costs import KernelCosts
-from repro.kernel.errors import ProtectionFault, SegmentationFault
+from repro.kernel.errors import (
+    ProtectionFault,
+    SegmentationFault,
+    TouchDidNotConverge,
+)
 from repro.kernel.fault import (
     FaultOutcome,
     FaultType,
@@ -23,11 +27,25 @@ from repro.kernel.frames import FrameAllocator, FrameKind
 from repro.kernel.lifecycle import PCID_BITS, PCIDAllocator
 from repro.kernel.lru import ActiveInactiveLRU
 from repro.kernel.page_cache import FileObject, PageCache
-from repro.kernel.page_table import PMD, PTE, PTE_LEVEL, TableRef, table_index
+from repro.kernel.page_table import (
+    LEVEL_SHIFT,
+    PMD,
+    PTE,
+    PTE_LEVEL,
+    TableRef,
+    table_index,
+)
 from repro.kernel.process import Process
 from repro.kernel.vma import VMA, VMAKind
 
 HUGE_PAGES = ENTRIES_PER_TABLE  # 512 x 4KB = 2MB
+
+# Enum members the fault path reads on every fault, bound once: reading a
+# member off its Enum class costs a metaclass attribute lookup each time.
+_ANON, _FILE_SHARED = VMAKind.ANON, VMAKind.FILE_SHARED
+_DATA = FrameKind.DATA
+_MINOR, _MAJOR, _COW = FaultType.MINOR, FaultType.MAJOR, FaultType.COW
+_SIZE_4K, _SIZE_2M = PageSize.SIZE_4K, PageSize.SIZE_2M
 
 
 @dataclasses.dataclass
@@ -297,12 +315,13 @@ class Kernel:
             level, table, index, entry = path[-1]
             if not isinstance(entry, PTE):
                 # Nothing mapped at this level: skip its coverage.
-                shift = {4: 27, 3: 18, 2: 9, 1: 0}[level]
+                shift = LEVEL_SHIFT[level]
                 vpn = ((vpn >> shift) + 1) << shift
                 continue
             shared = table.shared_key is not None and table.owned_by is None
             if shared:
-                table_shift = 9 if level == PTE_LEVEL else 18
+                # The whole range the leaf's table covers.
+                table_shift = LEVEL_SHIFT[level + 1]
                 table_base = (vpn >> table_shift) << table_shift
                 table_end = table_base + (1 << table_shift)
                 if vma.start_vpn <= table_base and table_end <= end:
@@ -370,25 +389,31 @@ class Kernel:
 
         # A present, usable leaf may already exist (CoW break needed, or a
         # group member populated the shared table first).
-        path = proc.tables.walk(lookup_vpn)
-        _level, table, index, entry = path[-1]
+        level, table, index, entry = proc.tables.leaf_slot(lookup_vpn)
         if isinstance(entry, PTE) and entry.present:
             return self._fault_on_present(proc, vma, lookup_vpn, table, index,
                                           entry, is_write)
 
-        provider = self.policy.table_provider(self, proc, vma)
+        cycles = 0
         leaf_level = PMD if use_huge else PTE_LEVEL
-        table, index, allocated = proc.tables.ensure_path(
-            lookup_vpn, leaf_level, provider)
-        cycles = allocated * self.costs.table_alloc
-        entry = table.entries.get(index)
-        if isinstance(entry, PTE) and entry.present:
-            # Attaching the shared table resolved the fault: the page was
-            # populated by another container in the CCID group.
-            outcome = self._fault_on_present(proc, vma, lookup_vpn, table,
-                                             index, entry, is_write)
-            outcome.cycles += cycles
-            return outcome
+        if level != leaf_level:
+            # Some upper entry is missing: build the path, possibly
+            # attaching a shared table. When the descent already reached
+            # the leaf's table there is nothing to build or attach, so
+            # ``ensure_path`` would return this very slot.
+            provider = self.policy.table_provider(self, proc, vma)
+            table, index, allocated = proc.tables.ensure_path(
+                lookup_vpn, leaf_level, provider)
+            cycles = allocated * self.costs.table_alloc
+            entry = table.entries.get(index)
+            if isinstance(entry, PTE) and entry.present:
+                # Attaching the shared table resolved the fault: the page
+                # was populated by another container in the CCID group.
+                outcome = self._fault_on_present(proc, vma, lookup_vpn,
+                                                 table, index, entry,
+                                                 is_write)
+                outcome.cycles += cycles
+                return outcome
 
         outcome = self._populate(proc, vma, lookup_vpn, table, index,
                                  is_write, use_huge)
@@ -417,44 +442,45 @@ class Kernel:
 
     def _populate(self, proc, vma, vpn, table, index, is_write, use_huge):
         costs = self.costs
-        invalidations = []
-        if vma.kind is VMAKind.ANON:
-            pages = HUGE_PAGES if use_huge else 1
-            ppn = self.allocator.alloc(FrameKind.DATA, pages=pages)
-            ftype = FaultType.MINOR
+        if vma.kind is _ANON:
+            ppn = self.allocator.alloc(_DATA, HUGE_PAGES if use_huge else 1)
+            ftype = _MINOR
             cycles = costs.minor_fault
             writable, cow = vma.writable, False
             file, file_index = None, None
+            private_content = True
         else:
             file = vma.file
             file_index = vma.file_index(vpn)
             ppn = self.page_cache.lookup(file, file_index)
             if ppn is None:
                 ppn = self.page_cache.fill(file, file_index)
-                ftype = FaultType.MAJOR
+                ftype = _MAJOR
                 cycles = costs.major_fault
             else:
-                ftype = FaultType.MINOR
+                ftype = _MINOR
                 cycles = costs.minor_fault
-            if vma.kind is VMAKind.FILE_SHARED:
+            private_content = False
+            if vma.kind is _FILE_SHARED:
                 self.allocator.incref(ppn)
                 writable, cow = vma.writable, False
             else:  # FILE_PRIVATE
                 if is_write:
                     # Write fault on a private mapping: allocate the
                     # private copy immediately.
-                    ppn = self.allocator.alloc(FrameKind.DATA)
+                    ppn = self.allocator.alloc(_DATA)
                     cycles += costs.cow_extra
-                    ftype = FaultType.COW
+                    ftype = _COW
                     writable, cow = True, False
                     file, file_index = None, None
+                    private_content = True
                 else:
                     self.allocator.incref(ppn)
                     writable = False
                     cow = vma.writable
-        size = PageSize.SIZE_2M if use_huge else PageSize.SIZE_4K
         pte = PTE(ppn, present=True, writable=writable, user=True,
-                  executable=vma.executable, cow=cow, page_size=size,
+                  executable=vma.executable, cow=cow,
+                  page_size=_SIZE_2M if use_huge else _SIZE_4K,
                   file=file, file_index=file_index)
         pte.accessed = True
         pte.dirty = is_write
@@ -463,15 +489,13 @@ class Kernel:
         # members — they would see this process's private frame. Shareable
         # content must additionally match the shared table's registered
         # backing; the policy checks both.
-        private_content = (vma.kind is VMAKind.ANON
-                           or (vma.kind is VMAKind.FILE_PRIVATE and is_write))
         table, index, extra = self.policy.install_target(
             self, proc, vma, vpn, table, index, private_content)
         cycles += extra
         table.entries[index] = pte
         self.policy.on_pte_install(self, proc, vma, vpn, table, index, pte)
         self._count_fault(proc, ftype)
-        return FaultOutcome(ftype, cycles, invalidations, ppn=ppn)
+        return FaultOutcome(ftype, cycles, [], ppn=ppn)
 
     def _cow_break(self, proc, vma, vpn, table, index, pte):
         """Write to a CoW page: delegate to the policy (shared tables),
@@ -509,11 +533,11 @@ class Kernel:
             [invalidation], ppn=new_ppn)
 
     def _count_fault(self, proc, ftype):
-        if ftype is FaultType.MINOR:
+        if ftype is _MINOR:
             proc.minor_faults += 1
-        elif ftype is FaultType.MAJOR:
+        elif ftype is _MAJOR:
             proc.major_faults += 1
-        elif ftype is FaultType.COW:
+        elif ftype is _COW:
             proc.cow_faults += 1
 
     # -- software touch (warm-up / tests) ----------------------------------------
@@ -532,7 +556,7 @@ class Kernel:
                     self.lru.touch(pte.ppn)
                     return pte
             self.handle_fault(proc, vpn, is_write)
-        raise RuntimeError("touch did not converge at vpn %#x" % vpn)
+        raise TouchDidNotConverge(proc.pid, vpn)
 
     # -- statistics ----------------------------------------------------------------
 

@@ -18,8 +18,15 @@ from repro.kernel.frames import FrameKind
 #: Level numbering, top down.
 PGD, PUD, PMD, PTE_LEVEL = 4, 3, 2, 1
 
-#: Bits of VPN index consumed by each level below it.
-_LEVEL_SHIFT = {PGD: 27, PUD: 18, PMD: 9, PTE_LEVEL: 0}
+#: Bits of VPN index consumed by each level below it. The single owner
+#: of the level geometry: a level-``L`` entry covers ``1 << LEVEL_SHIFT[L]``
+#: 4K pages, and a level-``L`` table covers ``1 << LEVEL_SHIFT[L + 1]``.
+LEVEL_SHIFT = {PGD: 27, PUD: 18, PMD: 9, PTE_LEVEL: 0}
+
+_PGD_SHIFT = LEVEL_SHIFT[PGD]
+_PUD_SHIFT = LEVEL_SHIFT[PUD]
+_PMD_SHIFT = LEVEL_SHIFT[PMD]
+_INDEX_MASK = ENTRIES_PER_TABLE - 1
 
 #: Page size of a leaf installed at a given level.
 LEAF_SIZE = {PTE_LEVEL: PageSize.SIZE_4K, PMD: PageSize.SIZE_2M, PUD: PageSize.SIZE_1G}
@@ -27,17 +34,17 @@ LEAF_SIZE = {PTE_LEVEL: PageSize.SIZE_4K, PMD: PageSize.SIZE_2M, PUD: PageSize.S
 
 def table_index(vpn, level):
     """Index into a ``level`` table for a 4K VPN (Figure 2's bit slices)."""
-    return (vpn >> _LEVEL_SHIFT[level]) & (ENTRIES_PER_TABLE - 1)
+    return (vpn >> LEVEL_SHIFT[level]) & _INDEX_MASK
 
 
 def region_id(vpn):
     """1GB region id: identifies the PMD table (and MaskPage) covering vpn."""
-    return vpn >> _LEVEL_SHIFT[PUD]
+    return vpn >> LEVEL_SHIFT[PUD]
 
 
 def pte_table_id(vpn):
     """2MB-aligned id: identifies the PTE table covering vpn."""
-    return vpn >> _LEVEL_SHIFT[PMD]
+    return vpn >> LEVEL_SHIFT[PMD]
 
 
 class PTE:
@@ -163,10 +170,14 @@ class AddressSpaceTables:
     # -- traversal ---------------------------------------------------------
 
     def walk(self, vpn):
-        """Software walk: yields ``(level, table, index, entry)`` top-down.
+        """Software walk: the full path ``[(level, table, index, entry)]``
+        top-down.
 
         Stops at the first missing entry or at a leaf. The caller decides
-        what a missing/non-present entry means (fault level).
+        what a missing/non-present entry means (fault level). Only callers
+        that need the upper levels (the parent entry of a table to detach,
+        every table on the path) should pay for the list; the last element
+        alone is :meth:`leaf_slot`.
         """
         table = self.pgd
         path = []
@@ -181,9 +192,37 @@ class AddressSpaceTables:
 
     def lookup_pte(self, vpn):
         """The leaf PTE mapping ``vpn`` (4K or huge), or None."""
-        path = self.walk(vpn)
-        entry = path[-1][3]
+        entry = self.pgd.entries.get((vpn >> _PGD_SHIFT) & _INDEX_MASK)
+        if isinstance(entry, TableRef):
+            entry = entry.table.entries.get((vpn >> _PUD_SHIFT) & _INDEX_MASK)
+            if isinstance(entry, TableRef):
+                entry = entry.table.entries.get(
+                    (vpn >> _PMD_SHIFT) & _INDEX_MASK)
+                if isinstance(entry, TableRef):
+                    entry = entry.table.entries.get(vpn & _INDEX_MASK)
         return entry if isinstance(entry, PTE) else None
+
+    def leaf_slot(self, vpn):
+        """``walk(vpn)[-1]`` without building the path: the
+        ``(level, table, index, entry)`` where the descent stopped."""
+        table = self.pgd
+        index = (vpn >> _PGD_SHIFT) & _INDEX_MASK
+        entry = table.entries.get(index)
+        if not isinstance(entry, TableRef):
+            return PGD, table, index, entry
+        table = entry.table
+        index = (vpn >> _PUD_SHIFT) & _INDEX_MASK
+        entry = table.entries.get(index)
+        if not isinstance(entry, TableRef):
+            return PUD, table, index, entry
+        table = entry.table
+        index = (vpn >> _PMD_SHIFT) & _INDEX_MASK
+        entry = table.entries.get(index)
+        if not isinstance(entry, TableRef):
+            return PMD, table, index, entry
+        table = entry.table
+        index = vpn & _INDEX_MASK
+        return PTE_LEVEL, table, index, table.entries.get(index)
 
     def ensure_path(self, vpn, leaf_level=PTE_LEVEL, table_provider=None):
         """Create intermediate tables down to ``leaf_level``'s table.
@@ -246,7 +285,7 @@ class AddressSpaceTables:
         stack = [(self.pgd, 0)]
         while stack:
             table, base_vpn = stack.pop()
-            shift = _LEVEL_SHIFT[table.level]
+            shift = LEVEL_SHIFT[table.level]
             for index, entry in table.entries.items():
                 vpn = base_vpn | (index << shift)
                 if isinstance(entry, TableRef):

@@ -116,7 +116,8 @@ class MM:
         if index < 0:
             return None
         vma = self._vmas[index]
-        return vma if vma.contains(vpn) else None
+        # bisect already guarantees ``vma.start_vpn <= vpn``.
+        return vma if vpn < vma.start_vpn + vma.npages else None
 
     def clone_into(self, other):
         """fork(): child gets copies of all VMAs (same files/offsets)."""

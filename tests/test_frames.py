@@ -1,6 +1,8 @@
 """Tests for the physical frame allocator."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.kernel.errors import OutOfMemoryError
 from repro.kernel.frames import FrameAllocator, FrameKind
@@ -91,3 +93,56 @@ class TestFrameAllocator:
         ppn = alloc.alloc(FrameKind.MASK_PAGE)
         assert alloc.kind(ppn) is FrameKind.MASK_PAGE
         assert alloc.kind(0x12345) is None
+
+
+#: One allocator operation: ("alloc", kind index, pages) or ("decref", pick).
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("alloc"), st.integers(0, len(FrameKind) - 1),
+              st.sampled_from([1, 1, 1, 8, 512])),
+    st.tuples(st.just("decref"), st.integers(0, 1 << 16), st.just(0)),
+), max_size=120)
+
+
+class TestRunningTotals:
+    @given(_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_running_total_matches_per_kind_sum(self, ops):
+        """``allocated`` is kept incrementally; after any mix of single
+        and huge allocations, frees and free-list reuse it must equal the
+        per-kind sum, and ``peak_allocated`` the maximum of that sum over
+        every allocation (its definition before it was incremental)."""
+        alloc = FrameAllocator()
+        kinds = list(FrameKind)
+        live = []  # one element per reference held
+        peak = 0
+        for op, arg, pages in ops:
+            if op == "alloc":
+                ppn = alloc.alloc(kinds[arg], pages=pages)
+                live.append(ppn)
+                if arg % 2:
+                    # A second reference: the next decref must not free.
+                    alloc.incref(ppn)
+                    live.append(ppn)
+                peak = max(peak, sum(alloc.allocated_by_kind.values()))
+            elif live:
+                alloc.decref(live.pop(arg % len(live)))
+            assert alloc.allocated == sum(alloc.allocated_by_kind.values())
+            assert alloc.peak_allocated == peak
+        for ppn in live:
+            alloc.decref(ppn)
+        assert alloc.allocated == 0
+
+    def test_free_list_reuse_keeps_totals(self):
+        alloc = FrameAllocator()
+        first = [alloc.alloc(FrameKind.DATA) for _ in range(4)]
+        block = alloc.alloc(FrameKind.DATA, pages=512)
+        for ppn in first:
+            alloc.decref(ppn)
+        assert alloc.allocated == 512
+        again = [alloc.alloc(FrameKind.FILE) for _ in range(4)]
+        assert sorted(again) == sorted(first)
+        assert alloc.allocated == 516
+        assert alloc.count(FrameKind.FILE) == 4
+        assert alloc.peak_allocated == 516
+        alloc.decref(block)
+        assert alloc.allocated == sum(alloc.allocated_by_kind.values()) == 4

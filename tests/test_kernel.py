@@ -3,9 +3,16 @@
 import pytest
 
 from repro.hw.types import PageSize
-from repro.kernel.errors import ProtectionFault, SegmentationFault
+from repro.kernel.errors import (
+    ProtectionFault,
+    SegmentationFault,
+    SimulationError,
+    TouchDidNotConverge,
+)
 from repro.kernel.fault import FaultType
 from repro.kernel.frames import FrameKind
+from repro.kernel.kernel import PrivatePTPolicy
+from repro.kernel.page_table import PageTable
 from repro.kernel.vma import SegmentKind, VMAKind
 
 from conftest import MiniSystem
@@ -81,6 +88,27 @@ class TestFaultHandling:
         outcome = sys.kernel.handle_fault(sys.zygote, vpn)
         assert outcome.fault_type is FaultType.SPURIOUS
         assert outcome.cycles < sys.kernel.costs.minor_fault
+
+    def test_touch_that_never_converges_raises_typed_error(self,
+                                                           mini_baseline):
+        class DroppingPolicy(PrivatePTPolicy):
+            """Sends every install to a detached table, so no fault ever
+            makes the page visible to the lookup."""
+
+            def install_target(self, kernel, proc, vma, vpn, table, index,
+                               private_content):
+                return PageTable(table.level, 0), index, 0
+
+        sys = mini_baseline
+        sys.kernel.policy = DroppingPolicy()
+        vpn = sys.vpn(sys.zygote, HEAP, 4)
+        with pytest.raises(TouchDidNotConverge) as info:
+            sys.kernel.touch(sys.zygote, vpn, is_write=True)
+        assert isinstance(info.value, SimulationError)
+        assert (info.value.pid, info.value.vpn) == (sys.zygote.pid, vpn)
+        assert sys.zygote.tables.lookup_pte(vpn) is None
+        # The touch retried: one fault per attempt, each dropped.
+        assert sys.zygote.minor_faults == 4
 
 
 class TestForkCow:

@@ -1,6 +1,8 @@
 """Tests for the x86-64 four-level page tables."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.hw.types import PageSize
 from repro.kernel.frames import FrameAllocator
@@ -149,3 +151,111 @@ class TestPTE:
     def test_tableref_bits(self):
         ref = TableRef(PageTable(PTE_LEVEL, 1), o_bit=True, orpc=False)
         assert ref.o_bit and not ref.orpc
+
+
+# -- differential: fast lookup vs leaf slot vs full walk ------------------------
+
+#: VPNs from a few indices per level, so generated trees share upper
+#: tables, leave whole levels missing and collide on leaves.
+_VPN = st.builds(lambda i4, i3, i2, i1: (i4 << 27) | (i3 << 18) | (i2 << 9) | i1,
+                 st.integers(0, 2), st.integers(0, 2), st.integers(0, 3),
+                 st.sampled_from([0, 1, 5, 511]))
+
+#: How a generated leaf is installed.
+_LEAF_KINDS = ("4k", "4k_not_present", "2m", "2m_not_present", "shared")
+
+#: The entry index of each PTE-table slot that the shared table maps.
+_SHARED_SLOTS = (0, 5, 511)
+
+
+def _shared_pte_table(allocator):
+    table = PageTable(PTE_LEVEL, allocator.alloc())
+    for index in _SHARED_SLOTS:
+        table.entries[index] = PTE(0x5000 + index, present=index != 5)
+    return table
+
+
+def _build(tables, shared, ops):
+    """Install ``ops`` into ``tables``; a ``shared`` op attaches
+    ``shared`` as the PTE table of its 2MB range when that range has no
+    PTE table yet."""
+    def attach(level, _vpn):
+        if level != PTE_LEVEL:
+            return None
+        shared.sharers += 1
+        return shared
+
+    for kind, vpn in ops:
+        try:
+            if kind == "shared":
+                tables.ensure_path(vpn, table_provider=attach)
+            elif kind.startswith("2m"):
+                tables.set_leaf(vpn & ~511, PTE(
+                    vpn, present=kind == "2m", page_size=PageSize.SIZE_2M),
+                    leaf_level=PMD)
+            else:
+                tables.set_leaf(vpn, PTE(vpn, present=kind == "4k"))
+        except ValueError:
+            pass  # a 4K path through an existing 2M leaf: rejected
+
+
+def _assert_agree(tables, vpn):
+    path = tables.walk(vpn)
+    last = path[-1]
+    slot = tables.leaf_slot(vpn)
+    assert slot[0] == last[0]
+    assert slot[1] is last[1]
+    assert slot[2] == last[2]
+    assert slot[3] is last[3]
+    expected = last[3] if isinstance(last[3], PTE) else None
+    assert tables.lookup_pte(vpn) is expected
+
+
+class TestWalkEntryPointsAgree:
+    @given(st.lists(st.tuples(st.sampled_from(_LEAF_KINDS), _VPN),
+                    max_size=40),
+           st.lists(_VPN, min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_lookup_leaf_slot_and_walk_agree(self, ops, queries):
+        allocator = FrameAllocator()
+        shared = _shared_pte_table(allocator)
+        first = AddressSpaceTables(allocator)
+        second = AddressSpaceTables(allocator)
+        _build(first, shared, ops)
+        _build(second, shared, list(reversed(ops)))
+        for tables in (first, second):
+            for vpn in queries + [vpn for _kind, vpn in ops]:
+                _assert_agree(tables, vpn)
+                _assert_agree(tables, vpn | 7)
+
+    def test_each_stop_level_is_reached(self, tables):
+        """The hand-built corners the generated trees cover: a missing
+        PGD/PUD/PMD entry, a 2M leaf, a non-present 4K leaf, and a PTE
+        table shared with a second tree."""
+        allocator = tables.allocator
+        shared = _shared_pte_table(allocator)
+        tables.set_leaf(1 << 27, PTE(1))  # allocates PUD, PMD, PTE tables
+        tables.set_leaf((1 << 27) | (1 << 18) | (2 << 9),
+                        PTE(2, page_size=PageSize.SIZE_2M), leaf_level=PMD)
+        tables.set_leaf((1 << 27) | 3, PTE(3, present=False))
+        _build(tables, shared, [("shared", 2 << 27)])
+        other = AddressSpaceTables(allocator)
+        _build(other, shared, [("shared", 2 << 27)])
+        assert shared.sharers == 3
+        probes = {
+            0: PGD,                                    # no PUD table
+            (1 << 27) | (2 << 18): PUD,                # no PMD table
+            (1 << 27) | (5 << 9): PMD,                 # no PTE table
+            (1 << 27) | (1 << 18) | (2 << 9) | 9: PMD,  # 2M leaf
+            (1 << 27) | 3: PTE_LEVEL,                  # not present
+            (2 << 27) | 5: PTE_LEVEL,                  # shared, not present
+            (2 << 27) | 511: PTE_LEVEL,                # shared, present
+        }
+        for vpn, level in probes.items():
+            assert tables.leaf_slot(vpn)[0] == level
+            _assert_agree(tables, vpn)
+            _assert_agree(other, vpn)
+        assert tables.lookup_pte((2 << 27) | 511) \
+            is other.lookup_pte((2 << 27) | 511) \
+            is shared.entries[511]
+        assert tables.lookup_pte((1 << 27) | 3).present is False
