@@ -8,8 +8,8 @@ fast/reference accesses-per-second ratio per tier to
 ``BENCH_hotpath.json`` at the repo root (ratios are the tracked,
 machine-normalized trajectory; the raw rates ride along for context).
 
-    python benchmarks/bench_hotpath.py           # smoke + medium + batch
-    python benchmarks/bench_hotpath.py --smoke   # smoke + batch tiers (CI)
+    python benchmarks/bench_hotpath.py           # smoke + medium tiers
+    python benchmarks/bench_hotpath.py --smoke   # smoke tier only (CI)
 
 Tiers not run (``medium`` under ``--smoke``) are preserved from the
 existing trajectory file rather than erased. Equivalent to

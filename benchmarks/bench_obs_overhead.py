@@ -12,15 +12,8 @@ Two measurements back DESIGN.md's overhead guarantees:
 2. **End-to-end** — a small measured app run with ``trace=None`` vs
    ``trace=True``, reporting the wall-time ratio (tracing is expected to
    cost real time; the guarantee is only about the disabled path).
-3. **Batch punt attribution** — the batch tier's per-cause punt
-   counters ride inside the claim loop; with attribution compiled in
-   (the default) vs ``REPRO_BATCH_ATTRIBUTION=0``, the architectural
-   results must be identical and the best-of-N wall times within noise
-   of each other (the counters are touched only at punts and claim
-   flushes, never per record).
 """
 
-import os
 import sys
 import time
 
@@ -28,17 +21,13 @@ from bench_common import report
 from repro.experiments.common import (clear_run_cache, config_by_name,
                                       build_environment, deploy_app,
                                       run_app)
-from repro.experiments import perf
 from repro.hw.types import AccessKind
 from repro.kernel.vma import SegmentKind
 from repro.obs.tracer import Tracer
-from repro.sim import batch
 from repro.workloads.profiles import APP_PROFILES
 
 HOT_OPS = 20_000
 RUN = dict(cores=1, scale=0.08)
-BATCH_RECORDS = 30_000
-BATCH_REPEATS = 5
 
 
 def _hot_setup():
@@ -63,39 +52,6 @@ def _hot_loop(mmu, proc, ops):
     elapsed = clock() - started
     blocks_delta = sys.getallocatedblocks() - blocks_before
     return elapsed / ops * 1e9, blocks_delta
-
-
-def _batch_leg():
-    """(arch-identical, ns/access on, ns/access off, punt total).
-
-    Best-of-N minima under attribution on vs off; the environment knob
-    is restored afterwards so later benchmarks see the default.
-    """
-    config = config_by_name("BabelFish", batch=True)
-    saved = os.environ.get(batch.BATCH_ATTR_ENV)
-    try:
-        os.environ.pop(batch.BATCH_ATTR_ENV, None)
-        best_on, dict_on = None, None
-        for _ in range(BATCH_REPEATS):
-            d, accesses, seconds = perf.run_hot(config, 1, BATCH_RECORDS)
-            best_on = seconds if best_on is None else min(best_on, seconds)
-            dict_on = d
-        os.environ[batch.BATCH_ATTR_ENV] = "0"
-        best_off, dict_off = None, None
-        for _ in range(BATCH_REPEATS):
-            d, accesses, seconds = perf.run_hot(config, 1, BATCH_RECORDS)
-            best_off = seconds if best_off is None else min(best_off, seconds)
-            dict_off = d
-    finally:
-        if saved is None:
-            os.environ.pop(batch.BATCH_ATTR_ENV, None)
-        else:
-            os.environ[batch.BATCH_ATTR_ENV] = saved
-    assert "batch" in dict_on and "batch" not in dict_off
-    identical = perf.arch_dict(dict_on) == perf.arch_dict(dict_off)
-    punts = dict_on["batch"]["punts"]
-    return (identical, best_on / accesses * 1e9, best_off / accesses * 1e9,
-            punts, accesses)
 
 
 def bench_obs_overhead():
@@ -127,9 +83,6 @@ def bench_obs_overhead():
             use_cache=False, **RUN)
     wall_on = clock() - started
 
-    identical, ns_attr_on, ns_attr_off, punts, accesses = _batch_leg()
-    attr_ratio = ns_attr_on / ns_attr_off
-
     lines = [
         "hot path (warm L1-hit translate, %d ops/pass)" % HOT_OPS,
         "  tracer disabled   %7.1f ns/op  (repeat %7.1f ns/op)"
@@ -142,14 +95,6 @@ def bench_obs_overhead():
         "end-to-end (mongodb, cores=%(cores)d scale=%(scale).2f)" % RUN,
         "  trace=None  %6.2fs" % wall_off,
         "  trace=True  %6.2fs  (x%.2f)" % (wall_on, wall_on / wall_off),
-        "",
-        "batch punt attribution (hot path, %d accesses, best of %d)"
-        % (accesses, BATCH_REPEATS),
-        "  attribution on    %7.1f ns/access  (%d punts attributed)"
-        % (ns_attr_on, punts),
-        "  attribution off   %7.1f ns/access  (x%.3f)"
-        % (ns_attr_off, attr_ratio),
-        "  architectural results identical: %s" % identical,
     ]
     report("obs_overhead", "\n".join(lines))
 
@@ -161,12 +106,6 @@ def bench_obs_overhead():
     assert abs(blocks_off) <= 16, blocks_off
     assert blocks_on > HOT_OPS, blocks_on
     assert ns_off_b < ns_off_a * 1.25
-    # Attribution may never change the simulated architecture, and its
-    # wall cost must stay in the noise of the engine (same generous CI
-    # bound as the loop-to-loop jitter above; on a quiet machine the
-    # best-of-N minima land within ~2%).
-    assert identical
-    assert attr_ratio < 1.25, attr_ratio
 
 
 if __name__ == "__main__":

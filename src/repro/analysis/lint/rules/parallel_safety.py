@@ -29,10 +29,9 @@ roots are the function names passed to ``submit``/``parallel_map``/
 ``initializer=`` in this module, plus any functions named by a
 top-level ``DISPATCH_ROOTS = ("fn", ...)`` marker — the opt-in for
 modules whose entry points are dispatched from *elsewhere* (e.g.
-``repro.sim.batch.run_quantum_batch``, dispatched per quantum by the
-simulator: its chunk folds are exactly the accumulate-then-fold shape
-these rules police, and without the marker the module-local root scan
-cannot see them). Edges follow
+``repro.serve.worker.worker_main``, started in a child process by the
+serve pool: without the marker the module-local root scan cannot see
+it). Edges follow
 :meth:`repro.analysis.lint.cfg.ModuleIndex.resolve_call`. Cross-module
 workers (e.g. ``common.run_app``) are out of scope here; each module's
 own dispatch sites cover its own workers.
@@ -41,7 +40,6 @@ own dispatch sites cover its own workers.
 import ast
 
 from repro.analysis.lint.cfg import (
-    FunctionCFG,
     ModuleIndex,
     assigned_names,
     function_statements,

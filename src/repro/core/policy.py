@@ -25,7 +25,7 @@ The *lookup* rules stay where they were: Figure 8's CCID lookup in
 conventional PCID lookup next to it. A policy only chooses between
 them (``uses_ccid``); both lookups are already generic over every
 structure geometry a policy can declare, which is what keeps the
-reference/fastpath/batch tiers bit-identical for free (DESIGN.md §17).
+reference and fastpath tiers bit-identical for free (DESIGN.md §17).
 
 Registered policies:
 

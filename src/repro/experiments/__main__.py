@@ -127,7 +127,7 @@ def main(argv=None):
                                   "the tier's own setting)")
     perf_parser.add_argument("--live", action="store_true",
                              help="per-tier live progress lines "
-                                  "(instructions/sec, punt rate)")
+                                  "(instructions/sec)")
 
     churn_parser = sub.add_parser(
         "churn", help="container lifecycle storm: start/stop/restart "

@@ -136,7 +136,7 @@ def _kill_launch(env, rng, core):
 
 
 def run_churn(cycles=500, config_name="BabelFish", sanitize=True,
-              fastpath=True, batch=False, cores=2, live_pool=LIVE_POOL,
+              fastpath=True, cores=2, live_pool=LIVE_POOL,
               kill_rate=0.1, pcid_bits=CHURN_PCID_BITS, seed=1234,
               progress=None):
     """Run the start/stop/restart storm and check it leaked nothing.
@@ -153,7 +153,7 @@ def run_churn(cycles=500, config_name="BabelFish", sanitize=True,
     show live cycles/sec lines without touching the simulated state.
     """
     config = config_by_name(config_name, sanitize=sanitize,
-                            fastpath=fastpath, batch=batch)
+                            fastpath=fastpath)
     env = build_environment(config, cores=cores)
     if pcid_bits is not None:
         # Shrink the namespace before any process exists so the whole

@@ -49,18 +49,10 @@ HOT_MMAP_PAGES = 10
 #: the measured stream so the comparison is not a pure-memo microbench.
 COLD_MMAP_PAGES = 2000
 
-#: Tier definitions: (cores, trace records per container, timing repeats,
-#: optional config overrides). The ``batch`` tier runs the medium
-#: workload through the batch engine (``SimConfig.batch``) and also
-#: times the plain fast path on the same workload, so its entry carries
-#: both ratios (``speedup`` = batch/reference, ``fastpath_speedup`` =
-#: fast/reference) and the batch engine's win over the scalar fast path
-#: is visible within a single tier.
+#: Tier definitions: (cores, trace records per container, timing repeats).
 TIERS = {
     "smoke": {"cores": 1, "records": 4_000, "repeats": 1},
     "medium": {"cores": 2, "records": 60_000, "repeats": 2},
-    "batch": {"cores": 2, "records": 60_000, "repeats": 2,
-              "overrides": {"batch": True}},
 }
 
 
@@ -97,8 +89,7 @@ def run_hot(config, cores, records, monitor=None):
 
     ``monitor`` (a :class:`repro.obs.live.ProgressMonitor`) is attached
     to the simulator for the measured run only — the run loop advances
-    it once per quantum with instructions consumed and the batch
-    engine's punt total.
+    it once per quantum with the instructions consumed.
     """
     env = build_environment(config, cores=cores)
     deployment = deploy_app(env, APP_PROFILES[HOT_APP])
@@ -114,12 +105,8 @@ def run_hot(config, cores, records, monitor=None):
     env.kernel.clear_accessed_bits()
     sim.progress = monitor
 
-    # Traces are materialized before the clock starts so record
-    # generation is not part of the measurement, and the clock starts
-    # only after attachment: attach() is setup, not stream execution —
-    # under batch mode it compiles the trace to flat arrays (a one-time
-    # cost amortized across a run), and timing it inside the measured
-    # region charged the batch tier for work the scalar tiers never do.
+    # Traces are materialized and attached before the clock starts so
+    # record generation is not part of the measurement.
     traces = [(c, hot_trace(c.index, records)) for c in deployment.containers]
     for container, trace in traces:
         sim.attach(container.proc, trace, container.core)
@@ -129,41 +116,17 @@ def run_hot(config, cores, records, monitor=None):
     return result.as_dict(), records * len(deployment.containers), seconds
 
 
-def arch_dict(run_dict):
-    """The architectural view of a ``RunResult.as_dict()``: the batch
-    engine's ``"batch"`` diagnostics section (punt attribution,
-    claim-length histograms — properties of the *engine*, not of the
-    simulated machine) is stripped, because bit-identity claims are
-    about the architecture only."""
-    if "batch" in run_dict:
-        run_dict = dict(run_dict)
-        del run_dict["batch"]
-    return run_dict
-
-
 def measure_tier(tier, config_name="BabelFish", repeats=None, monitor=None):
-    """One tier, both ways; raises if the results are not bit-identical.
-
-    Tiers with config ``overrides`` (the batch tier) time three ways —
-    accelerated (overrides applied), plain fast path, and reference —
-    and assert all three results identical, so the entry reports the
-    accelerated ratio *and* the fast-path ratio on the same workload.
-    Batch-tier entries also carry the engine's punt attribution, making
-    the residual punt count (and its cause split) part of the tracked
-    trajectory.
-    """
+    """One tier, both ways; raises if the results are not bit-identical."""
     spec = TIERS[tier]
     repeats = repeats or spec["repeats"]
     cores, records = spec["cores"], spec["records"]
-    overrides = spec.get("overrides") or {}
-    fast_config = config_by_name(config_name, **overrides)
-    plain_config = config_by_name(config_name) if overrides else None
+    fast_config = config_by_name(config_name)
     reference_config = config_by_name(config_name, fastpath=False)
 
     fast_seconds = []
-    plain_seconds = []
     reference_seconds = []
-    fast_dict = reference_dict = accesses = None
+    accesses = None
     for _ in range(repeats):
         fast_dict, accesses, seconds = run_hot(fast_config, cores, records,
                                                monitor=monitor)
@@ -171,21 +134,13 @@ def measure_tier(tier, config_name="BabelFish", repeats=None, monitor=None):
         reference_dict, _, seconds = run_hot(reference_config, cores,
                                              records, monitor=monitor)
         reference_seconds.append(seconds)
-        if arch_dict(fast_dict) != reference_dict:
+        if fast_dict != reference_dict:
             raise AssertionError(
                 "fast path diverged from reference on tier %r (%s)"
                 % (tier, config_name))
-        if plain_config is not None:
-            plain_dict, _, seconds = run_hot(plain_config, cores, records,
-                                             monitor=monitor)
-            plain_seconds.append(seconds)
-            if plain_dict != reference_dict:
-                raise AssertionError(
-                    "plain fast path diverged from reference on tier %r (%s)"
-                    % (tier, config_name))
     fast_best = min(fast_seconds)
     reference_best = min(reference_seconds)
-    entry = {
+    return {
         "config": config_name,
         "cores": cores,
         "records_per_container": records,
@@ -195,17 +150,6 @@ def measure_tier(tier, config_name="BabelFish", repeats=None, monitor=None):
         "fast_accesses_per_sec": round(accesses / fast_best),
         "reference_accesses_per_sec": round(accesses / reference_best),
     }
-    if overrides:
-        entry["overrides"] = dict(overrides)
-    if plain_seconds:
-        entry["fastpath_speedup"] = round(reference_best / min(plain_seconds), 3)
-    diagnostics = fast_dict.get("batch")
-    if diagnostics is not None:
-        entry["punts"] = {"total": diagnostics["punts"],
-                          "causes": dict(diagnostics["punt_causes"]),
-                          "claims": diagnostics["claims"],
-                          "claimed_records": diagnostics["claimed_records"]}
-    return entry
 
 
 def default_output_path():
@@ -215,12 +159,12 @@ def default_output_path():
 
 def run_harness(smoke=False, out=None, repeats=None, progress=print,
                 live=False):
-    """Run the tier set (smoke: smoke + batch; full: all tiers), merge
+    """Run the tier set (smoke: smoke only; full: all tiers), merge
     the new entries into the trajectory JSON, and return the payload.
 
     ``live=True`` attaches a per-tier
     :class:`~repro.obs.live.ProgressMonitor` to every timed run, so
-    long tiers show throughput/punt lines on stderr while they measure
+    long tiers show throughput lines on stderr while they measure
     (the monitor rides the simulator's per-quantum hook; it is part of
     the timed region, which is exactly the overhead the obs benchmark
     bounds).
@@ -231,7 +175,7 @@ def run_harness(smoke=False, out=None, repeats=None, progress=print,
     of erasing it. The file lands via a same-directory temp file and
     ``os.replace`` so a crash mid-write never truncates the history.
     """
-    tiers = ["smoke", "batch"] if smoke else ["smoke", "medium", "batch"]
+    tiers = ["smoke"] if smoke else ["smoke", "medium"]
     path = pathlib.Path(out) if out else default_output_path()
     payload = {"bench": "hotpath", "app": HOT_APP, "tiers": {}}
     if path.exists():

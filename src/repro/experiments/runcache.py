@@ -151,7 +151,6 @@ def result_from_dict(data):
     result.process_cycles = {k: v for k, v in data["process_cycles"]}
     result.context_switches = data["context_switches"]
     result.obs = data.get("obs")
-    result.batch = data.get("batch")
     # ``latency``, ``total_cycles`` are derived on the fly; a cached
     # ``coherence_violations`` count has no record list to restore.
     return result

@@ -3,11 +3,10 @@
 The registry (:mod:`repro.core.policy`) turns the repo from "one paper
 reproduced" into a translation-architecture lab; this experiment is the
 lab bench. For every stock workload x zoo config it runs the simulation
-three times — reference, scalar fast path, and batch engine — asserts
-the three tiers bit-identical (the same triangulation contract
-tests/test_fastpath.py pins per config), and tabulates L2 TLB MPKI and
-translation latency (cycles per access) for each policy against the
-Baseline and BabelFish arms.
+twice — reference and fast path — asserts the two tiers bit-identical
+(the same contract tests/test_fastpath.py pins per config), and
+tabulates L2 TLB MPKI and translation latency (cycles per access) for
+each policy against the Baseline and BabelFish arms.
 
 Runs are sharded through :func:`repro.experiments.runner.execute`
 (``--jobs N``), so the grid rides the same memo/disk caches as every
@@ -23,7 +22,6 @@ import math
 import os
 import pathlib
 
-from repro.experiments.perf import arch_dict
 from repro.experiments.runner import RunRequest, execute, request_overrides
 from repro.workloads.profiles import COMPUTE_APPS, SERVING_APPS
 
@@ -35,11 +33,10 @@ ZOO_CONFIGS = ("Baseline", "BigTLB", "BabelFish", "BabelFish-TLB",
 #: The policies new in the zoo (what the acceptance gate counts).
 NEW_POLICIES = ("Victima", "Coalesced")
 
-#: Execution tiers triangulated per cell, as config overrides.
+#: Execution tiers compared per cell, as config overrides.
 TIER_OVERRIDES = (
     ("reference", {"fastpath": False}),
     ("fastpath", {}),
-    ("batch", {"batch": True}),
 )
 
 #: Grid scales: smoke is the CI tier (one serving app, small slice);
@@ -56,7 +53,7 @@ WATCHED_RATIOS = ("babelfish_mpki_gain", "victima_walk_gain",
 
 
 def zoo_matrix(apps, cores, scale):
-    """The grid's run requests: apps x configs x triangulation tiers."""
+    """The grid's run requests: apps x configs x execution tiers."""
     requests = []
     for app in apps:
         for name in ZOO_CONFIGS:
@@ -115,9 +112,8 @@ def measure_tier(apps, cores, scale, jobs=1, progress=None, monitor=None):
                     kind="app", app=app, config_name=name,
                     overrides=request_overrides(**overrides),
                     cores=cores, scale=scale)
-                dicts[tier] = arch_dict(by_request[request].result.as_dict())
-            identical = (dicts["reference"] == dicts["fastpath"]
-                         == dicts["batch"])
+                dicts[tier] = by_request[request].result.as_dict()
+            identical = dicts["reference"] == dicts["fastpath"]
             if not identical:
                 divergent.append("%s/%s" % (app, name))
             cell = _cell_metrics(dicts["fastpath"])

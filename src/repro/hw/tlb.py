@@ -289,17 +289,6 @@ class FastSetAssocTLB(SetAssocTLB):
     - ``_set_epochs[set]`` counts content changes per set; the L0
       translation memo (:mod:`repro.sim.fastpath`) records an entry's
       set epoch and trusts a hit only while it is unchanged.
-    - Chunk-boundary epoch hooks for the batch engine
-      (:mod:`repro.sim.batch`): when a consumer enables
-      ``_log_epochs``, every per-set epoch bump also appends the set
-      index to ``_epoch_log``, so a claim can invalidate exactly the
-      verified keys whose guard sets changed since its last chunk
-      instead of re-verifying everything. The log is a grow-only list
-      with a trim watermark: ``_epoch_log_base`` counts entries dropped
-      from the front, and a consumer whose cursor falls behind the base
-      must conservatively re-verify every key guarded by this
-      structure. Logging is off (a single predictable branch per bump)
-      until a batch trace registers interest.
     """
 
     def __init__(self, params):
@@ -307,20 +296,6 @@ class FastSetAssocTLB(SetAssocTLB):
         self._buckets = [dict() for _ in range(self.num_sets)]
         self._lru = [dict() for _ in range(self.num_sets)]
         self._set_epochs = [0] * self.num_sets
-        self._log_epochs = False
-        self._epoch_log = []
-        self._epoch_log_base = 0
-
-    def _log_set_change(self, index):
-        """Record one per-set epoch bump for batch-chunk consumers (only
-        called when ``_log_epochs`` is on). Trims the front once the log
-        grows past the watermark; consumers left behind detect the gap
-        via ``_epoch_log_base`` and fall back to full re-verification."""
-        log = self._epoch_log
-        log.append(index)
-        if len(log) > 8192:
-            del log[:4096]
-            self._epoch_log_base += 4096
 
     def candidates(self, vpn):
         bucket = self._buckets[vpn & self.set_mask].get(vpn)
@@ -364,8 +339,6 @@ class FastSetAssocTLB(SetAssocTLB):
                         lru[entry] = None
                         self.insertions += 1
                         self._set_epochs[index] += 1
-                        if self._log_epochs:
-                            self._log_set_change(index)
                         self._bump_epoch()
                         return old
         evicted = None
@@ -386,8 +359,6 @@ class FastSetAssocTLB(SetAssocTLB):
         tset.append(entry)
         self.insertions += 1
         self._set_epochs[index] += 1
-        if self._log_epochs:
-            self._log_set_change(index)
         self._bump_epoch()
         return evicted
 
@@ -411,8 +382,6 @@ class FastSetAssocTLB(SetAssocTLB):
         self.invalidations += removed
         if removed:
             self._set_epochs[index] += 1
-            if self._log_epochs:
-                self._log_set_change(index)
             self._bump_epoch()
         return removed
 
@@ -432,8 +401,6 @@ class FastSetAssocTLB(SetAssocTLB):
                 self._buckets[index].clear()
                 self._lru[index].clear()
                 self._set_epochs[index] += 1
-                if self._log_epochs:
-                    self._log_set_change(index)
                 removed += here
                 continue
             here = 0
@@ -451,8 +418,6 @@ class FastSetAssocTLB(SetAssocTLB):
                     del lru[entry]
             if here:
                 self._set_epochs[index] += 1
-                if self._log_epochs:
-                    self._log_set_change(index)
                 removed += here
         self.invalidations += removed
         if removed:

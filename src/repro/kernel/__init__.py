@@ -16,6 +16,7 @@ from repro.kernel.errors import (
     SegmentationFault,
     SimulationError,
     TouchDidNotConverge,
+    TranslationDidNotConverge,
 )
 from repro.kernel.costs import KernelCosts
 from repro.kernel.frames import FrameAllocator, FrameKind
@@ -41,6 +42,7 @@ __all__ = [
     "ProtectionFault",
     "OutOfMemoryError",
     "TouchDidNotConverge",
+    "TranslationDidNotConverge",
     "KernelCosts",
     "FrameAllocator",
     "FrameKind",

@@ -35,3 +35,14 @@ class TouchDidNotConverge(SimulationError):
         super().__init__("touch did not converge: pid=%d vpn=%#x" % (pid, vpn))
         self.pid = pid
         self.vpn = vpn
+
+
+class TranslationDidNotConverge(SimulationError):
+    """An MMU translation kept faulting past its retry limit without the
+    serviced fault ever making the access translate."""
+
+    def __init__(self, pid, vpn):
+        super().__init__("translation did not converge: pid=%d vpn=%#x"
+                         % (pid, vpn))
+        self.pid = pid
+        self.vpn = vpn

@@ -116,11 +116,12 @@ def main(argv=None):
     watch_parser.add_argument("--ratio", action="append", default=[],
                               metavar="METRIC",
                               help="watched ratio to gate (repeatable; "
-                              "default: speedup fastpath_speedup)")
+                              "default: speedup)")
     watch_parser.add_argument("--tolerance", action="append", default=[],
                               type=_parse_tolerance, metavar="TIER=FRAC",
                               help="per-tier regression band, e.g. "
-                              "smoke=0.5 (repeatable)")
+                              "smoke=0.5; 0 demands exact equality "
+                              "(repeatable)")
     watch_parser.add_argument("--default-tolerance", type=float,
                               default=None, metavar="FRAC",
                               help="band for tiers without an explicit "

@@ -149,11 +149,10 @@ def _stderr_emit(line):
 class ProgressMonitor:
     """Throughput/ETA tracker emitting periodic snapshot lines.
 
-    Producers call :meth:`advance` with work deltas (and optionally an
-    absolute punt total, for engines that keep their own counter); a
-    snapshot line is emitted whenever ``interval`` seconds have passed
-    since the last one. The clock and the emit function are injectable,
-    so tests drive it with a fake clock and capture lines in a list.
+    Producers call :meth:`advance` with work deltas; a snapshot line is
+    emitted whenever ``interval`` seconds have passed since the last one.
+    The clock and the emit function are injectable, so tests drive it
+    with a fake clock and capture lines in a list.
     """
 
     def __init__(self, total=None, unit="records", label="progress",
@@ -166,29 +165,22 @@ class ProgressMonitor:
         self.emit = _stderr_emit if emit is None else emit
         self.started = clock()
         self.done = 0
-        self.punts = 0
         self.counters = {}
         self.lines_emitted = 0
         self._last_time = self.started
         self._last_done = 0
-        self._last_punts = 0
 
     # -- producers ---------------------------------------------------------
 
-    def advance(self, amount=0, punts=0, punts_total=None):
+    def advance(self, amount=0):
         self.done += amount
-        if punts_total is not None:
-            self.punts = punts_total
-        else:
-            self.punts += punts
         now = self.clock()
         if now - self._last_time >= self.interval:
             self._emit_line(now)
 
-    def advance_to(self, done_total, punts_total=None):
+    def advance_to(self, done_total):
         """Absolute form of :meth:`advance` (aggregated shard totals)."""
-        self.advance(max(0, done_total - self.done),
-                     punts_total=punts_total)
+        self.advance(max(0, done_total - self.done))
 
     def count(self, name, amount=1):
         """A named auxiliary counter (launches, kills, cache hits...)."""
@@ -210,11 +202,6 @@ class ProgressMonitor:
         if window <= 0:
             return self.rate(now)
         return (self.done - self._last_done) / window
-
-    def punt_rate(self, now=None):
-        now = self.clock() if now is None else now
-        elapsed = now - self.started
-        return self.punts / elapsed if elapsed > 0 else 0.0
 
     def eta_seconds(self, now=None):
         """Seconds to completion from the window rate; None when no
@@ -245,10 +232,6 @@ class ProgressMonitor:
             parts.append("%s %s" % (_human(self.done), self.unit))
         parts.append("%s %s/s" % (_human_rate(self.window_rate(now)),
                                   self.unit))
-        if self.punts:
-            parts.append("punts %s (%s/s)"
-                         % (_human(self.punts),
-                            _human_rate(self.punt_rate(now))))
         for name in sorted(self.counters):
             parts.append("%s %s" % (name, _human(self.counters[name])))
         eta = self.eta_seconds(now)
@@ -262,7 +245,6 @@ class ProgressMonitor:
         self.lines_emitted += 1
         self._last_time = now
         self._last_done = self.done
-        self._last_punts = self.punts
 
     def finish(self):
         """Emit (and return) a final whole-run summary line."""
@@ -270,8 +252,6 @@ class ProgressMonitor:
         parts = ["[%s] done:" % self.label,
                  "%s %s" % (_human(self.done), self.unit),
                  "%s %s/s" % (_human_rate(self.rate(now)), self.unit)]
-        if self.punts:
-            parts.append("punts %s" % _human(self.punts))
         for name in sorted(self.counters):
             parts.append("%s %s" % (name, _human(self.counters[name])))
         parts.append("elapsed %s" % _human_seconds(now - self.started))
@@ -283,7 +263,7 @@ class ProgressMonitor:
     def as_dict(self):
         now = self.clock()
         return {"label": self.label, "unit": self.unit, "done": self.done,
-                "total": self.total, "punts": self.punts,
+                "total": self.total,
                 "counters": dict(sorted(self.counters.items())),
                 "rate": self.rate(now), "elapsed": now - self.started,
                 "lines_emitted": self.lines_emitted}
@@ -371,12 +351,11 @@ class ProgressAggregator:
         return totals
 
     def feed(self, monitor):
-        """Advance ``monitor`` to the merged totals (keys: ``done``
-        primary, ``punts`` absolute, anything else a named counter)."""
+        """Advance ``monitor`` to the merged totals (key ``done`` is
+        primary, anything else a named counter)."""
         totals = self.merged()
         for key, value in totals.items():
-            if key not in ("done", "punts"):
+            if key != "done":
                 monitor.counters[key] = value
-        monitor.advance_to(totals.get("done", 0),
-                           punts_total=totals.get("punts"))
+        monitor.advance_to(totals.get("done", 0))
         return totals

@@ -3,13 +3,16 @@
 ``python -m repro.obs perfwatch FRESH [--baseline COMMITTED]`` compares
 a freshly measured trajectory against the committed one tier by tier
 and exits nonzero when any watched metric falls below its per-tier
-tolerance floor. The default watched metrics are the machine-normalized
-speedup *ratios* (batch/reference and fastpath/reference) — ratios
-transfer across machines far better than absolute access rates, which
-is what makes a CI runner's fresh measurement comparable to a
-trajectory recorded on a dev box at all. Tolerances are therefore
-per-tier: the tiny smoke tier is noise-dominated and gets a wide band,
-the medium and batch tiers are long enough to hold a tighter one.
+tolerance floor. The default watched metric is the machine-normalized
+fast/reference speedup *ratio* — ratios transfer across machines far
+better than absolute access rates, which is what makes a CI runner's
+fresh measurement comparable to a trajectory recorded on a dev box at
+all. Tolerances are therefore per-tier: the tiny smoke tier is
+noise-dominated and gets a wide band, the medium tier is long enough to
+hold a tighter one. A band of 0 means exact equality: any difference,
+up or down, is reported as ``changed`` and fails the watch. That is the
+gate for deterministic ratios (the zoo's pure-simulation gains), where
+any movement is a behavior change rather than noise.
 
 The watchdog is not married to BENCH_hotpath.json: any file with a
 ``tiers`` table works, and the watched-ratio list is configurable per
@@ -29,11 +32,11 @@ import os
 
 #: Regression floor per tier, as a fraction of the baseline value
 #: (0.35 = fail below 65% of baseline). Overridable per invocation.
-DEFAULT_TOLERANCES = {"smoke": 0.35, "medium": 0.15, "batch": 0.20}
+DEFAULT_TOLERANCES = {"smoke": 0.35, "medium": 0.15}
 DEFAULT_TOLERANCE = 0.15
 
 #: Default tier-entry keys watched for regressions (higher is better).
-WATCHED = ("speedup", "fastpath_speedup")
+WATCHED = ("speedup",)
 
 
 def repo_baseline_path(name="BENCH_hotpath.json"):
@@ -90,7 +93,9 @@ def compare(fresh, baseline, tolerances=None, default_tolerance=None,
             if metric not in entry or metric not in base:
                 continue
             floor = base[metric] * (1.0 - band)
-            if entry[metric] < floor:
+            if band == 0 and entry[metric] != base[metric]:
+                status = "changed"
+            elif entry[metric] < floor:
                 status = "regression"
             elif entry[metric] > base[metric] * (1.0 + band):
                 status = "improved"
@@ -100,7 +105,7 @@ def compare(fresh, baseline, tolerances=None, default_tolerance=None,
                    "baseline": base[metric], "fresh": entry[metric],
                    "floor": floor, "status": status}
             rows.append(row)
-            if status == "regression":
+            if status in ("regression", "changed"):
                 regressions.append(row)
     for tier in sorted(set(base_tiers) - set(fresh_tiers)):
         rows.append({"tier": tier, "metric": "-", "baseline": None,
@@ -119,7 +124,8 @@ def format_report(rows, regressions):
     if regressions:
         lines.append("")
         lines.append("PERF REGRESSION: %d watched metric(s) below the "
-                     "tolerance floor" % len(regressions))
+                     "tolerance floor or changed under an exact band"
+                     % len(regressions))
     else:
         lines.append("")
         lines.append("perfwatch: all watched metrics within tolerance")

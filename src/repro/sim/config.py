@@ -55,16 +55,6 @@ class SimConfig:
     #: environment — forces the reference implementations; ``sanitize``
     #: and ``trace`` runs fall back to them automatically.
     fastpath: bool = True
-    #: Execute attached traces in vectorized chunks (:mod:`repro.sim.batch`):
-    #: traces are compiled to flat parallel arrays at attach time and the
-    #: steady-state (memo-hit, L1-cache-hit) stream is claimed per chunk —
-    #: set-index math, tag compares, and stat folds done with numpy (or a
-    #: pure-Python fallback when numpy is absent) — punting to the scalar
-    #: fast path at any record it cannot prove is a pure hit. Requires the
-    #: fast structures (``fastpath=True`` and no sanitize/trace); bit-
-    #: identical to the reference path by the same ``as_dict()`` gate
-    #: (DESIGN.md §14; tests/test_batch.py). ``REPRO_BATCH=0`` disables.
-    batch: bool = False
     #: Enable the translation-coherence sanitizer: a shadow MMU that
     #: cross-checks every TLB fill/hit/invalidation against an independent
     #: architectural walk of the kernel page tables
@@ -81,6 +71,9 @@ class SimConfig:
     #: measured-phase snapshot lands on ``RunResult.obs``.
     trace: object = None
     costs: KernelCosts = dataclasses.field(default_factory=KernelCosts)
+
+    #: Not a field: perfbench/worker.py reads it for its tier record.
+    batch = False
 
     def __post_init__(self):
         if not self.policy:

@@ -68,8 +68,7 @@ class TranslationMemo:
     tables for ifetch and data)::
 
         (entry, tlb, set_idx, set_epoch, ppn4k, page_size,
-         write_ok, write_seeded, mask_domain, pc_mask, pre,
-         hit_snap, pre_deep)
+         write_ok, write_seeded, mask_domain, pc_mask, pre)
 
     where ``tlb`` is the :class:`~repro.hw.tlb.FastSetAssocTLB` holding
     ``entry``, ``pre`` lists ``(tlb, set_idx, set_epoch)`` for every
@@ -78,26 +77,12 @@ class TranslationMemo:
     ``mask_domain`` is the ORPC bitmask scope to re-check against
     ``proc.pc_bits`` (None when the reference match does no mask check).
 
-    ``hit_snap`` and ``pre_deep`` back :meth:`peek`'s deep
-    revalidation: set epochs count *any* content change in a set, but
-    the probed outcome only depends on the one VPN bucket each probe
-    scans. ``hit_snap`` is the seed-time identity snapshot
-    (``tuple(bucket)``) of the hit entry's bucket, and ``pre_deep``
-    holds ``(probe_vpn, snapshot)`` per pre-probed structure. A guard
-    epoch that moved while the snapshot still matches proves the
-    probe's bucket scan is unchanged (entries compare by identity and
-    every membership or order change rebuilds the list), so the record
-    can be revalidated instead of discarded. :meth:`probe` — and its
-    inlined copy in :func:`run_quantum_fast` — ignore both fields: the
-    fast path reseeds through its reference hit anyway, and keeping
-    its guard sequence unchanged keeps its per-record cost unchanged.
-
     A probe hit replays the reference side effects exactly: the access
     and L1-hit counters, one miss per pre-probed structure, the hit
     structure's hit counter, and the entry's move-to-end LRU touch.
     """
 
-    __slots__ = ("i", "d", "share_l1", "domain_fn", "limit", "peek_reason")
+    __slots__ = ("i", "d", "share_l1", "domain_fn", "limit")
 
     def __init__(self, share_l1, domain_fn, limit=8192):
         self.i = {}
@@ -105,11 +90,6 @@ class TranslationMemo:
         self.share_l1 = share_l1
         self.domain_fn = domain_fn
         self.limit = limit
-        #: Why the most recent :meth:`peek` returned None — "memo_miss",
-        #: "epoch", "write_verdict", or "mask_bit". Pure diagnostics for
-        #: the batch engine's punt attribution; never read by any
-        #: architectural path.
-        self.peek_reason = None
 
     def probe(self, proc, segment, page_off, instr, is_write, stats):
         """Serve a repeat access, or return None to take the reference
@@ -120,8 +100,7 @@ class TranslationMemo:
         if rec is None:
             return None
         (entry, tlb, set_idx, set_epoch, ppn4k, page_size,
-         write_ok, write_seeded, mask_domain, pc_mask, pre,
-         _hit_snap, _pre_deep) = rec
+         write_ok, write_seeded, mask_domain, pc_mask, pre) = rec
         if tlb._set_epochs[set_idx] != set_epoch:
             # The entry's set changed (fill/invalidate/flush): the
             # recorded outcome can no longer be trusted.
@@ -164,98 +143,12 @@ class TranslationMemo:
         lru[entry] = None
         return ppn4k, page_size
 
-    def peek(self, proc, segment, page_off, instr, is_write):
-        """Evaluate the probe guards without replaying any side effect.
-
-        The batch engine (:mod:`repro.sim.batch`) uses this to *verify*
-        that a record would be served by :meth:`probe` before claiming a
-        whole chunk of them at once; the replay effects are then folded
-        in bulk. Returns the validated memo record tuple, or None where
-        the record cannot be trusted. The only state changes are the
-        same stale-record eviction :meth:`probe` performs and the
-        guard-epoch refresh below — both invisible to every
-        architectural observable.
-
-        Where :meth:`probe` discards on any guard-epoch movement, peek
-        *deep-revalidates*: each probe's outcome depends only on the
-        one VPN bucket it scans, so if that bucket is identity-equal to
-        its seed-time snapshot (and the hit entry's permission and mask
-        state recompute to the recorded values), the record is provably
-        what a reseed would rebuild — its guard epochs are refreshed in
-        place and the record survives. Every removal, insertion,
-        replacement, or reordering a set can undergo rewrites the
-        bucket list, entries compare by identity, and in-place
-        permission flips (CoW upgrades) reinstall through
-        :meth:`~repro.hw.tlb.FastSetAssocTLB.insert`, so a matching
-        snapshot proves an unchanged first-match scan. Anything less
-        than an exact match falls back to the reference path."""
-        table = self.i if instr else self.d
-        key = (proc.pid, segment, page_off)
-        rec = table.get(key)
-        if rec is None:
-            self.peek_reason = "memo_miss"
-            return None
-        (entry, tlb, set_idx, set_epoch, ppn4k, page_size,
-         write_ok, write_seeded, mask_domain, pc_mask, pre,
-         hit_snap, pre_deep) = rec
-        stale = False
-        if tlb._set_epochs[set_idx] != set_epoch:
-            bucket = tlb._buckets[set_idx].get(entry.vpn)
-            if (tuple(bucket) if bucket else ()) != hit_snap:
-                del table[key]
-                self.peek_reason = "epoch"
-                return None
-            if (entry.writable and not entry.cow) != write_ok:
-                del table[key]
-                self.peek_reason = "epoch"
-                return None
-            if self.share_l1 and not entry.o_bit and entry.orpc:
-                if (mask_domain != self.domain_fn(entry)
-                        or pc_mask != entry.pc_mask):
-                    del table[key]
-                    self.peek_reason = "epoch"
-                    return None
-            elif mask_domain is not None:
-                del table[key]
-                self.peek_reason = "epoch"
-                return None
-            stale = True
-        if is_write:
-            if not write_ok:
-                self.peek_reason = "write_verdict"
-                return None
-        elif write_seeded:
-            self.peek_reason = "write_verdict"
-            return None
-        if mask_domain is not None:
-            bit = proc.pc_bits.get(mask_domain)
-            if bit is not None and (pc_mask >> bit) & 1:
-                self.peek_reason = "mask_bit"
-                return None
-        for k, (pre_tlb, pre_idx, pre_epoch) in enumerate(pre):
-            if pre_tlb._set_epochs[pre_idx] != pre_epoch:
-                pre_vpn, pre_snap = pre_deep[k]
-                bucket = pre_tlb._buckets[pre_idx].get(pre_vpn)
-                if (tuple(bucket) if bucket else ()) != pre_snap:
-                    del table[key]
-                    self.peek_reason = "epoch"
-                    return None
-                stale = True
-        if stale:
-            rec = (entry, tlb, set_idx, tlb._set_epochs[set_idx], ppn4k,
-                   page_size, write_ok, write_seeded, mask_domain, pc_mask,
-                   tuple((t, i, t._set_epochs[i]) for t, i, _e in pre),
-                   hit_snap, pre_deep)
-            table[key] = rec
-        return rec
-
     def seed(self, proc, segment, page_off, instr, is_write, lookup_vpn,
              entry, multi, ppn4k):
         """Record a reference L1 hit so the next access to the same page
         can be served by :meth:`probe`."""
         size = entry.page_size
         pre = []
-        pre_deep = []
         tlb = None
         set_idx = 0
         for probe_size, shift, probe_tlb in multi._probe:
@@ -265,11 +158,6 @@ class TranslationMemo:
                 set_idx = idx
                 break
             pre.append((probe_tlb, idx, probe_tlb._set_epochs[idx]))
-            pre_vpn = lookup_vpn >> shift
-            bucket = probe_tlb._buckets[idx].get(pre_vpn)
-            pre_deep.append((pre_vpn, tuple(bucket) if bucket else ()))
-        hit_bucket = tlb._buckets[set_idx].get(entry.vpn)
-        hit_snap = tuple(hit_bucket) if hit_bucket else ()
         if self.share_l1 and not entry.o_bit and entry.orpc:
             mask_domain = self.domain_fn(entry)
             pc_mask = entry.pc_mask
@@ -282,7 +170,7 @@ class TranslationMemo:
         table[(proc.pid, segment, page_off)] = (
             entry, tlb, set_idx, tlb._set_epochs[set_idx], ppn4k, size,
             entry.writable and not entry.cow, is_write,
-            mask_domain, pc_mask, tuple(pre), hit_snap, tuple(pre_deep))
+            mask_domain, pc_mask, tuple(pre))
 
 
 def run_quantum_fast(sim, core_id, proc):
@@ -338,8 +226,7 @@ def run_quantum_fast(sim, core_id, proc):
             tr_cycles = -1
             if rec_m is not None:
                 (entry, tlb, set_idx, set_epoch, ppn4k, _page_size,
-                 write_ok, write_seeded, mask_domain, pc_mask, pre,
-                 _hit_snap, _pre_deep) = rec_m
+                 write_ok, write_seeded, mask_domain, pc_mask, pre) = rec_m
                 if tlb._set_epochs[set_idx] != set_epoch:
                     del table[key]
                 elif write_ok if is_write else not write_seeded:

@@ -24,6 +24,7 @@ from repro.core.babelfish_tlb import (
     hit_provenance,
 )
 from repro.core.mask_page import region_of
+from repro.kernel.errors import TranslationDidNotConverge
 from repro.kernel.fault import FaultType, InvalidationScope, trace_outcome
 from repro.sim.fastpath import TranslationMemo, structures_active
 from repro.sim.stats import MMUStats
@@ -112,11 +113,6 @@ class MMU:
         self._domain_fn = self._bf_l1d.domain_fn
         self._sanitizer = None
         self._tracer = None
-        #: Monotonic count of kernel-requested invalidations applied to
-        #: this core's TLBs. Diagnostics only (the batch engine's punt
-        #: attribution tells remote-shootdown epoch movement apart from
-        #: local churn by watching it); never part of MMUStats.
-        self.invals_applied = 0
 
     #: Optional translation-coherence sanitizer (shadow MMU); set by
     #: the simulator when ``config.sanitize`` is enabled.
@@ -152,18 +148,6 @@ class MMU:
         the sanitizer iterate this, so a policy adding a level is
         covered automatically."""
         return self._tlb_levels
-
-    def memo_peek(self, proc, segment, page_off, instr, is_write):
-        """Side-effect-free memo guard evaluation for the batch engine
-        (:mod:`repro.sim.batch`): returns the validated memo record when
-        a :meth:`TranslationMemo.probe` of the same access would hit,
-        else None. None whenever the memo itself is unwired (sanitizer/
-        tracer modes), in which case the batch path claims nothing and
-        every record takes :meth:`translate`."""
-        memo = self._memo
-        if memo is None:
-            return None
-        return memo.peek(proc, segment, page_off, instr, is_write)
 
     # -- main entry point --------------------------------------------------------
 
@@ -207,7 +191,7 @@ class MMU:
                 into.page_size = result[2]
                 return into
             # A CoW fault (from a TLB hit or walk) was serviced; retry.
-        raise RuntimeError("translation did not converge for vpn %#x" % vpn_group)
+        raise TranslationDidNotConverge(proc.pid, vpn_group)
 
     def _try_translate(self, proc, segment, page_off, vpn_proc, vpn_group,
                        instr, is_write):
@@ -573,7 +557,6 @@ class MMU:
 
     def apply_invalidation(self, proc, inv):
         """Apply one kernel-requested invalidation to this core's TLBs."""
-        self.invals_applied += 1
         if self.tracer is not None:
             self.tracer.invalidation(self.core_id, proc.pid, inv.vpn,
                                      inv.scope.value)

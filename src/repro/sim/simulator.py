@@ -23,7 +23,6 @@ from repro.hw.dram import DRAMModel
 from repro.hw.types import AccessKind
 from repro.kernel.scheduler import Scheduler
 from repro.obs.tracer import Tracer, resolve_trace_options
-from repro.sim import batch
 from repro.sim import fastpath
 from repro.sim.mmu import MMU
 from repro.sim.stats import MMUStats, RunResult
@@ -48,19 +47,8 @@ class Simulator:
         #: the same predicate. Off under sanitize/trace (debug modes run
         #: the reference path) or REPRO_FASTPATH=0.
         self._fast = fastpath.structures_active(config)
-        #: Batched execution (repro.sim.batch): traces are compiled to
-        #: flat arrays at attach time and pure-hit prefixes are claimed
-        #: per chunk, punting to the scalar machinery at every
-        #: non-steady-state record. Requires the fast structures.
-        self._batch = self._fast and batch.batch_active(config)
-        #: Per-cause punt attribution for the batch engine; None unless
-        #: batching is on and REPRO_BATCH_ATTRIBUTION != 0. Sits outside
-        #: MMUStats so it never touches the architectural summary.
-        self.batch_stats = (batch.BatchStats()
-                            if self._batch and batch.attribution_active()
-                            else None)
         #: Optional :class:`repro.obs.live.ProgressMonitor`; the run loop
-        #: advances it once per quantum (instructions + punt totals).
+        #: advances it once per quantum with the instructions consumed.
         #: Stays None unless a harness attaches one — the hot loop then
         #: pays a single ``is not None`` test per quantum.
         self.progress = None
@@ -97,16 +85,8 @@ class Simulator:
     # -- workload attachment -------------------------------------------------
 
     def attach(self, proc, trace, core_id):
-        """Attach a process and its trace iterator to a core's run queue.
-
-        Under batch execution the trace is materialized and compiled to
-        flat arrays here (attach time), bound to ``core_id``'s MMU and
-        caches.
-        """
-        if self._batch:
-            self._traces[proc.pid] = batch.compile_trace(trace, self, core_id)
-        else:
-            self._traces[proc.pid] = iter(trace)
+        """Attach a process and its trace iterator to a core's run queue."""
+        self._traces[proc.pid] = iter(trace)
         self.scheduler.assign(proc, core_id)
 
     def detach(self, proc):
@@ -137,11 +117,7 @@ class Simulator:
                 progressed = True
                 consumed = self._run_quantum(core_id, proc)
                 if self.progress is not None:
-                    bstats = self.batch_stats
-                    self.progress.advance(
-                        consumed,
-                        punts_total=(bstats.punts
-                                     if bstats is not None else None))
+                    self.progress.advance(consumed)
                 if budget is not None:
                     budget -= consumed
                     if budget <= 0:
@@ -151,8 +127,6 @@ class Simulator:
         return self._finish()
 
     def _run_quantum(self, core_id, proc):
-        if self._batch:
-            return batch.run_quantum_batch(self, core_id, proc)
         if self._fast:
             return fastpath.run_quantum_fast(self, core_id, proc)
         mmu = self.mmus[core_id]
@@ -226,8 +200,6 @@ class Simulator:
             # experiment is done).
             self.tracer.flush()
             result.obs = self.tracer.snapshot()
-        if self.batch_stats is not None:
-            result.batch = self.batch_stats.snapshot()
         return result
 
     # -- utilities ------------------------------------------------------------------
@@ -250,9 +222,6 @@ class Simulator:
         self._completion = {}
         self._proc_cycles = {}
         self.scheduler.context_switches = 0
-        if self.batch_stats is not None:
-            # Warm-up claims/punts are not part of the measured run.
-            self.batch_stats = batch.BatchStats()
         if self.tracer is not None:
             # Warm-up events must not leak into the measured snapshot.
             self.tracer.reset()

@@ -106,13 +106,6 @@ class RunResult:
         #: Observability snapshot (:meth:`repro.obs.Tracer.snapshot`);
         #: None unless the run had ``SimConfig(trace=...)`` enabled.
         self.obs = None
-        #: Batch-engine diagnostics (:meth:`repro.sim.batch.BatchStats.
-        #: snapshot`): per-cause punt attribution and claim-length
-        #: histograms. None unless the run used the batch engine (with
-        #: attribution compiled in). Engine diagnostics, not
-        #: architecture: identity comparisons against the scalar paths
-        #: strip this key.
-        self.batch = None
 
     @property
     def total_cycles(self):
@@ -161,8 +154,6 @@ class RunResult:
             data["obs"] = dict(self.obs,
                                metrics=map_label(self.obs["metrics"],
                                                  "pid", index))
-        if self.batch is not None:
-            data["batch"] = self.batch
         return data
 
     def __repr__(self):

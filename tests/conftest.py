@@ -6,6 +6,7 @@ unless ``--sanitize`` (or ``REPRO_SANITIZE=1``) is given, so tier-1 time
 stays flat.
 """
 
+import contextlib
 import os
 
 import pytest
@@ -108,6 +109,23 @@ def mini_babelfish():
 @pytest.fixture(params=[False, True], ids=["baseline", "babelfish"])
 def mini_any(request):
     return MiniSystem(babelfish=request.param)
+
+
+@pytest.fixture
+def memo_off(monkeypatch):
+    """Context manager: MMUs built inside it keep the fast TLB and
+    cache backings but get no L0 translation memo. A run under it is a
+    third execution leg beside the reference and the full fast path, so
+    a memo bug and a structure-swap bug cannot cancel out."""
+    from repro.sim import mmu
+
+    @contextlib.contextmanager
+    def disabled():
+        with monkeypatch.context() as patch:
+            patch.setattr(mmu, "TranslationMemo", lambda *args: None)
+            yield
+
+    return disabled
 
 
 @pytest.fixture

@@ -387,16 +387,16 @@ class TestParallelSafetyBF601:
 
     def test_dispatch_roots_marker_seeds_reachability(self):
         # Modules whose entry points are dispatched from elsewhere (the
-        # batch engine's run_quantum_batch, dispatched per quantum by
-        # the simulator) opt in via a top-level DISPATCH_ROOTS tuple.
+        # serve worker's worker_main, started in a child process by the
+        # pool) opt in via a top-level DISPATCH_ROOTS tuple.
         findings = lint("""\
-            DISPATCH_ROOTS = ("run_quantum_batch",)
+            DISPATCH_ROOTS = ("worker_main",)
             TOTALS = {}
 
             def _fold(key, count):
                 TOTALS[key] = TOTALS.get(key, 0) + count
 
-            def run_quantum_batch(sim, core_id, proc):
+            def worker_main(sim, core_id, proc):
                 _fold(core_id, 1)
                 return 0
             """, EXP_PATH)
@@ -405,9 +405,9 @@ class TestParallelSafetyBF601:
 
     def test_dispatch_roots_marker_clean_module(self):
         findings = lint("""\
-            DISPATCH_ROOTS = ("run_quantum_batch",)
+            DISPATCH_ROOTS = ("worker_main",)
 
-            def run_quantum_batch(sim, core_id, proc):
+            def worker_main(sim, core_id, proc):
                 folds = {}
                 folds[core_id] = 1
                 return folds
@@ -485,9 +485,9 @@ class TestUnorderedFoldBF602:
 
     def test_dispatch_roots_marker_brings_folds_in_scope(self):
         findings = lint("""\
-            DISPATCH_ROOTS = ("run_quantum_batch",)
+            DISPATCH_ROOTS = ("worker_main",)
 
-            def run_quantum_batch(sim, touched):
+            def worker_main(sim, touched):
                 total = 0
                 for key in set(touched):
                     total += touched[key]

@@ -1,257 +1,48 @@
-"""Differential verification of the batch engine (repro.sim.batch).
+"""Three-leg triangulation of the execution tiers.
 
-The contract: with ``SimConfig.batch`` on (and the fast structures
-available), ``RunResult.as_dict()`` is bit-identical to both the scalar
-fast path and the reference path on the same workload — across chunk
-boundaries, faults on the first/last record of a chunk, epoch bumps
-mid-chunk, single-record chunks, the numpy span core and the pure-Python
-fallback, and a seeded fuzz over mixed configurations. Plus the perf
-harness glue: the batch tier and the merge-on-write trajectory file.
+The batch engine that once gave this suite its third leg was removed
+(DESIGN §14). The third leg is now the fast structures with the L0
+translation memo off (the ``memo_off`` fixture), beside the reference
+path and the full fast path: all three must produce the same
+``RunResult.as_dict()`` on the hot-locality workload of the perf
+harness and the same summary on a container churn storm.
 """
-
-import json
-import random
 
 import pytest
 
-from repro.experiments.common import (build_environment, config_by_name,
-                                      deploy_app)
-from repro.experiments import perf
+from repro.experiments.common import build_environment, config_by_name
 from repro.experiments.perf import run_hot
-from repro.kernel.vma import SegmentKind
-from repro.sim import batch
-from repro.workloads.profiles import APP_PROFILES
 
 STOCK_CONFIGS = ("Baseline", "BabelFish", "BabelFish-PT", "BabelFish-TLB",
                  "BigTLB", "Victima", "Coalesced")
 
 
-def _run(name, cores=1, records=1200, batch_on=True, **overrides):
-    config = config_by_name(name, batch=batch_on, **overrides)
-    d, _, _ = run_hot(config, cores, records)
-    # Identity comparisons are about the architecture: the batch
-    # engine's punt-attribution diagnostics ride outside it.
-    return perf.arch_dict(d)
-
-
-def _run_ref(name, cores=1, records=1200, **overrides):
-    config = config_by_name(name, fastpath=False, **overrides)
-    d, _, _ = run_hot(config, cores, records)
-    return d
-
-
-def _run_trace(trace, name="BabelFish", batch_on=True, fastpath=True):
-    """Run one explicit trace on every deployed container (1 core)."""
-    config = config_by_name(name, fastpath=fastpath,
-                            batch=batch_on and fastpath)
-    env = build_environment(config, cores=1)
-    deployment = deploy_app(env, APP_PROFILES["mongodb"])
-    for container in deployment.containers:
-        env.sim.attach(container.proc, list(trace), container.core)
-    return perf.arch_dict(env.sim.run().as_dict())
-
-
-# -- gating ---------------------------------------------------------------------
-
-
-def test_gating_flags(monkeypatch):
-    on = config_by_name("BabelFish", batch=True)
-    off = config_by_name("BabelFish")
-    assert batch.batch_active(on)
-    assert not batch.batch_active(off)
-    # batch requires the fast structures: debug modes force scalar paths.
-    assert not batch.batch_active(
-        config_by_name("BabelFish", batch=True, sanitize=True))
-    assert not batch.batch_active(
-        config_by_name("BabelFish", batch=True, fastpath=False))
-    monkeypatch.setenv(batch.BATCH_ENV, "0")
-    assert not batch.batch_active(on)
-    monkeypatch.delenv(batch.BATCH_ENV)
-    env = build_environment(on, cores=1)
-    assert env.sim._batch is True
-
-
-def test_numpy_escape_hatch(monkeypatch):
-    if batch._np is None:
-        pytest.skip("numpy not installed")
-    assert batch.numpy_active()
-    monkeypatch.setenv(batch.BATCH_NUMPY_ENV, "0")
-    assert not batch.numpy_active()
-
-
-# -- end-to-end triangulation ---------------------------------------------------
-
-
 @pytest.mark.parametrize("name", STOCK_CONFIGS)
-def test_stock_configs_triangulate(name):
+def test_stock_configs_triangulate(name, memo_off):
     cores = 2 if name == "BabelFish" else 1
-    ref = _run_ref(name, cores=cores)
-    assert _run(name, cores=cores) == ref
+    ref, _, _s = run_hot(config_by_name(name, fastpath=False), cores, 1200)
+    fast, _, _s = run_hot(config_by_name(name), cores, 1200)
+    with memo_off():
+        env = build_environment(config_by_name(name), cores=1)
+        assert env.sim.mmus[0].fast and env.sim.mmus[0]._memo is None
+        bare, _, _s = run_hot(config_by_name(name), cores, 1200)
+    assert fast == ref
+    assert bare == ref
 
 
-def test_numpy_and_fallback_agree(monkeypatch):
-    ref = _run_ref("BabelFish")
-    assert _run("BabelFish") == ref
-    monkeypatch.setenv(batch.BATCH_NUMPY_ENV, "0")
-    assert _run("BabelFish") == ref
-
-
-def test_forced_numpy_span_core(monkeypatch):
-    # NP_SPAN_MIN is normally a heuristic cutover; forcing it to 0 makes
-    # every claim take the vectorized precompute so the span core is
-    # exercised regardless of punt density.
-    if batch._np is None:
-        pytest.skip("numpy not installed")
-    monkeypatch.setattr(batch, "NP_SPAN_MIN", 0)
-    assert _run("BabelFish") == _run_ref("BabelFish")
-
-
-# -- chunk-boundary edges -------------------------------------------------------
-
-
-def _boundary_trace(chunk, chunks=6, cold_every=None):
-    """A deterministic trace sized in whole chunks: hot records with cold
-    (memo-missing, walk-taking) records planted at exact chunk-relative
-    positions."""
-    rng = random.Random(9)
-    records = []
-    for i in range(chunk * chunks):
-        gap = rng.randrange(2, 5)
-        if cold_every is not None and (i % chunk) in cold_every:
-            # A fresh cold page each time: first touch faults, so the
-            # record can never be claimed.
-            records.append((1, SegmentKind.MMAP, 500 + i, 0, gap, None))
-        elif rng.random() < 0.3:
-            records.append((2, SegmentKind.HEAP, rng.randrange(6),
-                            rng.randrange(64), gap, None))
-        else:
-            records.append((0, SegmentKind.CODE, rng.randrange(4),
-                            rng.randrange(64), gap, None))
-    return records
-
-
-@pytest.mark.parametrize("cold_every", [(0,), (7,), (0, 7), ()],
-                         ids=["fault-first", "fault-last", "fault-both",
-                              "no-faults"])
-def test_fault_at_chunk_edges(monkeypatch, cold_every):
-    monkeypatch.setattr(batch, "CHUNK", 8)
-    trace = _boundary_trace(8, cold_every=cold_every)
-    ref = _run_trace(trace, fastpath=False)
-    assert _run_trace(trace) == ref
-
-
-def test_single_record_chunks(monkeypatch):
-    monkeypatch.setattr(batch, "CHUNK", 1)
-    trace = _boundary_trace(1, chunks=400, cold_every=None)
-    assert _run_trace(trace) == _run_trace(trace, fastpath=False)
-
-
-def test_epoch_bump_mid_chunk(monkeypatch):
-    # CoW stores to fresh heap pages fault mid-stream (shootdowns bump
-    # TLB set epochs between claims); with a tiny chunk the bumps land
-    # inside nearly every chunk.
-    monkeypatch.setattr(batch, "CHUNK", 16)
-    rng = random.Random(21)
-    trace = []
-    for i in range(640):
-        if i % 5 == 3:
-            trace.append((2, SegmentKind.HEAP, rng.randrange(40),
-                          rng.randrange(64), 2, None))
-        else:
-            trace.append((0, SegmentKind.CODE, rng.randrange(4),
-                          rng.randrange(64), 3, None))
-    assert _run_trace(trace) == _run_trace(trace, fastpath=False)
-
-
-def test_churn_storm_triangulates():
+def test_churn_storm_triangulates(memo_off):
     # Container stop/restart mid-stream: PCID/CCID flushes, recycling,
-    # and cross-core shootdowns all land between (and inside) claims.
+    # and cross-core shootdowns land between accesses of every leg.
     from repro.experiments.churn import run_churn
 
-    ref = run_churn(cycles=25, sanitize=False, fastpath=False,
-                    pcid_bits=4, kill_rate=0.2, seed=11)
-    bat = run_churn(cycles=25, sanitize=False, fastpath=True, batch=True,
-                    pcid_bits=4, kill_rate=0.2, seed=11)
-    assert bat.pcid_recycles > 0
-    assert bat.summary() == ref.summary()
+    def churn(fastpath):
+        return run_churn(cycles=25, sanitize=False, fastpath=fastpath,
+                         pcid_bits=4, kill_rate=0.2, seed=11)
 
-
-# -- seeded fuzz ----------------------------------------------------------------
-
-
-def test_fuzz_mixed_configs(monkeypatch):
-    # 50 randomized (config, cores, records, CHUNK, NP_SPAN_MIN, numpy)
-    # draws; every one must be bit-identical to the reference run.
-    rng = random.Random(1234)
-    for trial in range(50):
-        name = rng.choice(STOCK_CONFIGS)
-        cores = rng.choice((1, 2))
-        records = rng.randrange(150, 700)
-        chunk = rng.choice((1, 3, 8, 64, 2048))
-        span_min = rng.choice((0, 4, 192))
-        use_np = rng.random() < 0.5
-        monkeypatch.setattr(batch, "CHUNK", chunk)
-        monkeypatch.setattr(batch, "NP_SPAN_MIN", span_min)
-        monkeypatch.setenv(batch.BATCH_NUMPY_ENV, "1" if use_np else "0")
-        got = _run(name, cores=cores, records=records)
-        want = _run_ref(name, cores=cores, records=records)
-        assert got == want, (
-            "fuzz trial %d diverged: %s cores=%d records=%d chunk=%d "
-            "span_min=%d numpy=%s"
-            % (trial, name, cores, records, chunk, span_min, use_np))
-
-
-# -- perf harness: batch tier + merge-on-write ----------------------------------
-
-
-def test_batch_tier_entry_shape(monkeypatch):
-    spec = perf.TIERS["batch"]
-    assert spec["overrides"] == {"batch": True}
-    small = dict(perf.TIERS)
-    small["batch"] = dict(spec, records=1500)
-    monkeypatch.setattr(perf, "TIERS", small)
-    entry = perf.measure_tier("batch", repeats=1)
-    assert entry["identical"] is True
-    assert entry["overrides"] == {"batch": True}
-    assert entry["speedup"] > 0
-    assert entry["fastpath_speedup"] > 0
-    # Punt attribution rides along on batch-tier entries: every record
-    # is either claimed or punted, and every punt has a cause.
-    punts = entry["punts"]
-    assert punts["claimed_records"] + punts["total"] == entry["accesses"]
-    assert sum(punts["causes"].values()) == punts["total"]
-
-
-def test_run_harness_merges_existing_tiers(tmp_path, monkeypatch):
-    # A smoke run must extend the trajectory file, not erase the tiers
-    # it did not run (the old write clobbered medium on every CI run).
-    out = tmp_path / "BENCH_hotpath.json"
-    out.write_text(json.dumps({
-        "bench": "hotpath", "app": "mongodb",
-        "tiers": {"medium": {"speedup": 3.21, "identical": True}},
-    }))
-
-    def fake_measure(tier, repeats=None, monitor=None):
-        return {"speedup": 1.0, "identical": True,
-                "fast_accesses_per_sec": 1, "reference_accesses_per_sec": 1}
-
-    monkeypatch.setattr(perf, "measure_tier", fake_measure)
-    payload = perf.run_harness(smoke=True, out=out, progress=lambda *_: None)
-    assert set(payload["tiers"]) == {"smoke", "medium", "batch"}
-    on_disk = json.loads(out.read_text())
-    assert on_disk["tiers"]["medium"]["speedup"] == 3.21
-    assert set(on_disk["tiers"]) == {"smoke", "medium", "batch"}
-    assert not list(tmp_path.glob("*.tmp"))
-
-
-def test_run_harness_tolerates_corrupt_trajectory(tmp_path, monkeypatch):
-    out = tmp_path / "BENCH_hotpath.json"
-    out.write_text("{not json")
-    monkeypatch.setattr(
-        perf, "measure_tier",
-        lambda tier, repeats=None, monitor=None: {
-            "speedup": 1.0, "identical": True,
-            "fast_accesses_per_sec": 1, "reference_accesses_per_sec": 1})
-    payload = perf.run_harness(smoke=True, out=out, progress=lambda *_: None)
-    assert set(payload["tiers"]) == {"smoke", "batch"}
-    assert set(json.loads(out.read_text())["tiers"]) == {"smoke", "batch"}
+    ref = churn(fastpath=False)
+    fast = churn(fastpath=True)
+    with memo_off():
+        bare = churn(fastpath=True)
+    assert fast.pcid_recycles > 0
+    assert fast.summary() == ref.summary()
+    assert bare.summary() == ref.summary()

@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.churn import (ChurnResult, format_churn, run_churn,
-                                     resource_snapshot, snapshot_diff)
+                                     snapshot_diff)
 
 
 def test_storm_is_clean_with_sanitizer():

@@ -4,21 +4,23 @@ The contract under test: with ``SimConfig.fastpath`` on (the default),
 every architectural observable — ``RunResult.as_dict()``, per-call
 translation cycles and physical addresses, TLB/cache counters — is
 bit-identical to a run with ``fastpath=False``. The suite drives the
-whole stack (every stock config, end to end), the swapped structures
-(random operation streams against both backings), and the L0 memo's
-invalidation edge cases (CoW retry, cross-core shootdowns, mid-run
-measurement reset, debug-mode bypass).
+whole stack (every stock config, end to end, plus a seeded fuzz and
+hand-built traces), the swapped structures (random operation streams
+against both backings), the L0 memo's invalidation edge cases (CoW
+retry, cross-core shootdowns, mid-run measurement reset, debug-mode
+bypass), and the perf harness's trajectory file.
 """
 
+import json
 import random
 
 import pytest
 
 from conftest import MiniSystem
 
-from repro.experiments import runcache
+from repro.experiments import perf, runcache
 from repro.experiments.common import (build_environment, config_by_name,
-                                      config_cache_key, run_app)
+                                      config_cache_key, deploy_app, run_app)
 from repro.experiments.perf import run_hot
 from repro.hw.cache import FastSetAssociativeCache, SetAssociativeCache
 from repro.hw.params import CacheParams, TLBParams, baseline_machine
@@ -30,6 +32,7 @@ from repro.kernel.vma import SegmentKind
 from repro.sim.fastpath import (FASTPATH_ENV, fastpath_active,
                                 structures_active)
 from repro.sim.simulator import Simulator
+from repro.workloads.profiles import APP_PROFILES
 
 STOCK_CONFIGS = ("Baseline", "BabelFish", "BabelFish-PT", "BabelFish-TLB",
                  "BigTLB", "Victima", "Coalesced")
@@ -54,19 +57,22 @@ def test_stock_configs_bit_identical(name):
 
 
 @pytest.mark.parametrize("name", STOCK_CONFIGS)
-def test_stock_configs_triangulate_with_batch(name):
-    # reference == fastpath == batch on the full app pipeline: the batch
-    # engine (repro.sim.batch) rides the same structures the fast path
-    # uses, so any divergence shows up against either leg.
+def test_stock_configs_triangulate_with_batch(name, memo_off):
+    # The batch tier is gone (DESIGN §14): requesting it for the config
+    # is refused. The two remaining tiers triangulate through a third
+    # leg, the fast structures with the L0 memo off, on the full app
+    # pipeline.
+    with pytest.raises(TypeError):
+        config_by_name(name, batch=True)
     cores = 2 if name == "BabelFish" else 1
     fast, ref = _run_both(name, cores=cores)
-    batched = run_app("mongodb", config_by_name(name, batch=True),
-                      cores=cores, scale=0.03, use_cache=False)
+    with memo_off():
+        env = build_environment(config_by_name(name), cores=1)
+        assert env.sim.mmus[0].fast and env.sim.mmus[0]._memo is None
+        bare = run_app("mongodb", config_by_name(name), cores=cores,
+                       scale=0.03, use_cache=False).result.as_dict()
     assert fast == ref
-    # arch_dict strips the batch engine's punt-attribution diagnostics
-    # (engine telemetry, not architectural state) before the comparison.
-    from repro.experiments.perf import arch_dict
-    assert arch_dict(batched.result.as_dict()) == ref
+    assert bare == ref
 
 
 def test_sanitize_mode_bit_identical():
@@ -93,6 +99,78 @@ def test_churn_stop_restart_stream_bit_identical():
                     pcid_bits=4, kill_rate=0.2, seed=11)
     assert fast.pcid_recycles > 0  # the storm actually wrapped
     assert fast.summary() == ref.summary()
+
+
+def test_fuzz_mixed_configs():
+    # 50 seeded (config, cores, records) draws of the hot-locality
+    # workload; every one must be bit-identical to the reference run.
+    rng = random.Random(1234)
+    for trial in range(50):
+        name = rng.choice(STOCK_CONFIGS)
+        cores = rng.choice((1, 2))
+        records = rng.randrange(150, 700)
+        fast, _, _s = run_hot(config_by_name(name), cores, records)
+        ref, _, _s = run_hot(config_by_name(name, fastpath=False),
+                             cores, records)
+        assert fast == ref, ("fuzz trial %d diverged: %s cores=%d "
+                             "records=%d" % (trial, name, cores, records))
+
+
+def _run_trace(trace, fastpath):
+    """Run one explicit trace on every deployed mongodb container
+    (BabelFish, 1 core); returns ``RunResult.as_dict()``."""
+    env = build_environment(config_by_name("BabelFish", fastpath=fastpath),
+                            cores=1)
+    deployment = deploy_app(env, APP_PROFILES["mongodb"])
+    for container in deployment.containers:
+        env.sim.attach(container.proc, list(trace), container.core)
+    return env.sim.run().as_dict()
+
+
+def _cold_fault_trace(cold_positions, period=8, periods=6):
+    """Hot code/heap records with a fresh, never-touched mmap page (a
+    fault the memo can never serve) at each of ``cold_positions`` in
+    every ``period``-record window."""
+    rng = random.Random(9)
+    records = []
+    for i in range(period * periods):
+        gap = rng.randrange(2, 5)
+        if (i % period) in cold_positions:
+            records.append((1, SegmentKind.MMAP, 500 + i, 0, gap, None))
+        elif rng.random() < 0.3:
+            records.append((2, SegmentKind.HEAP, rng.randrange(6),
+                            rng.randrange(64), gap, None))
+        else:
+            records.append((0, SegmentKind.CODE, rng.randrange(4),
+                            rng.randrange(64), gap, None))
+    return records
+
+
+def _cow_store_trace():
+    """Instruction fetches with a store to one of 40 heap pages on every
+    5th record: the CoW breaks shoot down TLB entries mid-stream."""
+    rng = random.Random(21)
+    trace = []
+    for i in range(640):
+        if i % 5 == 3:
+            trace.append((2, SegmentKind.HEAP, rng.randrange(40),
+                          rng.randrange(64), 2, None))
+        else:
+            trace.append((0, SegmentKind.CODE, rng.randrange(4),
+                          rng.randrange(64), 3, None))
+    return trace
+
+
+@pytest.mark.parametrize("trace", [
+    _cold_fault_trace((0,)), _cold_fault_trace((7,)),
+    _cold_fault_trace((0, 7)), _cold_fault_trace(()),
+    # 400 records over 4 code and 6 heap pages: nearly all memo hits.
+    _cold_fault_trace((), period=1, periods=400),
+    _cow_store_trace(),
+], ids=["fault-first", "fault-last", "fault-both", "no-faults", "hot-loop",
+        "cow-heap-stores"])
+def test_explicit_traces_bit_identical(trace):
+    assert _run_trace(trace, True) == _run_trace(trace, False)
 
 
 def test_reset_measurement_mid_run_identical():
@@ -148,6 +226,16 @@ def test_post_hoc_tracer_or_sanitizer_disables_memo():
     assert mmu._memo is None
     mmu.sanitizer = None
     assert mmu._memo is mmu._memo_store
+
+
+def test_batch_is_not_a_config_field():
+    # ``batch`` is a read-only class constant, not a settable field: it
+    # can neither be requested nor leak into run-cache keys.
+    assert config_by_name("BabelFish").batch is False
+    with pytest.raises(TypeError):
+        config_by_name("BabelFish", batch=True)
+    assert "batch" not in runcache.config_field_dict(
+        config_by_name("BabelFish"))
 
 
 def test_run_cache_key_includes_fastpath():
@@ -350,3 +438,37 @@ def test_manual_process_invalidation_defeats_memo(mini_babelfish):
     miss = mmu.translate(child, SegmentKind.MMAP, 5, AccessKind.LOAD)
     assert miss.cycles > mmu.l1_cycles
     assert miss.ppn4k == hit.ppn4k
+
+
+# -- perf harness: merge-on-write trajectory file -------------------------------
+
+
+def _fake_measure(tier, repeats=None, monitor=None):
+    return {"speedup": 1.0, "identical": True,
+            "fast_accesses_per_sec": 1, "reference_accesses_per_sec": 1}
+
+
+def test_run_harness_merges_existing_tiers(tmp_path, monkeypatch):
+    # A smoke run must extend the trajectory file, not erase the tiers
+    # it did not run.
+    out = tmp_path / "BENCH_hotpath.json"
+    out.write_text(json.dumps({
+        "bench": "hotpath", "app": "mongodb",
+        "tiers": {"medium": {"speedup": 3.21, "identical": True}},
+    }))
+    monkeypatch.setattr(perf, "measure_tier", _fake_measure)
+    payload = perf.run_harness(smoke=True, out=out, progress=lambda *_: None)
+    assert set(payload["tiers"]) == {"smoke", "medium"}
+    on_disk = json.loads(out.read_text())
+    assert on_disk["tiers"]["medium"]["speedup"] == 3.21
+    assert set(on_disk["tiers"]) == {"smoke", "medium"}
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_run_harness_tolerates_corrupt_trajectory(tmp_path, monkeypatch):
+    out = tmp_path / "BENCH_hotpath.json"
+    out.write_text("{not json")
+    monkeypatch.setattr(perf, "measure_tier", _fake_measure)
+    payload = perf.run_harness(smoke=True, out=out, progress=lambda *_: None)
+    assert set(payload["tiers"]) == {"smoke"}
+    assert set(json.loads(out.read_text())["tiers"]) == {"smoke"}

@@ -1,7 +1,7 @@
 """Streaming telemetry (repro.obs.live + friends): sink/ring
 equivalence, constant-memory streaming, progress monitoring under a
-fake clock, deterministic shard aggregation, per-cause batch punt
-attribution, and the perf-regression watchdog."""
+fake clock, deterministic shard aggregation, and the perf-regression
+watchdog."""
 
 import gzip
 import json
@@ -9,18 +9,13 @@ import queue
 
 import pytest
 
-from repro.experiments.common import (build_environment, config_by_name,
-                                      deploy_app, run_app)
-from repro.experiments import perf
-from repro.kernel.vma import SegmentKind
+from repro.experiments.common import config_by_name, run_app
 from repro.obs import export
 from repro.obs import live
 from repro.obs import perfwatch
 from repro.obs.__main__ import main as obs_main
 from repro.obs.events import event_from_dict, event_to_dict
 from repro.obs.tracer import Tracer, TraceOptions, replay_events
-from repro.sim import batch
-from repro.workloads.profiles import APP_PROFILES, FAAS_BASE_IMAGE
 
 SMALL = dict(cores=1, scale=0.08)
 
@@ -228,14 +223,6 @@ class TestProgressMonitor:
         monitor.advance(50)
         assert monitor.eta_seconds() == 0.0
 
-    def test_punt_totals_and_deltas(self):
-        monitor, clock, _ = self._monitor()
-        monitor.advance(5, punts=3)
-        monitor.advance(5, punts_total=10)  # absolute wins
-        assert monitor.punts == 10
-        clock.now = 2.0
-        assert monitor.punt_rate() == 5.0
-
     def test_advance_to_is_monotonic(self):
         monitor, _, _ = self._monitor()
         monitor.advance_to(40)
@@ -246,15 +233,15 @@ class TestProgressMonitor:
         monitor, clock, lines = self._monitor(total=200, unit="runs",
                                               label="matrix")
         clock.now = 2.0
-        monitor.advance(100, punts_total=7)
+        monitor.advance(100)
         monitor.count("kills", 3)
         line = monitor.snapshot_line()
         assert "[matrix]" in line and "100/200 runs (50.0%)" in line
-        assert "punts 7" in line and "kills 3" in line and "eta" in line
+        assert "kills 3" in line and "eta" in line
         final = monitor.finish()
         assert "done" in final and final in lines
         data = monitor.as_dict()
-        assert data["done"] == 100 and data["punts"] == 7
+        assert data["done"] == 100
         assert data["counters"] == {"kills": 3}
 
 
@@ -262,10 +249,10 @@ class TestProgressMonitor:
 
 
 class TestShardAggregation:
-    PAYLOADS = [("shard-b", {"done": 2, "punts": 5}),
+    PAYLOADS = [("shard-b", {"done": 2, "hits": 5}),
                 ("shard-a", {"done": 1}),
                 ("shard-b", {"done": 3, "kills": 1}),
-                ("shard-c", {"done": 4, "punts": 2})]
+                ("shard-c", {"done": 4, "hits": 2})]
 
     def test_merge_is_delivery_order_independent(self):
         forward, backward = live.ProgressAggregator(), live.ProgressAggregator()
@@ -274,7 +261,7 @@ class TestShardAggregation:
         for shard, payload in reversed(self.PAYLOADS):
             backward.apply(shard, payload)
         assert forward.merged() == backward.merged() == {
-            "done": 10, "punts": 7, "kills": 1}
+            "done": 10, "hits": 7, "kills": 1}
 
     def test_queue_drain_and_feed(self):
         q = queue.Queue()
@@ -290,127 +277,8 @@ class TestShardAggregation:
         monitor = live.ProgressMonitor(clock=lambda: 1.0, emit=lambda _: None)
         aggregator.feed(monitor)
         assert monitor.done == 10
-        assert monitor.punts == 7
+        assert monitor.counters["hits"] == 7
         assert monitor.counters["kills"] == 1
-
-
-# -- batch punt attribution -----------------------------------------------------
-
-
-def _batch_run(trace):
-    """One explicit trace through the batch engine; returns
-    ``(as_dict, total measured records)``."""
-    config = config_by_name("BabelFish", batch=True)
-    env = build_environment(config, cores=1)
-    deployment = deploy_app(env, APP_PROFILES["mongodb"])
-    for container in deployment.containers:
-        env.sim.attach(container.proc, list(trace), container.core)
-    d = env.sim.run().as_dict()
-    return d, len(trace) * len(deployment.containers)
-
-
-def _check_attribution_invariants(d, total):
-    diag = d["batch"]
-    assert diag["claimed_records"] + diag["punts"] == total
-    assert sum(diag["punt_causes"].values()) == diag["punts"]
-    assert set(diag["punt_causes"]) <= set(batch.PUNT_CAUSES)
-    return diag["punt_causes"]
-
-
-class TestPuntAttribution:
-    def test_hot_code_punts_are_memo_misses(self):
-        trace = [(0, SegmentKind.CODE, i % 4, i % 64, 2, None)
-                 for i in range(300)]
-        d, total = _batch_run(trace)
-        causes = _check_attribution_invariants(d, total)
-        assert causes.get("memo_miss", 0) > 0
-
-    def test_bringup_attributes_faults_and_cow_retries(self):
-        # A cold container bring-up is all first touches: minor faults on
-        # stack/data pages and CoW-type private copies of library pages.
-        # Every record punts with a specific cause — none may be claimed,
-        # and none may fall back to the generic memo_miss bucket alone.
-        config = config_by_name("BabelFish", batch=True)
-        env = build_environment(config, cores=1)
-        container, _ = env.engine.launch(FAAS_BASE_IMAGE)
-        records = env.engine.bringup_records(container)
-        env.sim.attach(container.proc, records, 0)
-        d = env.sim.run().as_dict()
-        causes = _check_attribution_invariants(d, len(records))
-        assert causes.get("fault", 0) > 0
-        assert causes.get("cow_retry", 0) > 0
-
-    def test_first_touch_stores_attribute_to_fault(self):
-        # Post-bring-up heap pages are unmaterialized: each first store
-        # takes a minor fault, so the punt cause must be "fault" — not
-        # memo_miss (the memo was warm for none of them anyway, but the
-        # fault-delta refinement must win).
-        config = config_by_name("BabelFish", batch=True)
-        env = build_environment(config, cores=1)
-        container, _ = env.engine.launch(FAAS_BASE_IMAGE)
-        env.sim.attach(container.proc,
-                       env.engine.bringup_records(container), 0)
-        env.sim.run()
-        env.sim.reset_measurement()
-        trace = [(2, SegmentKind.HEAP, i, 0, 2, None) for i in range(16)]
-        env.sim.attach(container.proc, trace, 0)
-        d = env.sim.run().as_dict()
-        causes = _check_attribution_invariants(d, len(trace))
-        assert causes.get("fault", 0) == len(trace)
-
-    def test_replacement_churn_and_cow_breaks_attribute_shootdowns(self):
-        # The two epoch-family causes, in one co-scheduled scenario:
-        # two deployed containers hammer a hot set wider than the L2 TLB
-        # (replacement churn moves set epochs under live memo entries ->
-        # "epoch"), while a third process CoW-breaks present read-shared
-        # pages (read first, installing CoW PTEs; the mid-run writes
-        # broadcast invalidations, upgrading epoch punts that straddle
-        # them to "shootdown").
-        import random
-
-        config = config_by_name("BabelFish", batch=True,
-                                quantum_instructions=400)
-        env = build_environment(config, cores=1)
-        deployment = deploy_app(env, APP_PROFILES["mongodb"])
-        writer, _ = env.engine.launch(FAAS_BASE_IMAGE)
-        records = env.engine.bringup_records(writer)
-        cow_pages = sorted({r[2] for r in records
-                            if r[1] == SegmentKind.LIBS and r[0] == 2})
-        assert cow_pages, "image has no writable private library pages"
-        env.sim.attach(writer.proc,
-                       [(1, SegmentKind.LIBS, p, 0, 2, None)
-                        for p in cow_pages], 0)
-        env.sim.run()
-        env.sim.reset_measurement()
-        rng = random.Random(7)
-        total = 0
-        for container in deployment.containers[:2]:
-            trace = [(0, SegmentKind.HEAP, rng.randrange(120),
-                      rng.randrange(64), 2, None) for _ in range(4000)]
-            env.sim.attach(container.proc, trace, container.core)
-            total += len(trace)
-        wtrace = [(2, SegmentKind.LIBS, page, 1, 900, None)
-                  for page in cow_pages]
-        env.sim.attach(writer.proc, wtrace, 0)
-        total += len(wtrace)
-        d = env.sim.run().as_dict()
-        causes = _check_attribution_invariants(d, total)
-        assert causes.get("epoch", 0) > 0
-        assert causes.get("shootdown", 0) > 0
-        assert causes.get("cow_retry", 0) > 0
-
-    def test_escape_hatch_disables_attribution(self, monkeypatch):
-        monkeypatch.setenv(batch.BATCH_ATTR_ENV, "0")
-        trace = [(0, SegmentKind.CODE, i % 4, 0, 2, None) for i in range(60)]
-        d, _total = _batch_run(trace)
-        assert "batch" not in d
-
-    def test_diagnostics_never_taint_identity(self):
-        trace = [(0, SegmentKind.CODE, i % 4, i % 64, 2, None)
-                 for i in range(120)]
-        d, _total = _batch_run(trace)
-        assert "batch" in d
-        assert "batch" not in perf.arch_dict(d)
 
 
 # -- perf-regression watchdog ---------------------------------------------------
@@ -422,17 +290,17 @@ def _payload(**tiers):
 
 class TestPerfwatch:
     def test_regression_below_floor(self):
-        baseline = _payload(batch={"speedup": 2.0, "identical": True})
-        fresh = _payload(batch={"speedup": 1.0, "identical": True})
+        baseline = _payload(medium={"speedup": 2.0, "identical": True})
+        fresh = _payload(medium={"speedup": 1.0, "identical": True})
         rows, regressions = perfwatch.compare(fresh, baseline)
         assert len(regressions) == 1
         assert regressions[0]["metric"] == "speedup"
-        assert regressions[0]["floor"] == pytest.approx(1.6)
+        assert regressions[0]["floor"] == pytest.approx(1.7)
 
     def test_within_band_is_ok_and_above_is_improved(self):
-        baseline = _payload(batch={"speedup": 2.0, "identical": True})
-        ok = _payload(batch={"speedup": 1.9, "identical": True})
-        up = _payload(batch={"speedup": 3.1, "identical": True})
+        baseline = _payload(medium={"speedup": 2.0, "identical": True})
+        ok = _payload(medium={"speedup": 1.9, "identical": True})
+        up = _payload(medium={"speedup": 3.1, "identical": True})
         assert perfwatch.compare(ok, baseline)[1] == []
         rows, regressions = perfwatch.compare(up, baseline)
         assert regressions == []
@@ -452,31 +320,46 @@ class TestPerfwatch:
         assert {r["status"] for r in rows} == {"new", "skipped"}
 
     def test_tolerance_overrides(self):
-        baseline = _payload(batch={"speedup": 2.0, "identical": True})
-        fresh = _payload(batch={"speedup": 1.5, "identical": True})
+        baseline = _payload(medium={"speedup": 2.0, "identical": True})
+        fresh = _payload(medium={"speedup": 1.5, "identical": True})
         assert perfwatch.compare(fresh, baseline,
-                                 tolerances={"batch": 0.5})[1] == []
+                                 tolerances={"medium": 0.5})[1] == []
         assert len(perfwatch.compare(fresh, baseline,
-                                     tolerances={"batch": 0.1})[1]) == 1
+                                     tolerances={"medium": 0.1})[1]) == 1
+
+    def test_zero_band_demands_exact_equality(self):
+        # The zoo's ratios are deterministic: under a band of 0 any move,
+        # down or up, is a behavior change and fails the watch.
+        baseline = _payload(smoke={"gain": 1.2138, "identical": True})
+        for value in (1.2137, 1.2139):
+            fresh = _payload(smoke={"gain": value, "identical": True})
+            rows, regressions = perfwatch.compare(
+                fresh, baseline, tolerances={"smoke": 0},
+                watched=["gain"])
+            assert [r["status"] for r in rows] == ["changed"]
+            assert regressions == rows
+        same = _payload(smoke={"gain": 1.2138, "identical": True})
+        rows, regressions = perfwatch.compare(
+            same, baseline, default_tolerance=0, watched=["gain"])
+        assert regressions == []
+        assert [r["status"] for r in rows] == ["ok"]
 
     def test_watch_cli_exit_codes(self, tmp_path, capsys):
         base = tmp_path / "base.json"
         fresh = tmp_path / "fresh.json"
         base.write_text(json.dumps(_payload(
             smoke={"speedup": 2.0, "identical": True},
-            batch={"speedup": 4.0, "fastpath_speedup": 2.0,
-                   "identical": True})))
-        # Synthetically degraded batch tier: must exit nonzero.
+            medium={"speedup": 4.0, "identical": True})))
+        # Synthetically degraded medium tier: must exit nonzero.
         fresh.write_text(json.dumps(_payload(
             smoke={"speedup": 2.0, "identical": True},
-            batch={"speedup": 1.0, "fastpath_speedup": 2.0,
-                   "identical": True})))
+            medium={"speedup": 1.0, "identical": True})))
         rc = obs_main(["perfwatch", str(fresh), "--baseline", str(base)])
         assert rc == 1
         assert "PERF REGRESSION" in capsys.readouterr().out
         # A wide-enough band clears it.
         rc = obs_main(["perfwatch", str(fresh), "--baseline", str(base),
-                       "--tolerance", "batch=0.8"])
+                       "--tolerance", "medium=0.8"])
         assert rc == 0
         assert "within tolerance" in capsys.readouterr().out
 

@@ -9,7 +9,6 @@ import dataclasses
 
 import pytest
 
-from repro.containers.image import ContainerImage
 from repro.experiments.common import (
     build_environment,
     clear_run_cache,

@@ -141,6 +141,7 @@ class TestWireRequest:
             ({"app": "mongodb", "overrides": [1]}, "overrides"),
             ({"app": "mongodb", "overrides": {"thp_enabled": [1]}},
              "scalar"),
+            ({"app": "mongodb", "overrides": {"batch": True}}, "batch"),
             ({"app": "mongodb", "cores": 0}, "cores"),
             ({"app": "mongodb", "cores": True}, "cores"),
             ({"app": "mongodb", "scale": -1}, "scale"),

@@ -1,14 +1,17 @@
 """Tests for the walker, MMU, scheduler, and simulator."""
 
+import pytest
+
 from repro.core.aslr import ASLRMode
 from repro.hw.cache import CacheHierarchy
 from repro.hw.dram import DRAMModel
 from repro.hw.params import baseline_machine
 from repro.hw.types import AccessKind
+from repro.kernel import SimulationError, TranslationDidNotConverge
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.vma import SegmentKind
 from repro.sim.config import babelfish_config, baseline_config, bigtlb_config
-from repro.sim.mmu import MMU
+from repro.sim.mmu import _MAX_FAULT_RETRIES, MMU
 from repro.sim.simulator import K_LOAD, Simulator
 from repro.sim.stats import MMUStats, percentile
 from repro.sim.walker import PageWalker
@@ -122,6 +125,29 @@ class TestMMU:
         pte = a.tables.lookup_pte(sys.vpn(a, HEAP, 0))
         assert result.ppn4k == pte.ppn
         assert pte.writable
+
+    @pytest.mark.parametrize("fastpath", [True, False],
+                             ids=["fast", "reference"])
+    def test_translation_that_never_converges_raises_typed_error(
+            self, mini_baseline, fastpath):
+        sys = mini_baseline
+        mmu, _ = make_mmu(sys, baseline_config(fastpath=fastpath))
+        calls = []
+
+        def service_nothing(proc, vpn_group, is_write):
+            # Services the fault without installing a PTE, so every
+            # retry walks into the same fault again.
+            calls.append(vpn_group)
+            return 10
+
+        mmu._service_fault = service_nothing
+        vpn = sys.vpn(sys.zygote, HEAP, 7)
+        with pytest.raises(TranslationDidNotConverge) as info:
+            mmu.translate(sys.zygote, HEAP, 7, AccessKind.STORE)
+        assert isinstance(info.value, SimulationError)
+        assert (info.value.pid, info.value.vpn) == (sys.zygote.pid, vpn)
+        assert calls == [vpn] * _MAX_FAULT_RETRIES
+        assert sys.zygote.tables.lookup_pte(vpn) is None
 
     def test_ifetch_uses_itlb(self, mini_baseline):
         sys = mini_baseline
