@@ -17,7 +17,7 @@ from repro.core.ccid import CCIDGroup, CCIDRegistry
 from repro.core.opc import MAX_PRIVATE_COPIES, OPCField
 from repro.core.mask_page import MaskPage, MaskPageDirectory, MaskPageFull
 from repro.core.shared_pt import SharedPTManager
-from repro.core.babelfish_tlb import BabelFishLookup, babelfish_fill_fields
+from repro.core.babelfish_tlb import babelfish_fill_fields, babelfish_lookup
 from repro.core.aslr import ASLRMode, group_layout_for, process_layout_for
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "MaskPageDirectory",
     "MaskPageFull",
     "SharedPTManager",
-    "BabelFishLookup",
+    "babelfish_lookup",
     "babelfish_fill_fields",
     "ASLRMode",
     "group_layout_for",

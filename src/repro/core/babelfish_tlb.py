@@ -8,8 +8,9 @@ Entries are matched on VPN *and CCID*. On a match:
   check (and its extra latency) is skipped when ORPC is clear (Figure 5b).
 - A write hit on a CoW translation raises a CoW page fault (boxes 5/6).
 
-The lookup is policy-only: it layers on the generic
-:class:`repro.hw.tlb.MultiSizeTLB` structures.
+The lookups are policy-only: they layer on the generic
+:class:`repro.hw.tlb.MultiSizeTLB` structures (the ``_fast`` twins on
+their dict-backed :class:`~repro.hw.tlb.FastMultiSizeTLB` form).
 """
 
 from repro.hw.types import PageSize
@@ -34,91 +35,66 @@ def hit_provenance(entry, proc):
     return entry.inserted_by != proc.pid
 
 
-class LookupResult:
-    """One TLB-level lookup outcome (allocated per probe on the hot path,
-    hence ``__slots__`` rather than a dataclass).
+def babelfish_lookup(multi, vpn4k, proc, is_write, domain_fn):
+    """Figure 8's lookup over any :class:`~repro.hw.tlb.MultiSizeTLB`.
 
-    ``consulted_bitmask``: the PC bitmask had to be consulted, so the L2
-    TLB access takes the long (12-cycle) time instead of the short
-    (10-cycle) one. ``cow_fault``: the hit entry is CoW and the access is
-    a write — CoW page fault.
+    Entries match on VPN and CCID; an owned entry (O set) also needs the
+    PCID, a shared one misses for a process holding a private copy (its
+    PC bit is set), and a write needs write permission unless the entry
+    is CoW. ``domain_fn`` maps an entry to the MaskPage scope a PC bit is
+    keyed by (:func:`entry_region`, or the 2MB range under the
+    Appendix's per-range indirection).
+
+    Returns ``(entry, page_size, consulted_bitmask, cow_fault)``:
+    ``consulted_bitmask`` means the PC bitmask was read, so an L2 access
+    takes the long (12-cycle) time; ``cow_fault`` means the hit entry is
+    CoW and the access is a write (boxes 5/6). This is the reference the
+    simulator runs over the linear-scan structures;
+    :func:`babelfish_lookup_fast` is the same lookup inlined over the
+    dict-backed ones.
     """
-
-    __slots__ = ("entry", "page_size", "consulted_bitmask", "cow_fault")
-
-    def __init__(self, entry, page_size, consulted_bitmask=False,
-                 cow_fault=False):
-        self.entry = entry            # TLBEntry or None
-        self.page_size = page_size    # PageSize or None
-        self.consulted_bitmask = consulted_bitmask
-        self.cow_fault = cow_fault
-
-    @property
-    def hit(self):
-        return self.entry is not None and not self.cow_fault
-
-
-class BabelFishLookup:
-    """Reusable lookup engine for one TLB level.
-
-    ``domain_fn`` maps a TLB entry to the MaskPage scope a process's PC
-    bit is keyed by: the 1GB region by default, or the 2MB range under
-    the Appendix's per-range indirection extension.
-    """
-
-    def __init__(self, multi_tlb, domain_fn=None):
-        self.multi_tlb = multi_tlb
-        self.domain_fn = domain_fn or entry_region
-
-    def lookup(self, vpn4k, proc, is_write=False):
-        consulted = [False]
-        pcid, ccid = proc.pcid, proc.ccid
-        pc_bits = proc.pc_bits
-        domain_fn = self.domain_fn
-
-        def match(entry):
-            if entry.ccid != ccid:
-                return False                            # box 1: no CCID match
-            if entry.o_bit:
-                return entry.pcid == pcid               # boxes 2, 9
-            if entry.orpc:
-                consulted[0] = True                     # box 3 (long access)
-                bit = pc_bits.get(domain_fn(entry))
-                if bit is not None and (entry.pc_mask >> bit) & 1:
-                    return False                        # process has private copy
-            if is_write and not entry.writable and not entry.cow:
-                return False                            # permission miss
-            return True
-
-        entry, size = self.multi_tlb.lookup(vpn4k, match)
-        cow_fault = bool(entry is not None and is_write and entry.cow)  # box 5/6
-        return LookupResult(entry, size, consulted[0], cow_fault)
-
-
-def conventional_lookup(multi_tlb, vpn4k, proc, is_write=False):
-    """Baseline lookup: VPN + PCID match (Figure 1), permission-checked."""
+    consulted = [False]
+    pcid, ccid = proc.pcid, proc.ccid
+    pc_bits = proc.pc_bits
 
     def match(entry):
-        if entry.pcid != proc.pcid:
+        if entry.ccid != ccid:
+            return False                            # box 1: no CCID match
+        if entry.o_bit:
+            return entry.pcid == pcid               # boxes 2, 9
+        if entry.orpc:
+            consulted[0] = True                     # box 3 (long access)
+            bit = pc_bits.get(domain_fn(entry))
+            if bit is not None and (entry.pc_mask >> bit) & 1:
+                return False                        # process has private copy
+        if is_write and not entry.writable and not entry.cow:
+            return False                            # permission miss
+        return True
+
+    entry, size = multi.lookup(vpn4k, match)
+    return (entry, size, consulted[0],
+            entry is not None and is_write and entry.cow)   # box 5/6
+
+
+def conventional_lookup(multi, vpn4k, pcid, is_write):
+    """Baseline lookup: VPN + PCID match (Figure 1), permission-checked.
+    Returns ``(entry, page_size, cow_fault)``."""
+
+    def match(entry):
+        if entry.pcid != pcid:
             return False
         if is_write and not entry.writable and not entry.cow:
             return False
         return True
 
-    entry, size = multi_tlb.lookup(vpn4k, match)
-    cow_fault = bool(entry is not None and is_write and entry.cow)
-    return LookupResult(entry, size, False, cow_fault)
+    entry, size = multi.lookup(vpn4k, match)
+    return entry, size, entry is not None and is_write and entry.cow
 
 
 def babelfish_lookup_fast(multi, vpn4k, proc, is_write, domain_fn):
-    """:meth:`BabelFishLookup.lookup` with the Figure 8 predicate inlined
-    over :class:`~repro.hw.tlb.FastMultiSizeTLB` internals.
-
-    Same hits/misses/LRU effects, no closure or :class:`LookupResult`
-    allocation per probe. Returns ``(entry, page_size, consulted_bitmask,
-    cow_fault)``; only the simulator fast path calls this, and
-    tests/test_fastpath.py drives it against the reference lookup.
-    """
+    """:func:`babelfish_lookup` with the Figure 8 predicate inlined over
+    :class:`~repro.hw.tlb.FastMultiSizeTLB` internals: the same tuple and
+    the same hits/misses/LRU effects, without a closure per probe."""
     pcid = proc.pcid
     ccid = proc.ccid
     pc_bits = proc.pc_bits

@@ -162,19 +162,13 @@ class CacheHierarchy:
         self.l1d = [cache_cls(machine.l1d) for _ in range(machine.cores)]
         self.l2 = [cache_cls(machine.l2) for _ in range(machine.cores)]
         self.l3 = cache_cls(machine.l3)
-        #: Same-line fast path (SimConfig.fastpath): per core, per L1
+        #: Same-line memo for :meth:`data_access`: per core, per L1
         #: structure (0=ifetch, 1=data), the last line that hit in L1 as
         #: ``(line, epoch-at-hit)``. A repeat access to the same line
-        #: while the L1's epoch is unchanged (line still resident) takes
-        #: the short-circuit below, which replays the reference hit path
-        #: (stamp, dirty, hit counter) without the lookup call chain.
-        self.fastpath = bool(fastpath)
+        #: while the L1's epoch is unchanged (line still resident)
+        #: replays the hit path (recency, dirty, hit counter) without the
+        #: lookup call chain.
         self._line_memo = [[None, None] for _ in range(machine.cores)]
-
-    def _l1_for(self, core_id, kind):
-        if kind is AccessKind.IFETCH:
-            return self.l1i[core_id]
-        return self.l1d[core_id]
 
     def access(self, core_id, paddr, kind=AccessKind.LOAD, skip_l1=False):
         """Run one access through the hierarchy.
@@ -190,31 +184,10 @@ class CacheHierarchy:
         cycles = 0
         l1 = None
         if not skip_l1:
-            ifetch = kind is AccessKind.IFETCH
-            l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
-            if self.fastpath:
-                slot = self._line_memo[core_id]
-                way = 0 if ifetch else 1
-                line = paddr >> l1.line_bits
-                cached = slot[way]
-                if cached is not None and cached[0] == line \
-                        and cached[1] == l1.epoch:
-                    # Exact replay of the L1-hit path: the line is still
-                    # resident (epoch unmoved), so move it to MRU, mark
-                    # dirty on writes, and count the hit.
-                    index = line & l1.set_mask
-                    tag = line >> l1._tag_shift
-                    cset = l1._sets[index]
-                    del cset[tag]
-                    cset[tag] = None
-                    if is_write:
-                        l1._dirty.add((index, tag))
-                    l1.hits += 1
-                    return l1.access_cycles, MemoryLevel.L1
+            l1 = (self.l1i[core_id] if kind is AccessKind.IFETCH
+                  else self.l1d[core_id])
             cycles += l1.access_cycles
             if l1.lookup(paddr, is_write):
-                if self.fastpath:
-                    slot[way] = (line, l1.epoch)
                 return cycles, MemoryLevel.L1
 
         l2 = self.l2[core_id]
@@ -222,8 +195,6 @@ class CacheHierarchy:
         if l2.lookup(paddr, is_write):
             if not skip_l1:
                 l1.insert(paddr, is_write)
-                if self.fastpath:
-                    slot[way] = (line, l1.epoch)
             return cycles, MemoryLevel.L2
 
         cycles += self.l3.access_cycles
@@ -237,8 +208,6 @@ class CacheHierarchy:
         l2.insert(paddr, is_write)
         if not skip_l1:
             l1.insert(paddr, is_write)
-            if self.fastpath:
-                slot[way] = (line, l1.epoch)
         return cycles, level
 
     def data_access(self, core_id, paddr, kind_code):
@@ -247,8 +216,9 @@ class CacheHierarchy:
         (0=ifetch, 1=load, 2=store) instead of :class:`AccessKind`, the
         L1 probe and same-line memo inlined, and a plain cycle count
         returned instead of a ``(cycles, level)`` tuple. State changes
-        are identical to :meth:`access`; only dispatched when the
-        hierarchy was built with ``fastpath=True``."""
+        are identical to :meth:`access`; only called on a hierarchy
+        built with ``fastpath=True``, and the only user of the line
+        memo."""
         is_write = kind_code == 2
         ifetch = kind_code == 0
         l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]

@@ -1,8 +1,8 @@
 """Generic set-associative TLB structures (Figure 1 / Figure 3).
 
 A :class:`SetAssocTLB` stores :class:`TLBEntry` objects and is policy-free:
-``candidates(vpn)`` returns every valid way in the set whose VPN matches,
-and the caller decides which (if any) is a hit. The conventional
+``lookup(vpn, match)`` returns the first valid way in the set whose VPN
+matches and that the caller's ``match`` predicate accepts. The conventional
 per-process policy (VPN + PCID match) lives here as
 :func:`conventional_match`; the BabelFish policy (Figure 8) lives in
 :mod:`repro.core.babelfish_tlb`.
@@ -13,13 +13,15 @@ Two interchangeable backings exist for each structure:
   implementations: linear scans over per-set lists, ``id()``-keyed LRU
   stamps. Simple enough to audit against the paper's figures.
 - :class:`FastSetAssocTLB` / :class:`FastMultiSizeTLB` — dict-backed
-  drop-ins selected by ``SimConfig.fastpath``: per-set ``{vpn:
+  drop-ins selected by ``SimConfig.fastpath`` and used by every run that
+  leaves it on, sanitize and trace runs included: per-set ``{vpn:
   [entries]}`` buckets make lookup O(matching ways), and a move-to-end
   recency dict replaces the stamp scan. They produce bit-identical
   hit/miss/eviction/iteration behaviour (tests/test_fastpath.py drives
   both against random operation streams), and additionally maintain the
   per-set epoch counters the L0 translation memo
-  (:mod:`repro.sim.fastpath`) validates against.
+  (:mod:`repro.sim.fastpath`) validates against. The simulator reads
+  them through the inlined lookups in :mod:`repro.core.babelfish_tlb`.
 
 Every structure carries a monotonic ``epoch`` counter bumped whenever
 its contents change (insert / effective invalidate / effective flush);
@@ -106,11 +108,6 @@ class SetAssocTLB:
 
     def _set_for(self, vpn):
         return vpn & self.set_mask
-
-    def candidates(self, vpn):
-        """All valid entries in vpn's set whose VPN matches."""
-        return [e for e in self._sets[self._set_for(vpn)]
-                if e.valid and e.vpn == vpn]
 
     def lookup(self, vpn, match, record=True):
         """Find a hit using predicate ``match(entry)``; updates LRU and stats."""
@@ -284,7 +281,7 @@ class FastSetAssocTLB(SetAssocTLB):
       reinsert). Its first key is the entry with the minimum reference
       stamp, so eviction picks the same victim.
     - ``_sets`` is still maintained as the per-set insertion-order list,
-      keeping ``entries()`` / ``candidates()`` iteration order — and
+      keeping ``entries()`` iteration order — and
       therefore sanitizer scans and flush order — bit-identical.
     - ``_set_epochs[set]`` counts content changes per set; the L0
       translation memo (:mod:`repro.sim.fastpath`) records an entry's
@@ -296,10 +293,6 @@ class FastSetAssocTLB(SetAssocTLB):
         self._buckets = [dict() for _ in range(self.num_sets)]
         self._lru = [dict() for _ in range(self.num_sets)]
         self._set_epochs = [0] * self.num_sets
-
-    def candidates(self, vpn):
-        bucket = self._buckets[vpn & self.set_mask].get(vpn)
-        return list(bucket) if bucket else []
 
     def lookup(self, vpn, match, record=True):
         index = vpn & self.set_mask
@@ -427,27 +420,12 @@ class FastSetAssocTLB(SetAssocTLB):
 
 class FastMultiSizeTLB(MultiSizeTLB):
     """:class:`MultiSizeTLB` over :class:`FastSetAssocTLB` children, with
-    the per-size probe sequence (size, 4K-shift, structure) precomputed so
-    the hot lookup does no dict/list building per call."""
+    the per-size probe sequence (size, 4K-shift, structure) precomputed
+    for the inlined lookups in :mod:`repro.core.babelfish_tlb` and the L0
+    memo, which do no dict/list building per call."""
 
     def __init__(self, params_by_size):
         super().__init__(params_by_size, tlb_cls=FastSetAssocTLB)
         self._probe = tuple(
             (size, size.shift - PageSize.SIZE_4K.shift, tlb)
             for size, tlb in self.tlbs.items())
-
-    def lookup(self, vaddr_vpn4k, match, page_size=None):
-        if page_size is not None:
-            tlb = self.tlbs.get(page_size)
-            if tlb is None:
-                return None, None
-            shift = page_size.shift - PageSize.SIZE_4K.shift
-            entry = tlb.lookup(vaddr_vpn4k >> shift, match)
-            if entry is not None:
-                return entry, page_size
-            return None, None
-        for size, shift, tlb in self._probe:
-            entry = tlb.lookup(vaddr_vpn4k >> shift, match)
-            if entry is not None:
-                return entry, size
-        return None, None

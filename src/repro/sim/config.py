@@ -52,8 +52,9 @@ class SimConfig:
     #: identical to the reference path by construction (DESIGN.md §11;
     #: tests/test_fastpath.py verifies every stock config both ways), so
     #: it defaults on. ``False`` — or ``REPRO_FASTPATH=0`` in the
-    #: environment — forces the reference implementations; ``sanitize``
-    #: and ``trace`` runs fall back to them automatically.
+    #: environment — forces the reference implementations. ``sanitize``
+    #: and ``trace`` runs keep the fast structures but turn the memos
+    #: and the tightened loop off, so their hooks see every access.
     fastpath: bool = True
     #: Enable the translation-coherence sanitizer: a shadow MMU that
     #: cross-checks every TLB fill/hit/invalidation against an independent

@@ -8,25 +8,28 @@ end-to-end latency. Mirroring the fast/slow split of Utopia (PAPERS.md)
 — this module short-circuits the *repeat* case while provably preserving
 every architectural observable:
 
-- :func:`fastpath_active` / :func:`structures_active` gate everything on
+- :func:`fastpath_active` gates the fast structures on
   ``SimConfig.fastpath`` (default on) and the ``REPRO_FASTPATH=0``
-  environment escape hatch; sanitize/trace runs always take the
-  reference path.
+  environment escape hatch. Sanitize/trace runs keep the fast
+  structures but run without the memo and on the reference trace loop,
+  whose per-event hooks the memo would bypass.
 - :class:`TranslationMemo` caches, per (pid, segment, page) and per
   access space (ifetch/data), the L1 TLB entry that hit last time plus
   everything needed to *replay* the reference hit: the precomputed
   ppn4k, the entry's set and set-epoch in its (fast) TLB structure, the
   set-epochs of any structures probed before it, and the ORPC bitmask
-  scope for re-checking ``proc.pc_bits`` live. A probe serves the access
-  only when it can prove the reference lookup would return the same
-  entry with the same side effects (see DESIGN.md §11 for the exactness
-  argument); otherwise it falls through to the reference path, which
-  reseeds.
+  scope for re-checking ``proc.pc_bits`` live. The memo is seeded by
+  ``MMU._try_translate`` on an L1 hit.
 - :func:`run_quantum_fast` is ``Simulator._run_quantum`` with prebound
-  locals, a tuple-indexed kind table, and a per-core reused
+  locals, a tuple-indexed kind table, a per-core reused
   :class:`~repro.sim.mmu.TranslationResult` instead of a fresh
-  allocation per record. It is only dispatched when no tracer/sanitizer
-  is wired, so the (then no-op) tracer hooks are omitted.
+  allocation per record, and the memo's guard-and-replay inlined. A
+  record serves the access only when it proves the translate pass
+  would return the same entry with the same side effects (see
+  DESIGN.md §11 for the exactness argument); otherwise the access goes
+  to ``MMU.translate``, which reseeds. The loop is only dispatched when
+  no tracer/sanitizer is wired, so the (then no-op) tracer hooks are
+  omitted.
 
 Nothing here is ever exported into a :class:`~repro.sim.stats.RunResult`
 — epochs and memo state are internal, so ``RunResult.as_dict()`` of a
@@ -53,14 +56,6 @@ def fastpath_active(config):
     return os.environ.get(FASTPATH_ENV, "1") != "0"
 
 
-def structures_active(config):
-    """True when the fast structures (FastSetAssocTLB, memo, tight loop)
-    should back this config. Sanitize/trace runs use the reference path:
-    they are debug modes whose per-event hooks the memo would bypass."""
-    return (fastpath_active(config) and not config.sanitize
-            and not config.trace)
-
-
 class TranslationMemo:
     """Per-core L0 memo over the L1 TLB hit path.
 
@@ -77,9 +72,12 @@ class TranslationMemo:
     ``mask_domain`` is the ORPC bitmask scope to re-check against
     ``proc.pc_bits`` (None when the reference match does no mask check).
 
-    A probe hit replays the reference side effects exactly: the access
-    and L1-hit counters, one miss per pre-probed structure, the hit
-    structure's hit counter, and the entry's move-to-end LRU touch.
+    :func:`run_quantum_fast` serves a record only while every guard
+    holds (the entry's set and each pre-probed set unchanged, the
+    write/read seeding compatible, the live ORPC bit clear) and then
+    replays the reference side effects exactly: the access and L1-hit
+    counters, one miss per pre-probed structure, the hit structure's hit
+    counter, and the entry's move-to-end LRU touch.
     """
 
     __slots__ = ("i", "d", "share_l1", "domain_fn", "limit")
@@ -91,62 +89,10 @@ class TranslationMemo:
         self.domain_fn = domain_fn
         self.limit = limit
 
-    def probe(self, proc, segment, page_off, instr, is_write, stats):
-        """Serve a repeat access, or return None to take the reference
-        path (which reseeds on its own L1 hit)."""
-        table = self.i if instr else self.d
-        key = (proc.pid, segment, page_off)
-        rec = table.get(key)
-        if rec is None:
-            return None
-        (entry, tlb, set_idx, set_epoch, ppn4k, page_size,
-         write_ok, write_seeded, mask_domain, pc_mask, pre) = rec
-        if tlb._set_epochs[set_idx] != set_epoch:
-            # The entry's set changed (fill/invalidate/flush): the
-            # recorded outcome can no longer be trusted.
-            del table[key]
-            return None
-        if is_write:
-            if not write_ok:
-                # Permission miss or CoW write fault — both leave the
-                # L1-hit fast case; the reference path handles them.
-                return None
-        elif write_seeded:
-            # A write-seeded record proves nothing about reads: an
-            # earlier same-bucket entry rejected only by the write-
-            # permission clause would match a read first.
-            return None
-        if mask_domain is not None:
-            # Live ORPC re-check: the process may have privatized a page
-            # in this scope since the seed (pc_bits only ever gains
-            # bits, so match can only flip hit -> miss).
-            bit = proc.pc_bits.get(mask_domain)
-            if bit is not None and (pc_mask >> bit) & 1:
-                return None
-        for pre_tlb, pre_idx, pre_epoch in pre:
-            if pre_tlb._set_epochs[pre_idx] != pre_epoch:
-                # A structure probed before the hit changed; a new entry
-                # there could now shadow the memoized one.
-                return None
-        # -- exact replay of the reference L1-hit side effects ----------
-        if instr:
-            stats.accesses_i += 1
-            stats.l1_hits_i += 1
-        else:
-            stats.accesses_d += 1
-            stats.l1_hits_d += 1
-        for pre_tlb, _idx, _epoch in pre:
-            pre_tlb.misses += 1
-        tlb.hits += 1
-        lru = tlb._lru[set_idx]
-        del lru[entry]
-        lru[entry] = None
-        return ppn4k, page_size
-
     def seed(self, proc, segment, page_off, instr, is_write, lookup_vpn,
              entry, multi, ppn4k):
-        """Record a reference L1 hit so the next access to the same page
-        can be served by :meth:`probe`."""
+        """Record an L1 hit so the next access to the same page can be
+        served by :func:`run_quantum_fast`."""
         size = entry.page_size
         pre = []
         tlb = None
@@ -175,13 +121,12 @@ class TranslationMemo:
 
 def run_quantum_fast(sim, core_id, proc):
     """``Simulator._run_quantum`` with prebound locals, a reused
-    translation result, and the L0 memo replay inlined into the loop
-    (the exact guard-and-replay sequence of :meth:`TranslationMemo.probe`
-    — a record failing a guard falls through to ``mmu.translate``, whose
-    own probe re-runs the same checks and reaches the same verdict).
-    Dispatched only when no tracer or sanitizer is wired, so their
-    (always-None) hooks are omitted; every counter and cycle update
-    matches the reference loop exactly."""
+    translation result, and the L0 memo's guard-and-replay inlined into
+    the loop (its only copy: a record failing a guard falls through to
+    ``mmu.translate``, which runs the full pass). Dispatched only when
+    no tracer or sanitizer is wired, so their (always-None) hooks are
+    omitted; every counter and cycle update matches the reference loop
+    exactly."""
     mmu = sim.mmus[core_id]
     stats = mmu.stats
     trace = sim._traces.get(proc.pid)
@@ -228,20 +173,33 @@ def run_quantum_fast(sim, core_id, proc):
                 (entry, tlb, set_idx, set_epoch, ppn4k, _page_size,
                  write_ok, write_seeded, mask_domain, pc_mask, pre) = rec_m
                 if tlb._set_epochs[set_idx] != set_epoch:
+                    # The entry's set changed (fill/invalidate/flush):
+                    # the recorded outcome can no longer be trusted.
                     del table[key]
+                # A write needs a writable, non-CoW entry (a permission
+                # miss or CoW fault is the translate pass's job). A
+                # write-seeded record proves nothing about reads: an
+                # earlier same-bucket entry rejected only by the write-
+                # permission clause would match a read first.
                 elif write_ok if is_write else not write_seeded:
                     ok = True
                     if mask_domain is not None:
+                        # Live ORPC re-check: the process may have
+                        # privatized a page in this scope since the seed
+                        # (pc_bits only ever gains bits, so the match can
+                        # only flip hit -> miss).
                         bit = pc_bits.get(mask_domain)
                         if bit is not None and (pc_mask >> bit) & 1:
                             ok = False
                     if ok:
+                        # Every structure probed before the hit must be
+                        # unchanged: a new entry there could shadow this.
                         for pre_tlb, pre_idx, pre_epoch in pre:
                             if pre_tlb._set_epochs[pre_idx] != pre_epoch:
                                 ok = False
                                 break
                     if ok:
-                        # Exact replay of the reference L1-hit effects.
+                        # Exact replay of the L1-hit effects.
                         if instr:
                             acc_i += 1
                             hits_i += 1

@@ -11,22 +11,31 @@ The translation path (Section VI's timing rules):
    Figure 5b / Table I).
 4. Page walk through the PWC and cache hierarchy; faults invoke the
    kernel and retry.
+
+:meth:`MMU._try_translate` is the one pass over these steps. The
+structures behind it are the dict-backed ``Fast*`` TLBs unless
+``SimConfig.fastpath`` or ``REPRO_FASTPATH=0`` selects the linear-scan
+references (:mod:`repro.sim.fastpath`), and the lookup functions are
+picked once per MMU to match. Sanitize and trace runs use the same
+structures; their hooks are read once per pass and fire only when
+wired, and wiring either turns the L0 memo off.
 """
 
 from repro.hw.pwc import PageWalkCache
 from repro.hw.tlb import FastMultiSizeTLB, MultiSizeTLB, TLBEntry
 from repro.hw.types import AccessKind, PageSize
 from repro.core.babelfish_tlb import (
-    BabelFishLookup,
+    babelfish_lookup,
     babelfish_lookup_fast,
     conventional_lookup,
     conventional_lookup_fast,
+    entry_region,
     hit_provenance,
 )
 from repro.core.mask_page import region_of
 from repro.kernel.errors import TranslationDidNotConverge
 from repro.kernel.fault import FaultType, InvalidationScope, trace_outcome
-from repro.sim.fastpath import TranslationMemo, structures_active
+from repro.sim.fastpath import TranslationMemo, fastpath_active
 from repro.sim.stats import MMUStats
 from repro.sim.walker import PageWalker
 
@@ -59,10 +68,10 @@ class MMU:
         #: The translation policy (repro.core.policy): structure
         #: geometry, fill rule, and capability flags all come from here.
         self.policy = policy = config.translation_policy
-        #: Fast structures + L0 memo, unless the config/env/debug modes
-        #: force the reference implementations (repro.sim.fastpath).
-        self.fast = structures_active(config)
-        multi = FastMultiSizeTLB if self.fast else MultiSizeTLB
+        #: Fast structures + L0 memo, unless the config or the environment
+        #: asks for the reference implementations (repro.sim.fastpath).
+        self.fast = fast = fastpath_active(config)
+        multi = FastMultiSizeTLB if fast else MultiSizeTLB
         self.l1d = multi([mmu.l1d_4k, mmu.l1d_2m, mmu.l1d_1g])
         self.l1i = multi([mmu.l1i_4k])
         self.l2 = multi(list(policy.l2_tlb_params(mmu)))
@@ -78,28 +87,39 @@ class MMU:
         self.l1_cycles = mmu.l1d_4k.access_cycles
         self.aslr_cycles = mmu.aslr_transform_cycles
         self.stats = MMUStats()
-        domain_fn = getattr(kernel.policy, "entry_mask_domain", None)
-        self._bf_l1d = BabelFishLookup(self.l1d, domain_fn)
-        self._bf_l1i = BabelFishLookup(self.l1i, domain_fn)
-        self._bf_l2 = BabelFishLookup(self.l2, domain_fn)
+        #: The Figure 8 (BabelFish) and Figure 1 (conventional) lookups
+        #: for the structures' backing: inlined over the dict-backed
+        #: sets, or the linear-scan references. Both pairs return the
+        #: same tuples (repro.core.babelfish_tlb).
+        if fast:
+            self._bf_lookup = babelfish_lookup_fast
+            self._conv_lookup = conventional_lookup_fast
+        else:
+            self._bf_lookup = babelfish_lookup
+            self._conv_lookup = conventional_lookup
+        #: MaskPage scope of an entry's PC bit: the 1GB region, or the
+        #: 2MB range under the per-range indirection extension.
+        self._domain_fn = (getattr(kernel.policy, "entry_mask_domain", None)
+                           or entry_region)
         #: Callback set by the simulator: applies kernel-requested TLB
         #: invalidations to every core.
         self.invalidation_sink = self._local_invalidation_sink
         #: L0 translation memo (repro.sim.fastpath). ``_memo_store`` is
         #: the instance (or None without fast structures); ``_memo`` is
-        #: what translate() consults and goes None whenever a sanitizer
-        #: or tracer is wired (their per-event hooks must see every
-        #: lookup). The sanitizer/tracer properties below keep the two
-        #: in sync for any wiring order.
+        #: what the translate pass seeds and the fast trace loop serves
+        #: from, and goes None whenever a sanitizer or tracer is wired
+        #: (their per-event hooks must see every lookup). The
+        #: sanitizer/tracer properties below keep the two in sync for
+        #: any wiring order.
         self._memo_store = (
-            TranslationMemo(config.share_l1_tlb, self._bf_l1d.domain_fn)
-            if self.fast else None)
+            TranslationMemo(config.share_l1_tlb, self._domain_fn)
+            if fast else None)
         self._memo = self._memo_store
         #: Reused result for the fast trace loop (one per core; the
         #: public translate() still allocates unless ``into`` is passed).
         self._tr_scratch = TranslationResult()
-        # Per-config constants prebound for the fast translate path
-        # (none of these can change over a run). All policy capability
+        # Per-config constants prebound for the translate pass (none of
+        # these can change over a run). All policy capability
         # queries, never raw config flags (lint rule BF701).
         self._share_l1 = config.share_l1_tlb
         self._bf_tlb = policy.uses_ccid
@@ -110,7 +130,6 @@ class MMU:
             pair for pair in (("L1D", self.l1d), ("L1I", self.l1i),
                               ("L2", self.l2), ("L3", self.l3))
             if pair[1] is not None)
-        self._domain_fn = self._bf_l1d.domain_fn
         self._sanitizer = None
         self._tracer = None
 
@@ -154,24 +173,12 @@ class MMU:
     def translate(self, proc, segment, page_off, kind, is_write=False,
                   into=None):
         """Translate one access; returns a :class:`TranslationResult`
-        (``into``, updated in place, when the caller passes one)."""
+        (``into``, updated in place, when the caller passes one). The
+        fast trace loop serves L0 memo hits itself and calls this only
+        for the accesses the memo refuses."""
         stats = self.stats
         instr = kind is AccessKind.IFETCH
         is_write = is_write or kind is AccessKind.STORE
-        memo = self._memo
-        if memo is not None:
-            hit = memo.probe(proc, segment, page_off, instr, is_write,
-                             stats)
-            if hit is not None:
-                if into is None:
-                    return TranslationResult(self.l1_cycles, hit[0], hit[1])
-                into.cycles = self.l1_cycles
-                into.ppn4k = hit[0]
-                into.page_size = hit[1]
-                return into
-            try_translate = self._try_translate_fast
-        else:
-            try_translate = self._try_translate
         if instr:
             stats.accesses_i += 1
         else:
@@ -180,8 +187,8 @@ class MMU:
         vpn_group = proc.vpn_group(segment, page_off)
         cycles = 0
         for _ in range(_MAX_FAULT_RETRIES):
-            result = try_translate(proc, segment, page_off, vpn_proc,
-                                   vpn_group, instr, is_write)
+            result = self._try_translate(proc, segment, page_off, vpn_proc,
+                                         vpn_group, instr, is_write)
             cycles += result[0]
             if result[1] is not None:
                 if into is None:
@@ -195,38 +202,41 @@ class MMU:
 
     def _try_translate(self, proc, segment, page_off, vpn_proc, vpn_group,
                        instr, is_write):
-        """One pass through L1 -> L2 -> walk. Returns (cycles, ppn4k|None,
-        page_size|None); ppn4k None means a fault was serviced and the
-        access must retry."""
+        """One pass through L1 -> L2 -> (L3) -> walk. Returns (cycles,
+        ppn4k|None, page_size|None); ppn4k None means a fault was
+        serviced and the access must retry. The sanitizer and tracer
+        hooks fire only when wired, in the same order on either
+        structure backing."""
         stats = self.stats
-        config = self.config
-        tracer = self.tracer
+        sanitizer = self._sanitizer
+        tracer = self._tracer
         cycles = self.l1_cycles
         l1_multi = self.l1i if instr else self.l1d
 
-        if config.share_l1_tlb:
-            bf = self._bf_l1i if instr else self._bf_l1d
-            l1_res = bf.lookup(vpn_group, proc, is_write)
+        if self._share_l1:
+            lookup_vpn = vpn_group
+            entry, _size, _consulted, cow_fault = self._bf_lookup(
+                l1_multi, vpn_group, proc, is_write, self._domain_fn)
         else:
-            l1_res = conventional_lookup(l1_multi, vpn_proc, proc, is_write)
-        if l1_res.cow_fault:
+            lookup_vpn = vpn_proc
+            entry, _size, cow_fault = self._conv_lookup(
+                l1_multi, vpn_proc, proc.pcid, is_write)
+        if cow_fault:
             cycles += self._service_fault(proc, vpn_group, is_write)
             return cycles, None, None
-        if l1_res.hit:
+        if entry is not None:
             if instr:
                 stats.l1_hits_i += 1
             else:
                 stats.l1_hits_d += 1
-            entry = l1_res.entry
-            if self.sanitizer is not None:
-                self.sanitizer.check_hit("L1I" if instr else "L1D",
-                                         proc, entry, vpn_group)
+            if sanitizer is not None:
+                sanitizer.check_hit("L1I" if instr else "L1D", proc, entry,
+                                    vpn_group)
             if tracer is not None:
                 tracer.tlb_hit(self.core_id, proc.pid,
                                "L1I" if instr else "L1D", vpn_group,
                                hit_provenance(entry, proc))
-            lookup_vpn = vpn_group if config.share_l1_tlb else vpn_proc
-            ppn4k = entry.ppn + (lookup_vpn & (entry.page_size.base_pages - 1))
+            ppn4k = entry.ppn + (lookup_vpn & entry.page_size.base_mask)
             memo = self._memo
             if memo is not None:
                 memo.seed(proc, segment, page_off, instr, is_write,
@@ -246,10 +256,10 @@ class MMU:
             stats.aslr_transforms += 1
 
         if self._bf_tlb:
-            l2_res = self._bf_l2.lookup(vpn_group, proc, is_write)
-            long_access = l2_res.consulted_bitmask
-            if not config.orpc_enabled and l2_res.entry is not None \
-                    and not l2_res.entry.o_bit:
+            entry, _size, consulted, cow_fault = self._bf_lookup(
+                self.l2, vpn_group, proc, is_write, self._domain_fn)
+            long_access = consulted
+            if not self._orpc and entry is not None and not entry.o_bit:
                 # Without the ORPC filter every shared-entry access must
                 # read the PC bitmask (Figure 5b's saving, ablated).
                 long_access = True
@@ -259,15 +269,15 @@ class MMU:
             else:
                 cycles += self.l2_short_cycles
         else:
-            l2_res = conventional_lookup(self.l2, vpn_group, proc, is_write)
+            entry, _size, cow_fault = self._conv_lookup(
+                self.l2, vpn_group, proc.pcid, is_write)
             cycles += self.l2_short_cycles
-        if l2_res.cow_fault:
+        if cow_fault:
             cycles += self._service_fault(proc, vpn_group, is_write)
             return cycles, None, None
-        if l2_res.hit:
-            entry = l2_res.entry
-            if self.sanitizer is not None:
-                self.sanitizer.check_hit("L2", proc, entry, vpn_group)
+        if entry is not None:
+            if sanitizer is not None:
+                sanitizer.check_hit("L2", proc, entry, vpn_group)
             if tracer is not None:
                 tracer.tlb_hit(self.core_id, proc.pid, "L2", vpn_group,
                                hit_provenance(entry, proc))
@@ -283,7 +293,7 @@ class MMU:
             # Model accessed-bit harvesting: L2-TLB-level activity drives
             # the kernel's page LRU (Figure 9's active list).
             self.kernel.lru.touch(entry.ppn)
-            ppn4k = entry.ppn + (vpn_group & (entry.page_size.base_pages - 1))
+            ppn4k = entry.ppn + (vpn_group & entry.page_size.base_mask)
             return cycles, ppn4k, entry.page_size
         if instr:
             stats.l2_misses_i += 1
@@ -294,138 +304,7 @@ class MMU:
 
         if self.l3 is not None:
             cycles += self.l3_cycles
-            l3_res = conventional_lookup(self.l3, vpn_group, proc, is_write)
-            if l3_res.cow_fault:
-                cycles += self._service_fault(proc, vpn_group, is_write)
-                return cycles, None, None
-            if l3_res.hit:
-                entry = l3_res.entry
-                if instr:
-                    stats.l3_hits_i += 1
-                else:
-                    stats.l3_hits_d += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.check_hit("L3", proc, entry, vpn_group)
-                if tracer is not None:
-                    tracer.tlb_hit(self.core_id, proc.pid, "L3", vpn_group,
-                                   hit_provenance(entry, proc))
-                l2_entry = self._refill_from_l3(proc, entry, vpn_group)
-                self._fill_l1(proc, vpn_proc, vpn_group, l2_entry, instr)
-                self.kernel.lru.touch(entry.ppn)
-                ppn4k = entry.ppn + (vpn_group
-                                     & (entry.page_size.base_pages - 1))
-                return cycles, ppn4k, entry.page_size
-            if instr:
-                stats.l3_misses_i += 1
-            else:
-                stats.l3_misses_d += 1
-            if tracer is not None:
-                tracer.tlb_miss(self.core_id, proc.pid, "L3", vpn_group,
-                                instr)
-
-        walk = self.walker.walk(proc, vpn_group)
-        stats.walks += 1
-        stats.walk_cycles += walk.cycles
-        cycles += walk.cycles
-        pte = walk.pte
-        if walk.fault or (is_write and (pte.cow or not pte.writable)):
-            cycles += self._service_fault(proc, vpn_group, is_write)
-            return cycles, None, None
-
-        entry = self._fill_l2(proc, vpn_group, pte, walk.leaf_table)
-        self._fill_l1(proc, vpn_proc, vpn_group, entry, instr)
-        self.kernel.lru.touch(pte.ppn)
-        ppn4k = pte.ppn + (vpn_group & (pte.page_size.base_pages - 1))
-        return cycles, ppn4k, pte.page_size
-
-    def _try_translate_fast(self, proc, segment, page_off, vpn_proc,
-                            vpn_group, instr, is_write):
-        """:meth:`_try_translate` specialized for the fast path: inlined
-        allocation-free TLB probes (:func:`babelfish_lookup_fast` /
-        :func:`conventional_lookup_fast`) over the Fast* structures and
-        prebound config flags, with every counter, cycle, LRU, fill, and
-        fault effect identical to the reference pass. Only dispatched
-        when the L0 memo is live, i.e. fast structures are in use and no
-        sanitizer/tracer hooks are wired (their hook sites are omitted
-        here). tests/test_fastpath.py holds the two passes bit-equal."""
-        stats = self.stats
-        cycles = self.l1_cycles
-        l1_multi = self.l1i if instr else self.l1d
-
-        if self._share_l1:
-            lookup_vpn = vpn_group
-            entry, _size, _consulted, cow_fault = babelfish_lookup_fast(
-                l1_multi, vpn_group, proc, is_write, self._domain_fn)
-        else:
-            lookup_vpn = vpn_proc
-            entry, _size, cow_fault = conventional_lookup_fast(
-                l1_multi, vpn_proc, proc.pcid, is_write)
-        if cow_fault:
-            cycles += self._service_fault(proc, vpn_group, is_write)
-            return cycles, None, None
-        if entry is not None:
-            if instr:
-                stats.l1_hits_i += 1
-            else:
-                stats.l1_hits_d += 1
-            ppn4k = entry.ppn + (lookup_vpn & entry.page_size.base_mask)
-            memo = self._memo
-            if memo is not None:
-                memo.seed(proc, segment, page_off, instr, is_write,
-                          lookup_vpn, entry, l1_multi, ppn4k)
-            return cycles, ppn4k, entry.page_size
-        if instr:
-            stats.l1_misses_i += 1
-        else:
-            stats.l1_misses_d += 1
-
-        if self._aslr_transform:
-            # ASLR-HW transformation between L1 and L2 (Section IV-D).
-            cycles += self.aslr_cycles
-            stats.aslr_transforms += 1
-
-        if self._bf_tlb:
-            entry, _size, consulted, cow_fault = babelfish_lookup_fast(
-                self.l2, vpn_group, proc, is_write, self._domain_fn)
-            long_access = consulted
-            if not self._orpc and entry is not None and not entry.o_bit:
-                # Without the ORPC filter every shared-entry access must
-                # read the PC bitmask (Figure 5b's saving, ablated).
-                long_access = True
-            if long_access:
-                cycles += self.l2_long_cycles
-                stats.l2_long_accesses += 1
-            else:
-                cycles += self.l2_short_cycles
-        else:
-            entry, _size, cow_fault = conventional_lookup_fast(
-                self.l2, vpn_group, proc.pcid, is_write)
-            cycles += self.l2_short_cycles
-        if cow_fault:
-            cycles += self._service_fault(proc, vpn_group, is_write)
-            return cycles, None, None
-        if entry is not None:
-            if instr:
-                stats.l2_hits_i += 1
-                if entry.inserted_by != proc.pid:
-                    stats.l2_shared_hits_i += 1
-            else:
-                stats.l2_hits_d += 1
-                if entry.inserted_by != proc.pid:
-                    stats.l2_shared_hits_d += 1
-            self._fill_l1(proc, vpn_proc, vpn_group, entry, instr)
-            # Accessed-bit harvesting, as in the reference pass.
-            self.kernel.lru.touch(entry.ppn)
-            ppn4k = entry.ppn + (vpn_group & entry.page_size.base_mask)
-            return cycles, ppn4k, entry.page_size
-        if instr:
-            stats.l2_misses_i += 1
-        else:
-            stats.l2_misses_d += 1
-
-        if self.l3 is not None:
-            cycles += self.l3_cycles
-            entry, _size, cow_fault = conventional_lookup_fast(
+            entry, _size, cow_fault = self._conv_lookup(
                 self.l3, vpn_group, proc.pcid, is_write)
             if cow_fault:
                 cycles += self._service_fault(proc, vpn_group, is_write)
@@ -435,6 +314,11 @@ class MMU:
                     stats.l3_hits_i += 1
                 else:
                     stats.l3_hits_d += 1
+                if sanitizer is not None:
+                    sanitizer.check_hit("L3", proc, entry, vpn_group)
+                if tracer is not None:
+                    tracer.tlb_hit(self.core_id, proc.pid, "L3", vpn_group,
+                                   hit_provenance(entry, proc))
                 l2_entry = self._refill_from_l3(proc, entry, vpn_group)
                 self._fill_l1(proc, vpn_proc, vpn_group, l2_entry, instr)
                 self.kernel.lru.touch(entry.ppn)
@@ -444,6 +328,9 @@ class MMU:
                 stats.l3_misses_i += 1
             else:
                 stats.l3_misses_d += 1
+            if tracer is not None:
+                tracer.tlb_miss(self.core_id, proc.pid, "L3", vpn_group,
+                                instr)
 
         walk = self.walker.walk(proc, vpn_group)
         stats.walks += 1
@@ -466,16 +353,16 @@ class MMU:
         entry, replace = self.policy.fill_l2(self.kernel, proc, vpn_group,
                                              pte, leaf_table)
         self.l2.insert(entry, replace=replace)
-        if self.sanitizer is not None:
-            self.sanitizer.check_fill("L2", proc, entry, vpn_group)
+        if self._sanitizer is not None:
+            self._sanitizer.check_fill("L2", proc, entry, vpn_group)
         if self.l3 is not None and entry.page_size in self.l3.tlbs:
             # Inclusive victim fill. Always a clone: the reference and
             # fast structures track validity/occupancy differently, so
             # one entry object must never live in two structures.
             clone = self._clone_entry(entry)
             self.l3.insert(clone, replace=lambda old: old.pcid == clone.pcid)
-            if self.sanitizer is not None:
-                self.sanitizer.check_fill("L3", proc, clone, vpn_group)
+            if self._sanitizer is not None:
+                self._sanitizer.check_fill("L3", proc, clone, vpn_group)
         return entry
 
     def _refill_from_l3(self, proc, l3_entry, vpn_group):
@@ -483,8 +370,8 @@ class MMU:
         the L1) with a clone of the victim entry."""
         entry = self._clone_entry(l3_entry)
         self.l2.insert(entry, replace=lambda old: old.pcid == entry.pcid)
-        if self.sanitizer is not None:
-            self.sanitizer.check_fill("L2", proc, entry, vpn_group)
+        if self._sanitizer is not None:
+            self._sanitizer.check_fill("L2", proc, entry, vpn_group)
         return entry
 
     @staticmethod
@@ -526,8 +413,8 @@ class MMU:
         multi = self.l1i if instr else self.l1d
         if size in multi.tlbs:
             multi.insert(entry, replace=replace)
-            if self.sanitizer is not None:
-                self.sanitizer.check_fill("L1I" if instr else "L1D",
+            if self._sanitizer is not None:
+                self._sanitizer.check_fill("L1I" if instr else "L1D",
                                           proc, entry, vpn_group)
 
     # -- faults and invalidations --------------------------------------------------------
@@ -536,8 +423,8 @@ class MMU:
         outcome = self.kernel.handle_fault(proc, vpn_group, is_write)
         stats = self.stats
         stats.fault_cycles += outcome.cycles
-        if self.tracer is not None:
-            trace_outcome(self.tracer, self.core_id, proc.pid, vpn_group,
+        if self._tracer is not None:
+            trace_outcome(self._tracer, self.core_id, proc.pid, vpn_group,
                           outcome)
         if outcome.fault_type is FaultType.MINOR:
             stats.minor_faults += 1
@@ -557,8 +444,8 @@ class MMU:
 
     def apply_invalidation(self, proc, inv):
         """Apply one kernel-requested invalidation to this core's TLBs."""
-        if self.tracer is not None:
-            self.tracer.invalidation(self.core_id, proc.pid, inv.vpn,
+        if self._tracer is not None:
+            self._tracer.invalidation(self.core_id, proc.pid, inv.vpn,
                                      inv.scope.value)
         if inv.scope is InvalidationScope.PROCESS:
             pred = lambda e: e.pcid == inv.pcid
@@ -597,8 +484,8 @@ class MMU:
             pred = lambda e: (not e.o_bit) and e.ccid == inv.ccid
             for _name, tlb in self._tlb_levels:
                 tlb.flush(pred)
-        if self.sanitizer is not None:
-            self.sanitizer.check_invalidation(self, proc, inv)
+        if self._sanitizer is not None:
+            self._sanitizer.check_invalidation(self, proc, inv)
 
     @staticmethod
     def _to_proc_space(proc, vpn_group):

@@ -1,14 +1,23 @@
-"""Tests for the Figure 8 TLB lookup flowchart."""
+"""Tests for the Figure 8 TLB lookup flowchart.
+
+Every lookup case runs on both backings the simulator pairs: the
+linear-scan :class:`MultiSizeTLB` with the reference lookups, and the
+dict-backed :class:`FastMultiSizeTLB` with the inlined ``_fast`` ones.
+The ``Fast`` test classes re-run their base class's cases on the second
+pair, and every case asserts on the returned tuple fields.
+"""
 
 from repro.core.babelfish_tlb import (
-    BabelFishLookup,
     babelfish_fill_fields,
+    babelfish_lookup,
+    babelfish_lookup_fast,
     conventional_lookup,
+    conventional_lookup_fast,
     entry_region,
     make_entry,
 )
 from repro.hw.params import TLBParams
-from repro.hw.tlb import MultiSizeTLB, TLBEntry
+from repro.hw.tlb import FastMultiSizeTLB, MultiSizeTLB, TLBEntry
 from repro.hw.types import PageSize
 from repro.kernel.page_table import PTE
 
@@ -19,10 +28,6 @@ class FakeProc:
         self.pcid = pcid
         self.ccid = ccid
         self.pc_bits = pc_bits or {}
-
-
-def multi():
-    return MultiSizeTLB([TLBParams("4k", 16, 4, PageSize.SIZE_4K, 10, 12)])
 
 
 def shared_entry(vpn=0x10, ppn=0x100, ccid=7, orpc=False, pc_mask=0,
@@ -38,112 +43,157 @@ def owned_entry(vpn=0x10, ppn=0x200, pcid=1, ccid=7):
 
 
 class TestFigure8:
+    """Reference pair: MultiSizeTLB + :func:`babelfish_lookup`."""
+
+    multi_cls = MultiSizeTLB
+    lookup_fn = staticmethod(babelfish_lookup)
+
+    def multi(self):
+        return self.multi_cls([TLBParams("4k", 16, 4, PageSize.SIZE_4K,
+                                         10, 12)])
+
+    def lookup(self, tlb, proc, is_write=False):
+        """``(entry, consulted, cow_fault)`` for a probe of VPN 0x10."""
+        entry, size, consulted, cow_fault = self.lookup_fn(
+            tlb, 0x10, proc, is_write, entry_region)
+        assert size is (None if entry is None else PageSize.SIZE_4K)
+        return entry, consulted, cow_fault
+
     def test_box1_ccid_mismatch_misses(self):
-        tlb = multi()
+        tlb = self.multi()
         tlb.insert(shared_entry(ccid=8))
-        result = BabelFishLookup(tlb).lookup(0x10, FakeProc(ccid=7))
-        assert not result.hit
+        assert self.lookup(tlb, FakeProc(ccid=7)) == (None, False, False)
 
     def test_shared_hit_any_process(self):
         """Box 4: a shared entry hits for every process in the group."""
-        tlb = multi()
-        tlb.insert(shared_entry())
+        tlb = self.multi()
+        entry = shared_entry()
+        tlb.insert(entry)
         for pcid in (1, 2, 3):
-            result = BabelFishLookup(tlb).lookup(
-                0x10, FakeProc(pcid=pcid, ccid=7))
-            assert result.hit
+            assert self.lookup(tlb, FakeProc(pcid=pcid, ccid=7)) \
+                == (entry, False, False)
 
     def test_owned_entry_needs_pcid(self):
         """Boxes 2/9: Ownership set means the PCID must also match."""
-        tlb = multi()
-        tlb.insert(owned_entry(pcid=1))
-        assert BabelFishLookup(tlb).lookup(0x10, FakeProc(pcid=1)).hit
-        assert not BabelFishLookup(tlb).lookup(0x10, FakeProc(pcid=2)).hit
+        tlb = self.multi()
+        entry = owned_entry(pcid=1)
+        tlb.insert(entry)
+        assert self.lookup(tlb, FakeProc(pcid=1)) == (entry, False, False)
+        assert self.lookup(tlb, FakeProc(pcid=2)) == (None, False, False)
 
     def test_private_copy_holder_misses_shared(self):
         """Box 3: a process whose PC bit is set cannot use the shared
         entry."""
-        tlb = multi()
+        tlb = self.multi()
         entry = shared_entry(orpc=True, pc_mask=0b100)
         tlb.insert(entry)
         region = entry_region(entry)
         holder = FakeProc(pcid=1, ccid=7, pc_bits={region: 2})
         other = FakeProc(pcid=2, ccid=7, pc_bits={region: 0})
         stranger = FakeProc(pcid=3, ccid=7)
-        assert not BabelFishLookup(tlb).lookup(0x10, holder).hit
-        assert BabelFishLookup(tlb).lookup(0x10, other).hit
-        assert BabelFishLookup(tlb).lookup(0x10, stranger).hit
+        # The holder's miss still read the bitmask (box 3).
+        assert self.lookup(tlb, holder) == (None, True, False)
+        assert self.lookup(tlb, other) == (entry, True, False)
+        assert self.lookup(tlb, stranger) == (entry, True, False)
 
     def test_bitmask_consultation_flag(self):
         """ORPC clear: the PC bitmask read (and long access) is skipped."""
-        tlb = multi()
-        tlb.insert(shared_entry(orpc=False))
-        result = BabelFishLookup(tlb).lookup(0x10, FakeProc())
-        assert result.hit and not result.consulted_bitmask
+        tlb = self.multi()
+        entry = shared_entry(orpc=False)
+        tlb.insert(entry)
+        assert self.lookup(tlb, FakeProc()) == (entry, False, False)
 
-        tlb2 = multi()
-        tlb2.insert(shared_entry(orpc=True, pc_mask=1))
-        result2 = BabelFishLookup(tlb2).lookup(0x10, FakeProc(pcid=5))
-        assert result2.hit and result2.consulted_bitmask
+        tlb2 = self.multi()
+        entry2 = shared_entry(orpc=True, pc_mask=1)
+        tlb2.insert(entry2)
+        assert self.lookup(tlb2, FakeProc(pcid=5)) == (entry2, True, False)
 
     def test_owned_hit_skips_bitmask(self):
-        tlb = multi()
-        tlb.insert(owned_entry(pcid=1))
-        result = BabelFishLookup(tlb).lookup(0x10, FakeProc(pcid=1))
-        assert result.hit and not result.consulted_bitmask
+        tlb = self.multi()
+        entry = owned_entry(pcid=1)
+        tlb.insert(entry)
+        assert self.lookup(tlb, FakeProc(pcid=1)) == (entry, False, False)
 
     def test_write_to_cow_raises_cow_fault(self):
         """Boxes 5/6: a write hit on a CoW entry is a CoW page fault."""
-        tlb = multi()
-        tlb.insert(shared_entry(cow=True, writable=False))
-        result = BabelFishLookup(tlb).lookup(0x10, FakeProc(), is_write=True)
-        assert result.cow_fault and not result.hit
+        tlb = self.multi()
+        entry = shared_entry(cow=True, writable=False)
+        tlb.insert(entry)
+        assert self.lookup(tlb, FakeProc(), is_write=True) \
+            == (entry, False, True)
 
     def test_read_of_cow_hits(self):
-        tlb = multi()
-        tlb.insert(shared_entry(cow=True, writable=False))
-        result = BabelFishLookup(tlb).lookup(0x10, FakeProc(), is_write=False)
-        assert result.hit and not result.cow_fault
+        tlb = self.multi()
+        entry = shared_entry(cow=True, writable=False)
+        tlb.insert(entry)
+        assert self.lookup(tlb, FakeProc(), is_write=False) \
+            == (entry, False, False)
 
     def test_write_permission_miss(self):
-        tlb = multi()
+        tlb = self.multi()
         tlb.insert(shared_entry(writable=False))
-        result = BabelFishLookup(tlb).lookup(0x10, FakeProc(), is_write=True)
-        assert not result.hit and not result.cow_fault
+        assert self.lookup(tlb, FakeProc(), is_write=True) \
+            == (None, False, False)
 
     def test_miss_on_empty(self):
-        result = BabelFishLookup(multi()).lookup(0x10, FakeProc())
-        assert not result.hit and result.entry is None
+        tlb = self.multi()
+        assert self.lookup(tlb, FakeProc()) == (None, False, False)
+        assert (tlb.hits, tlb.misses) == (0, 1)
 
     def test_shared_and_owned_coexist(self):
         """The advanced case: most processes share {VPN0, PPN0}; one has
         its private {VPN0, PPN1} (Section III-A)."""
-        tlb = multi()
+        tlb = self.multi()
         shared = shared_entry(ppn=0x100, orpc=True, pc_mask=0b1)
         tlb.insert(shared)
-        tlb.insert(owned_entry(ppn=0x200, pcid=9))
+        owned = owned_entry(ppn=0x200, pcid=9)
+        tlb.insert(owned)
         region = entry_region(shared)
         owner = FakeProc(pcid=9, ccid=7, pc_bits={region: 0})
-        result = BabelFishLookup(tlb).lookup(0x10, owner)
-        assert result.hit and result.entry.ppn == 0x200
+        assert self.lookup(tlb, owner) == (owned, True, False)
         other = FakeProc(pcid=5, ccid=7)
-        result2 = BabelFishLookup(tlb).lookup(0x10, other)
-        assert result2.hit and result2.entry.ppn == 0x100
+        assert self.lookup(tlb, other) == (shared, True, False)
+        assert (tlb.hits, tlb.misses) == (2, 0)
+
+
+class TestFigure8Fast(TestFigure8):
+    """Fast pair: FastMultiSizeTLB + :func:`babelfish_lookup_fast`."""
+
+    multi_cls = FastMultiSizeTLB
+    lookup_fn = staticmethod(babelfish_lookup_fast)
 
 
 class TestConventionalLookup:
+    """Reference pair: MultiSizeTLB + :func:`conventional_lookup`."""
+
+    multi_cls = MultiSizeTLB
+    lookup_fn = staticmethod(conventional_lookup)
+
+    def multi(self):
+        return self.multi_cls([TLBParams("4k", 16, 4, PageSize.SIZE_4K,
+                                         10, 12)])
+
     def test_pcid_match(self):
-        tlb = multi()
-        tlb.insert(TLBEntry(0x10, 0x1, pcid=4, inserted_by=1))
-        assert conventional_lookup(tlb, 0x10, FakeProc(pcid=4)).hit
-        assert not conventional_lookup(tlb, 0x10, FakeProc(pcid=5)).hit
+        tlb = self.multi()
+        entry = TLBEntry(0x10, 0x1, pcid=4, inserted_by=1)
+        tlb.insert(entry)
+        assert self.lookup_fn(tlb, 0x10, 4, False) \
+            == (entry, PageSize.SIZE_4K, False)
+        assert self.lookup_fn(tlb, 0x10, 5, False) == (None, None, False)
 
     def test_cow_write(self):
-        tlb = multi()
-        tlb.insert(TLBEntry(0x10, 0x1, pcid=4, cow=True, writable=False))
-        result = conventional_lookup(tlb, 0x10, FakeProc(pcid=4),
-                                     is_write=True)
-        assert result.cow_fault
+        tlb = self.multi()
+        entry = TLBEntry(0x10, 0x1, pcid=4, cow=True, writable=False)
+        tlb.insert(entry)
+        assert self.lookup_fn(tlb, 0x10, 4, True) \
+            == (entry, PageSize.SIZE_4K, True)
+
+
+class TestConventionalLookupFast(TestConventionalLookup):
+    """Fast pair: FastMultiSizeTLB + :func:`conventional_lookup_fast`."""
+
+    multi_cls = FastMultiSizeTLB
+    lookup_fn = staticmethod(conventional_lookup_fast)
 
 
 class TestFillHelpers:

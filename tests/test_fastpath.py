@@ -29,8 +29,7 @@ from repro.hw.tlb import (FastMultiSizeTLB, FastSetAssocTLB, SetAssocTLB,
 from repro.hw.types import AccessKind, PageSize
 from repro.kernel.fault import InvalidationScope, TLBInvalidation
 from repro.kernel.vma import SegmentKind
-from repro.sim.fastpath import (FASTPATH_ENV, fastpath_active,
-                                structures_active)
+from repro.sim.fastpath import FASTPATH_ENV, fastpath_active
 from repro.sim.simulator import Simulator
 from repro.workloads.profiles import APP_PROFILES
 
@@ -76,11 +75,15 @@ def test_stock_configs_triangulate_with_batch(name, memo_off):
 
 
 def test_sanitize_mode_bit_identical():
+    # Sanitized runs on the fast structures (memo off, reference loop)
+    # against sanitized runs on the linear-scan structures.
     fast, ref = _run_both("BabelFish", scale=0.02, sanitize=True)
     assert fast == ref
 
 
 def test_trace_mode_bit_identical():
+    # Traced runs on the fast structures against traced runs on the
+    # linear-scan structures: same counters and the same event stream.
     fast, ref = _run_both("BabelFish", scale=0.02, trace=True)
     assert fast == ref
 
@@ -189,7 +192,7 @@ def test_reset_measurement_mid_run_identical():
 
 def test_escape_hatches(monkeypatch):
     config = config_by_name("BabelFish")
-    assert fastpath_active(config) and structures_active(config)
+    assert fastpath_active(config)
     assert not fastpath_active(config_by_name("BabelFish", fastpath=False))
     monkeypatch.setenv(FASTPATH_ENV, "0")
     assert not fastpath_active(config)
@@ -203,15 +206,19 @@ def test_escape_hatches(monkeypatch):
 @pytest.mark.parametrize("overrides", [{"sanitize": True}, {"trace": True}],
                          ids=["sanitizer-mode", "tracer-mode"])
 def test_debug_modes_bypass_fast_structures(overrides):
+    # Debug runs build the same fast TLBs and caches as production runs,
+    # so their hooks check the structures production uses; only the L0
+    # memo and the tight trace loop, which would skip the hooks, are off.
     config = config_by_name("BabelFish", **overrides)
     assert fastpath_active(config)
-    assert not structures_active(config)
     env = build_environment(config, cores=1)
     assert env.sim._fast is False
     mmu = env.sim.mmus[0]
-    assert mmu._memo is None
-    assert not isinstance(mmu.l1d, FastMultiSizeTLB)
-    assert type(env.sim.hierarchy.l3) is SetAssociativeCache
+    assert mmu.fast and mmu._memo is None
+    assert isinstance(mmu.l1d, FastMultiSizeTLB)
+    assert isinstance(mmu.l2, FastMultiSizeTLB)
+    assert type(env.sim.hierarchy.l3) is FastSetAssociativeCache
+    assert type(env.sim.hierarchy.l1d[0]) is FastSetAssociativeCache
 
 
 def test_post_hoc_tracer_or_sanitizer_disables_memo():
@@ -359,28 +366,61 @@ def test_cache_backings_pick_same_victims():
 # -- L0 memo invalidation edge cases -------------------------------------------
 
 
+def _count_translates(mmu):
+    """Wrap ``mmu.translate``; returns the list each call's ``(kind,
+    cycles, ppn4k)`` is appended to. The fast trace loop calls
+    ``translate`` only for the accesses the L0 memo does not serve."""
+    calls = []
+    inner = mmu.translate
+
+    def translate(proc, segment, page_off, kind, *args):
+        tr = inner(proc, segment, page_off, kind, *args)
+        calls.append((kind, tr.cycles, tr.ppn4k))
+        return tr
+
+    mmu.translate = translate
+    return calls
+
+
+def _loads(segment, page_off, count):
+    return [(1, segment, page_off, line, 0, None) for line in range(count)]
+
+
 def test_cow_fault_retry_invalidates_memo(mini_babelfish):
     mini = mini_babelfish
     sim = Simulator(baseline_machine(cores=1), config_by_name("BabelFish"),
                     mini.kernel)
     mmu = sim.mmus[0]
+    calls = _count_translates(mmu)
     mini.touch(mini.zygote, SegmentKind.HEAP, 3, write=True)
     child = mini.fork()
-    first = mmu.translate(child, SegmentKind.HEAP, 3, AccessKind.LOAD)
-    repeat = mmu.translate(child, SegmentKind.HEAP, 3, AccessKind.LOAD)
-    # The repeat read is a pure L1-hit replay from the memo.
-    assert repeat.cycles == mmu.l1_cycles
-    assert repeat.ppn4k == first.ppn4k
+    # Three reads of the page: the first fills the L1 TLB, the second
+    # hits it and seeds the memo, the third is served by the memo.
+    sim.run_single(child, _loads(SegmentKind.HEAP, 3, 3))
+    assert len(calls) == 2
+    assert mmu.stats.accesses_d == 3
+    assert calls[1][1] == mmu.l1_cycles
+    shared_ppn = calls[0][2]
+    assert calls[1][2] == shared_ppn
     assert (child.pid, SegmentKind.HEAP, 3) in mmu._memo.d
     before = mmu.stats.cow_faults
-    write = mmu.translate(child, SegmentKind.HEAP, 3, AccessKind.STORE)
     # The memoized record (seeded by a read of a CoW page) must not serve
-    # the write: the reference retry loop takes the CoW fault and lands
-    # on the private copy.
+    # the write: the translate pass takes the CoW fault and lands on the
+    # private copy.
+    sim.run_single(child, [(2, SegmentKind.HEAP, 3, 0, 0, None)])
+    assert len(calls) == 3
+    assert calls[2][0] is AccessKind.STORE
     assert mmu.stats.cow_faults == before + 1
-    assert write.ppn4k != first.ppn4k
-    after = mmu.translate(child, SegmentKind.HEAP, 3, AccessKind.LOAD)
-    assert after.ppn4k == write.ppn4k
+    private_ppn = calls[2][2]
+    assert private_ppn != shared_ppn
+    # The write's retry refilled the L1 TLB with the private entry, so
+    # the next read hits it and reseeds; the two after it are served by
+    # the memo.
+    sim.run_single(child, _loads(SegmentKind.HEAP, 3, 3))
+    assert len(calls) == 4
+    assert mmu.stats.accesses_d == 7
+    assert calls[3][1:] == (mmu.l1_cycles, private_ppn)
+    assert mmu._memo.d[(child.pid, SegmentKind.HEAP, 3)][4] == private_ppn
 
 
 def test_cross_core_shootdown_between_same_page_accesses():
@@ -428,16 +468,23 @@ def test_manual_process_invalidation_defeats_memo(mini_babelfish):
     sim = Simulator(baseline_machine(cores=1), config_by_name("BabelFish"),
                     mini.kernel)
     mmu = sim.mmus[0]
+    calls = _count_translates(mmu)
     child = mini.fork()
-    mmu.translate(child, SegmentKind.MMAP, 5, AccessKind.LOAD)
-    hit = mmu.translate(child, SegmentKind.MMAP, 5, AccessKind.LOAD)
-    assert hit.cycles == mmu.l1_cycles
+    # Fill, seed, then one memo-served repeat.
+    sim.run_single(child, _loads(SegmentKind.MMAP, 5, 3))
+    assert len(calls) == 2
+    assert mmu.stats.accesses_d == 3
+    hit_ppn = calls[1][2]
+    assert calls[1][1] == mmu.l1_cycles
     vpn_group = child.vpn_group(SegmentKind.MMAP, 5)
     mmu.apply_invalidation(child, TLBInvalidation(
         vpn_group, InvalidationScope.PROCESS, pcid=child.pcid))
-    miss = mmu.translate(child, SegmentKind.MMAP, 5, AccessKind.LOAD)
-    assert miss.cycles > mmu.l1_cycles
-    assert miss.ppn4k == hit.ppn4k
+    # The invalidation moved the entry's set epoch: the memo refuses the
+    # next access, which misses the L1 TLB and refills from below.
+    sim.run_single(child, _loads(SegmentKind.MMAP, 5, 1))
+    assert len(calls) == 3
+    assert calls[2][1] > mmu.l1_cycles
+    assert calls[2][2] == hit_ppn
 
 
 # -- perf harness: merge-on-write trajectory file -------------------------------

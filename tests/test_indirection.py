@@ -120,9 +120,10 @@ class TestIndirectionEndToEnd:
         assert len(all_frames) == len(set(all_frames))
 
     def test_tlb_lookup_uses_range_domain(self):
-        from repro.core.babelfish_tlb import BabelFishLookup
+        from repro.core.babelfish_tlb import (babelfish_lookup,
+                                              babelfish_lookup_fast)
         from repro.hw.params import TLBParams
-        from repro.hw.tlb import MultiSizeTLB, TLBEntry
+        from repro.hw.tlb import FastMultiSizeTLB, MultiSizeTLB, TLBEntry
         from repro.hw.types import PageSize
 
         kernel, children = self.cow_storm(per_range=True, writers=3)
@@ -132,11 +133,19 @@ class TestIndirectionEndToEnd:
         domain = policy.mask_domain(vpn)
         assert domain == vpn >> 9
         bit = writer.pc_bits[domain]
-        multi = MultiSizeTLB([TLBParams("4k", 16, 4, PageSize.SIZE_4K, 10)])
-        shared_entry = TLBEntry(vpn, 0x999, pcid=0, ccid=writer.ccid,
-                                o_bit=False, orpc=True, pc_mask=1 << bit,
-                                inserted_by=0)
-        multi.insert(shared_entry)
-        lookup = BabelFishLookup(multi, policy.entry_mask_domain)
-        assert not lookup.lookup(vpn, writer).hit       # holder blocked
-        assert lookup.lookup(vpn, children[1]).hit      # other range writer ok
+        # Both backings the simulator pairs: linear-scan + reference
+        # lookup, dict-backed + inlined lookup.
+        for multi_cls, lookup in ((MultiSizeTLB, babelfish_lookup),
+                                  (FastMultiSizeTLB, babelfish_lookup_fast)):
+            multi = multi_cls([TLBParams("4k", 16, 4, PageSize.SIZE_4K, 10)])
+            shared_entry = TLBEntry(vpn, 0x999, pcid=0, ccid=writer.ccid,
+                                    o_bit=False, orpc=True,
+                                    pc_mask=1 << bit, inserted_by=0)
+            multi.insert(shared_entry)
+            domain_fn = policy.entry_mask_domain
+            # The holder is blocked; a writer of another range is not.
+            # Both probes read the bitmask and neither is a CoW fault.
+            assert lookup(multi, vpn, writer, False, domain_fn) \
+                == (None, None, True, False)
+            assert lookup(multi, vpn, children[1], False, domain_fn) \
+                == (shared_entry, PageSize.SIZE_4K, True, False)
