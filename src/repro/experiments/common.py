@@ -152,37 +152,40 @@ def _os_warmup(env, deployment):
     architectural timing. ``warm_fraction`` limits how much of the data
     set each container actually visits (GraphChi containers, e.g., only
     traverse part of the graph).
+
+    The sequential loops go through ``Kernel.touch_range``, which leaves
+    the same kernel state as touching their pages one by one; the THP
+    block touches and the warm-trace replay stay per-page.
     """
-    touch = env.kernel.touch
+    kernel = env.kernel
+    touch = kernel.touch
+    touch_range = kernel.touch_range
     profile = deployment.profile
     for container in deployment.containers:
         proc = container.proc
         layout = proc.layout_group
         heap = layout.base(SegmentKind.HEAP)
-        for page in range(profile.private_pages):
-            touch(proc, heap + page, is_write=True)
+        touch_range(proc, heap, profile.private_pages, is_write=True)
         if profile.thp_blocks:
             for block in range(profile.thp_blocks):
                 touch(proc, heap + container.thp_offset + block * 512,
                       is_write=True)
         # Steady-state data set coverage: every container has visited the
         # hot head plus its own slice of the tail.
-        mmap = layout.base(SegmentKind.MMAP)
-        for page in range(int(profile.dataset_pages * profile.warm_coverage)):
-            touch(proc, mmap + page)
+        touch_range(proc, layout.base(SegmentKind.MMAP),
+                    int(profile.dataset_pages * profile.warm_coverage))
         # Custom images may have no binary or library pages at all (e.g.
         # a pure-heap microbenchmark image); there is then no code/lib
-        # working set to warm, so skip rather than divide by zero.
-        binary_pages = profile.image.binary_pages
-        if binary_pages:
-            code = layout.base(SegmentKind.CODE)
-            for page in range(profile.code_hot):
-                touch(proc, code + page % binary_pages)
-        lib_pages = profile.image.lib_pages
-        if lib_pages:
-            libs = layout.base(SegmentKind.LIBS)
-            for page in range(profile.lib_hot):
-                touch(proc, libs + page % lib_pages)
+        # working set to warm, so skip rather than divide by zero. The
+        # hot path wraps around the segment: one range per lap.
+        for segment, hot, pages in (
+                (SegmentKind.CODE, profile.code_hot,
+                 profile.image.binary_pages),
+                (SegmentKind.LIBS, profile.lib_hot, profile.image.lib_pages)):
+            if pages:
+                base = layout.base(segment)
+                for lap in range(0, hot, pages):
+                    touch_range(proc, base, min(pages, hot - lap))
         warm_trace = _make_trace(profile, container.index,
                                  requests=max(
                                      1, int(profile.requests * profile.warm_fraction)),

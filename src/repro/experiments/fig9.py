@@ -69,23 +69,25 @@ def classify_processes(procs, lru):
     Returns a :class:`Fig9Row`-shaped dict of counts (without the app
     name); counts are in 4KB pte_t equivalents.
     """
-    # First pass: how many containers map each identical translation.
+    # One walk per process; each present leaf's key is built once and
+    # serves both the population count and the classification below.
+    # The page size enters the key as its plain-int ``shift4k`` (unique
+    # per size), which hashes without a Python-level Enum hash.
     population = collections.Counter()
+    leaves = []
     for proc in procs:
-        for vpn, _level, _table, _index, pte in proc.tables.iter_leaves():
-            if not pte.present:
-                continue
-            population[(vpn, pte.ppn, pte.perm_key(), pte.page_size)] += 1
+        keyed = [((vpn, pte.ppn, pte.perm_key(), pte.page_size.shift4k), pte)
+                 for vpn, _level, _table, _index, pte
+                 in proc.tables.iter_leaves() if pte.present]
+        population.update(key for key, _pte in keyed)
+        leaves.append(keyed)
 
     counts = dict(total=0, total_shareable=0, total_unshareable=0,
                   total_thp=0, active=0, active_shareable=0,
                   active_unshareable=0, active_thp=0, active_babelfish=0)
     seen_active_shared = set()
-    for proc in procs:
-        for vpn, _level, _table, _index, pte in proc.tables.iter_leaves():
-            if not pte.present:
-                continue
-            key = (vpn, pte.ppn, pte.perm_key(), pte.page_size)
+    for keyed in leaves:
+        for key, pte in keyed:
             pages = pte.page_size.base_pages
             is_thp = pte.page_size is not PageSize.SIZE_4K
             shareable = population[key] >= 2 and not is_thp

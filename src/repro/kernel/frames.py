@@ -19,6 +19,11 @@ class FrameKind(enum.Enum):
     MASK_PAGE = "mask_page"     # BabelFish MaskPages (Appendix)
     KERNEL = "kernel"           # misc kernel metadata
 
+    # Every allocation bumps a per-kind counter; Enum's own hash runs
+    # Python code (it hashes the member name). Members are singletons
+    # and compare by identity, so the identity hash is equivalent.
+    __hash__ = object.__hash__
+
 
 class FrameAllocator:
     def __init__(self, total_frames=8 * 1024 * 1024):

@@ -40,6 +40,10 @@ from repro.kernel.vma import VMA, VMAKind
 
 HUGE_PAGES = ENTRIES_PER_TABLE  # 512 x 4KB = 2MB
 
+#: Lookups a software touch makes before giving up: the hardware
+#: retries the access after each fault.
+_TOUCH_ATTEMPTS = 4
+
 # Enum members the fault path reads on every fault, bound once: reading a
 # member off its Enum class costs a metaclass attribute lookup each time.
 _ANON, _FILE_SHARED = VMAKind.ANON, VMAKind.FILE_SHARED
@@ -415,10 +419,10 @@ class Kernel:
                 outcome.cycles += cycles
                 return outcome
 
-        outcome = self._populate(proc, vma, lookup_vpn, table, index,
-                                 is_write, use_huge)
-        outcome.cycles += cycles
-        return outcome
+        pte, ftype, populate_cycles, _table = self._populate(
+            proc, vma, lookup_vpn, table, index, is_write, use_huge)
+        self._count_fault(proc, ftype)
+        return FaultOutcome(ftype, cycles + populate_cycles, [], ppn=pte.ppn)
 
     def _fault_on_present(self, proc, vma, vpn, table, index, pte, is_write):
         if is_write and pte.cow:
@@ -441,6 +445,15 @@ class Kernel:
         return block >= vma.start_vpn and block + HUGE_PAGES <= vma.end_vpn
 
     def _populate(self, proc, vma, vpn, table, index, is_write, use_huge):
+        """Install a new translation for ``vpn`` into the absent slot
+        ``table.entries[index]``: frame or page-cache lookup, the PTE, the
+        policy's install target and its install hook, in that order.
+
+        The one copy of the ANON / FILE_SHARED / FILE_PRIVATE branches,
+        shared by :meth:`handle_fault` and :meth:`touch_range`. Counts no
+        fault; returns ``(pte, fault_type, cycles, table)``, where
+        ``table`` is the one the policy installed into.
+        """
         costs = self.costs
         if vma.kind is _ANON:
             ppn = self.allocator.alloc(_DATA, HUGE_PAGES if use_huge else 1)
@@ -478,10 +491,10 @@ class Kernel:
                     self.allocator.incref(ppn)
                     writable = False
                     cow = vma.writable
-        pte = PTE(ppn, present=True, writable=writable, user=True,
-                  executable=vma.executable, cow=cow,
-                  page_size=_SIZE_2M if use_huge else _SIZE_4K,
-                  file=file, file_index=file_index)
+        # Positional: (ppn, present, writable, user, executable, cow,
+        # page_size, file, file_index).
+        pte = PTE(ppn, True, writable, True, vma.executable, cow,
+                  _SIZE_2M if use_huge else _SIZE_4K, file, file_index)
         pte.accessed = True
         pte.dirty = is_write
         # Private content (anonymous pages; private copies of file pages)
@@ -489,13 +502,12 @@ class Kernel:
         # members — they would see this process's private frame. Shareable
         # content must additionally match the shared table's registered
         # backing; the policy checks both.
-        table, index, extra = self.policy.install_target(
+        policy = self.policy
+        table, index, extra = policy.install_target(
             self, proc, vma, vpn, table, index, private_content)
-        cycles += extra
         table.entries[index] = pte
-        self.policy.on_pte_install(self, proc, vma, vpn, table, index, pte)
-        self._count_fault(proc, ftype)
-        return FaultOutcome(ftype, cycles, [], ppn=ppn)
+        policy.on_pte_install(self, proc, vma, vpn, table, index, pte)
+        return pte, ftype, cycles + extra, table
 
     def _cow_break(self, proc, vma, vpn, table, index, pte):
         """Write to a CoW page: delegate to the policy (shared tables),
@@ -545,8 +557,18 @@ class Kernel:
     def touch(self, proc, vpn, is_write=False):
         """Resolve ``vpn`` as if the process accessed it, without hardware
         timing: fault as many times as the hardware would retry. Returns
-        the final usable PTE. Used by the warm-up phases and tests."""
-        for _ in range(4):
+        the final usable PTE.
+
+        The per-page entry point: tests, zygote image initialization, THP
+        block touches and the warm-trace replay. The OS warm-up's
+        sequential loops go through :meth:`touch_range`, which leaves the
+        same state as a loop of ``touch`` calls."""
+        return self._touch(proc, vpn, is_write, _TOUCH_ATTEMPTS)
+
+    def _touch(self, proc, vpn, is_write, attempts):
+        """``touch`` with ``attempts`` lookups left; :meth:`touch_range`
+        resumes here, one attempt spent, after a fault it served itself."""
+        for _ in range(attempts):
             pte = proc.tables.lookup_pte(vpn)
             if pte is not None and pte.present:
                 if not is_write or (pte.writable and not pte.cow):
@@ -557,6 +579,80 @@ class Kernel:
                     return pte
             self.handle_fault(proc, vpn, is_write)
         raise TouchDidNotConverge(proc.pid, vpn)
+
+    def touch_range(self, proc, vpn, count, is_write=False):
+        """``touch`` every page of ``[vpn, vpn + count)`` in VPN order.
+
+        Leaves exactly the state the per-page loop would: the same
+        frame-allocator, page-cache, LRU and policy calls in the same
+        order, the same fault counters, the same exception at the same
+        page. The range splits into runs that end at a 512-VPN leaf-table
+        boundary, the VMA end or the range end; each run resolves its
+        VMA, THP verdict and leaf table once. Then, per slot:
+
+        - an absent slot is populated (:meth:`_populate`);
+        - a present, usable PTE gets its accessed/dirty bits and an LRU
+          touch;
+        - anything else (no VMA, a THP block, a missing upper level or a
+          shared-table attach, CoW, a protection fault, an install the
+          policy redirected to another table) goes through the per-page
+          :meth:`touch` loop for that page, one lookup fewer if this path
+          already served a fault there, and the leaf slot is resolved
+          again.
+
+        Fault counts are added to the process once per run.
+        """
+        end = vpn + count
+        find = proc.mm.find
+        leaf_slot = proc.tables.leaf_slot
+        lru_touch = self.lru.touch
+        populate = self._populate
+        while vpn < end:
+            run_end = min(end, (vpn | (HUGE_PAGES - 1)) + 1)
+            vma = find(vpn)
+            if vma is None or self._use_huge(vma, vpn):
+                for page in range(vpn, run_end):
+                    self.touch(proc, page, is_write)
+                vpn = run_end
+                continue
+            run_end = min(run_end, vma.end_vpn)
+            minor = major = cow = 0
+            try:
+                level, table, index, _entry = leaf_slot(vpn)
+                while vpn < run_end:
+                    attempts = _TOUCH_ATTEMPTS
+                    if level == PTE_LEVEL:
+                        entry = table.entries.get(index)
+                        if entry is None:
+                            entry, ftype, _cycles, installed = populate(
+                                proc, vma, vpn, table, index, is_write, False)
+                            if ftype is _MINOR:
+                                minor += 1
+                            elif ftype is _MAJOR:
+                                major += 1
+                            else:
+                                cow += 1
+                            # That fault spent the page's first lookup.
+                            attempts -= 1
+                            usable = installed is table
+                        else:
+                            usable = entry.present
+                        if usable and (not is_write or (entry.writable
+                                                        and not entry.cow)):
+                            entry.accessed = True
+                            if is_write:
+                                entry.dirty = True
+                            lru_touch(entry.ppn)
+                            vpn += 1
+                            index += 1
+                            continue
+                    self._touch(proc, vpn, is_write, attempts)
+                    vpn += 1
+                    level, table, index, _entry = leaf_slot(vpn)
+            finally:
+                proc.minor_faults += minor
+                proc.major_faults += major
+                proc.cow_faults += cow
 
     # -- statistics ----------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import clear_run_cache
+from repro.experiments import clear_run_cache, common
 from repro.experiments.ablations import (
     run_aslr_ablation,
     run_bitmask_width_ablation,
@@ -10,13 +10,21 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.bringup import run_bringup
 from repro.experiments.common import format_table, pct_reduction
-from repro.experiments.fig9 import run_fig9_app, run_fig9_functions, summarize as fig9_summary
+from repro.experiments.fig9 import (
+    classify_processes,
+    run_fig9_app,
+    run_fig9_functions,
+    summarize as fig9_summary,
+)
 from repro.experiments.fig10 import run_fig10, summarize as fig10_summary
 from repro.experiments.fig11 import run_fig11, summarize as fig11_summary
 from repro.experiments.larger_tlb import run_comparison
 from repro.experiments.resources import analytic_space_overhead, run_resources
 from repro.experiments.table2 import run_table2, summarize as table2_summary
 from repro.experiments.table3 import bitmask_width_sweep, run_table3
+from repro.workloads.profiles import APP_PROFILES
+
+from kernel_oracle import kernel_state, per_page_os_warmup
 
 SMALL = dict(cores=1, scale=0.08)
 
@@ -57,6 +65,49 @@ class TestFig9:
         summary = fig9_summary(rows)
         assert "avg_shareable_fraction" in summary
         assert "functions_shareable_fraction" in summary
+
+    def test_classify_counts_pinned(self):
+        """Two FIO containers on one core under Baseline: shared data set
+        and libraries, private heaps, two THP blocks each (touched once,
+        so never active). Pinned exactly; any change to the warm-up or
+        the classification shows here."""
+        env = common.build_environment(common.config_by_name("Baseline"),
+                                       cores=1)
+        deployment = common.deploy_app(env, APP_PROFILES["fio"])
+        assert len(deployment.containers) == 2
+        counts = classify_processes(
+            [container.proc for container in deployment.containers],
+            env.kernel.lru)
+        assert counts == {
+            "total": 14911, "total_shareable": 11810,
+            "total_unshareable": 1053, "total_thp": 2048,
+            "active": 11764, "active_shareable": 11570,
+            "active_unshareable": 194, "active_thp": 0,
+            "active_babelfish": 5979}
+
+
+class TestRangeWarmupOracle:
+    """``deploy_app`` warms through ``Kernel.touch_range``; a deployment
+    warmed one ``Kernel.touch`` at a time must leave the same kernel."""
+
+    @pytest.mark.parametrize("config_name", ["Baseline", "BabelFish"])
+    @pytest.mark.parametrize("app", sorted(APP_PROFILES))
+    def test_deploy_matches_per_page_warmup(self, app, config_name,
+                                            monkeypatch):
+        def deployed():
+            env = common.build_environment(
+                common.config_by_name(config_name), cores=1)
+            common.deploy_app(env, APP_PROFILES[app])
+            return kernel_state(env.kernel)
+
+        ranged = deployed()
+        monkeypatch.setattr(common, "_os_warmup", per_page_os_warmup)
+        assert deployed() == ranged
+        # Under BabelFish the second container attaches the tables the
+        # first one populated, which takes a spurious fault per attach;
+        # conventional tables never attach.
+        spurious = sum(proc["faults"][3] for proc in ranged["processes"])
+        assert (spurious > 0) == (config_name == "BabelFish")
 
 
 class TestFig10:

@@ -1,9 +1,15 @@
 """Tests for the physical frame allocator."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import repro
 from repro.kernel.errors import OutOfMemoryError
 from repro.kernel.frames import FrameAllocator, FrameKind
 
@@ -146,3 +152,47 @@ class TestRunningTotals:
         assert alloc.peak_allocated == 516
         alloc.decref(block)
         assert alloc.allocated == sum(alloc.allocated_by_kind.values()) == 4
+
+
+class TestPickleRoundTrip:
+    """Pool workers ship kernel state across processes by pickle; the
+    per-kind counts are keyed by ``FrameKind`` members, whose hash is the
+    identity hash and so differs between processes."""
+
+    @staticmethod
+    def _allocator():
+        alloc = FrameAllocator()
+        data = [alloc.alloc(FrameKind.DATA) for _ in range(3)]
+        alloc.alloc(FrameKind.PAGE_TABLE)
+        alloc.alloc(FrameKind.FILE, pages=512)
+        alloc.decref(data[0])
+        return alloc
+
+    def test_counts_survive_round_trip(self):
+        alloc = pickle.loads(pickle.dumps(self._allocator()))
+        assert alloc.count(FrameKind.DATA) == 2
+        assert alloc.count(FrameKind.PAGE_TABLE) == 1
+        assert alloc.count(FrameKind.FILE) == 512
+        assert alloc.count(FrameKind.MASK_PAGE) == 0
+        reused = alloc.alloc(FrameKind.MASK_PAGE)  # from the free list
+        assert alloc.count(FrameKind.MASK_PAGE) == 1
+        assert alloc.decref(reused) == 0
+        assert alloc.count(FrameKind.MASK_PAGE) == 0
+        assert alloc.allocated == sum(alloc.allocated_by_kind.values()) == 515
+
+    def test_counts_survive_another_process(self):
+        script = (
+            "import pickle, sys\n"
+            "from repro.kernel.frames import FrameKind\n"
+            "alloc = pickle.loads(sys.stdin.buffer.read())\n"
+            "alloc.decref(alloc.alloc(FrameKind.DATA))\n"
+            "alloc.alloc(FrameKind.DATA)\n"
+            "print(*(alloc.count(kind) for kind in FrameKind))\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(self._allocator()), capture_output=True,
+            check=True, env=env).stdout.decode()
+        assert out.split() == ["3", "512", "1", "0", "0"]

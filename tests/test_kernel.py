@@ -1,7 +1,14 @@
 """Tests for the kernel facade: faults, fork/CoW, THP, teardown."""
 
-import pytest
+import re
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.core.ccid import CCIDRegistry
+from repro.core.mask_page import MaskPageDirectory
+from repro.core.shared_pt import SharedPTManager
 from repro.hw.types import PageSize
 from repro.kernel.errors import (
     ProtectionFault,
@@ -9,16 +16,33 @@ from repro.kernel.errors import (
     SimulationError,
     TouchDidNotConverge,
 )
+from repro.kernel.aslr_layout import canonical_layout
+from repro.kernel.audit import audit_kernel
 from repro.kernel.fault import FaultType
 from repro.kernel.frames import FrameKind
-from repro.kernel.kernel import PrivatePTPolicy
-from repro.kernel.page_table import PageTable
+from repro.kernel.kernel import Kernel, KernelConfig, PrivatePTPolicy
+from repro.kernel.page_table import PMD, PageTable
 from repro.kernel.vma import SegmentKind, VMAKind
 
 from conftest import MiniSystem
+from kernel_oracle import kernel_state
 
 LIBS, MMAP, HEAP, DATA = (SegmentKind.LIBS, SegmentKind.MMAP,
                           SegmentKind.HEAP, SegmentKind.DATA)
+
+
+class _DroppingPolicy(PrivatePTPolicy):
+    """Sends installs at chosen VPNs to a detached table: no fault ever
+    makes those pages visible, so touching them cannot converge."""
+
+    def __init__(self, drop):
+        self.drop = drop
+
+    def install_target(self, kernel, proc, vma, vpn, table, index,
+                       private_content):
+        if vpn in self.drop:
+            return PageTable(table.level, 0), index, 0
+        return table, index, 0
 
 
 class TestFaultHandling:
@@ -91,17 +115,9 @@ class TestFaultHandling:
 
     def test_touch_that_never_converges_raises_typed_error(self,
                                                            mini_baseline):
-        class DroppingPolicy(PrivatePTPolicy):
-            """Sends every install to a detached table, so no fault ever
-            makes the page visible to the lookup."""
-
-            def install_target(self, kernel, proc, vma, vpn, table, index,
-                               private_content):
-                return PageTable(table.level, 0), index, 0
-
         sys = mini_baseline
-        sys.kernel.policy = DroppingPolicy()
         vpn = sys.vpn(sys.zygote, HEAP, 4)
+        sys.kernel.policy = _DroppingPolicy({vpn})
         with pytest.raises(TouchDidNotConverge) as info:
             sys.kernel.touch(sys.zygote, vpn, is_write=True)
         assert isinstance(info.value, SimulationError)
@@ -260,3 +276,142 @@ class TestCounters:
         assert pte.accessed
         sys.kernel.clear_accessed_bits()
         assert not pte.accessed
+
+
+_VMA_KINDS = {
+    "anon": (VMAKind.ANON, False),
+    "anon-huge": (VMAKind.ANON, True),
+    "file-shared": (VMAKind.FILE_SHARED, False),
+    "file-private": (VMAKind.FILE_PRIVATE, False),
+}
+
+# Sizes and holes favour whole 2 MB blocks, so THP-eligible runs occur.
+_VMAS = st.lists(st.tuples(
+    st.one_of(st.just(0), st.sampled_from([512, 1024]),
+              st.integers(1, 700)),               # hole before the VMA
+    st.one_of(st.sampled_from([512, 1024, 1536]),
+              st.integers(1, 1100)),              # pages
+    st.sampled_from(sorted(_VMA_KINDS)),
+    st.booleans(),                                # writable
+    st.booleans(),                                # file pages cached
+), min_size=1, max_size=5)
+
+_OFFSET = st.integers(0, 1 << 16)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("range"), st.integers(0, 7), _OFFSET,
+              st.integers(0, 1300), st.booleans()),
+    st.tuples(st.just("touch"), st.integers(0, 7), _OFFSET, st.just(1),
+              st.booleans()),
+    st.tuples(st.just("fork"), st.integers(0, 7), st.just(0), st.just(0),
+              st.just(False)),
+), min_size=1, max_size=10)
+
+
+def _differential_leg(policy_name, max_writers, vmas, drop_offsets):
+    """A kernel with one process mapping ``vmas`` in the MMAP window;
+    returns ``(kernel, procs, vma_starts, seen)``. ``procs`` grows by
+    fork; ``seen`` records whether a fork merged a PMD table."""
+    registry = CCIDRegistry()
+    group = registry.group_for("tenant", "app")
+    layout = canonical_layout()
+    base = layout.base(SegmentKind.MMAP)
+    span = sum(gap + npages for gap, npages, _k, _w, _c in vmas)
+    if policy_name == "shared":
+        policy = SharedPTManager(MaskPageDirectory(max_writers=max_writers))
+    elif policy_name == "dropping":
+        policy = _DroppingPolicy({base + off % span for off in drop_offsets})
+    else:
+        policy = PrivatePTPolicy()
+    kernel = Kernel(KernelConfig(thp_enabled=True), policy=policy)
+    if policy_name == "shared":
+        policy.mask_dir.allocator = kernel.allocator
+    proc = kernel.spawn(group.ccid, layout, name="zygote")
+    starts = []
+    offset = 0
+    for i, (gap, npages, kind, writable, cached) in enumerate(vmas):
+        offset += gap
+        vma_kind, huge_ok = _VMA_KINDS[kind]
+        file = None
+        if vma_kind.file_backed:
+            file = kernel.create_file("file-%d" % i, npages)
+            if cached:
+                kernel.page_cache.populate(file)
+        kernel.mmap(proc, SegmentKind.MMAP, offset, npages, vma_kind,
+                    file=file, writable=writable, huge_ok=huge_ok)
+        starts.append(base + offset)
+        offset += npages
+    return kernel, [proc], starts, {"merged_pmd": False}
+
+
+def _apply(leg, op, ranged):
+    """Run one op on a leg; returns the exception type it raised."""
+    kernel, procs, starts, seen = leg
+    kind, which, offset, count, is_write = op
+    proc = procs[which % len(procs)]
+    # Start at most 32 pages before some VMA, or anywhere inside it and
+    # up to 32 pages past it: runs begin in holes and cross VMA edges.
+    start = starts[offset % len(starts)]
+    vpn = start - 32 + (offset >> 4) % (proc.mm.find(start).npages + 64)
+    try:
+        if kind == "fork":
+            child = kernel.fork(proc)[0]
+            procs.append(child)
+            seen["merged_pmd"] |= _merges_pmd(child)
+        elif kind == "range" and ranged:
+            kernel.touch_range(proc, vpn, count, is_write)
+        else:
+            for page in range(vpn, vpn + count):
+                kernel.touch(proc, page, is_write)
+    except (SegmentationFault, ProtectionFault, TouchDidNotConverge) as exc:
+        return type(exc)
+    return None
+
+
+def _audit(kernel):
+    """Audit findings with pids replaced by process positions (and pid
+    sets sorted), so two identically driven kernels give equal lists."""
+    position = {str(pid): "P%d" % i
+                for i, pid in enumerate(kernel.processes)}
+    pid = re.compile(r"\b(%s)\b" % "|".join(position))
+    pid_set = re.compile(r"\{([^{}]*)\}")
+    findings = []
+    for finding in audit_kernel(kernel, raise_on_failure=False):
+        finding = pid.sub(lambda m: position[m.group(1)], finding)
+        findings.append(pid_set.sub(
+            lambda m: "{%s}" % ", ".join(sorted(m.group(1).split(", "))),
+            finding))
+    return findings
+
+
+def _merges_pmd(proc):
+    """Does ``proc``, just forked, share a PMD table with its parent (the
+    2MB-page merge of Section IV-C)?"""
+    return any(table.level == PMD and table.shared_key is not None
+               for table in proc.tables.iter_tables())
+
+
+class TestTouchRangeDifferential:
+    """``touch_range`` against a loop of ``touch`` calls on an identical
+    kernel: the same state after every op, the same exception."""
+
+    @given(policy_name=st.sampled_from(["private", "shared", "dropping"]),
+           max_writers=st.sampled_from([2, 32]), vmas=_VMAS, ops=_OPS,
+           drop_offsets=st.lists(_OFFSET, min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_range_matches_per_page(self, policy_name, max_writers, vmas,
+                                    ops, drop_offsets):
+        per_page = _differential_leg(policy_name, max_writers, vmas,
+                                     drop_offsets)
+        ranged = _differential_leg(policy_name, max_writers, vmas,
+                                   drop_offsets)
+        for op in ops:
+            assert _apply(ranged, op, True) == _apply(per_page, op, False)
+            assert kernel_state(ranged[0]) == kernel_state(per_page[0])
+        findings = _audit(ranged[0])
+        assert findings == _audit(per_page[0])
+        # Dropped installs leak their frame by design. Once a fork has
+        # merged a PMD table for 2MB pages, 4K tables can end up under it:
+        # a known SharedPTManager defect, pinned by strict xfails in
+        # tests/test_shared_pt.py. Both legs must still agree on it.
+        if policy_name != "dropping" and not ranged[3]["merged_pmd"]:
+            assert findings == []
