@@ -10,9 +10,10 @@ misread the fast backing's ``None`` values.
 
 This rule makes the contract mechanical. In every ``hw/`` class that
 carries epoch machinery, a statement that mutates a guarded backing
-store (``_sets`` / ``_buckets`` — the stores lookups and ``entries()``
-read; the pure-recency ``_lru`` / ``_stamps`` dicts are exempt by the
-documented contract) must be *covered* by a set-epoch bump:
+store (``_sets`` / ``_buckets``, plus ``_lru`` in TLB classes, where it
+is each set's membership store that eviction and ``entries()`` read;
+the caches' pure-recency ``_stamps`` dicts are exempt by the documented
+contract) must be *covered* by a set-epoch bump:
 
 - the bump **dominates** the mutation (runs before it on every path), or
 - the bump **postdominates** it (runs after it on every path), or
@@ -31,9 +32,9 @@ Benign membership-neutral mutations are exempted: LRU re-stamps
 on the same key in one block, and dropping an emptied bucket
 (``del``/``pop`` under ``if not bucket:`` where ``bucket`` aliases the
 store). Aliases are tracked through local assignments
-(``tset = self._sets[index]``; ``bucket = buckets.get(vpn)``), and
-helper methods that always bump (``_bump_epoch``) count as bumps at
-their call sites, resolved through :class:`repro.analysis.lint.cfg
+(``lru = self._lru[index]``; ``bucket = buckets.get(vpn)``), and
+helper methods that always bump count as bumps at their call sites,
+resolved through :class:`repro.analysis.lint.cfg
 .ModuleIndex` (module-local, following same-module base classes).
 """
 
@@ -48,12 +49,17 @@ from repro.analysis.lint.cfg import (
 from repro.analysis.lint.engine import LintRule
 
 #: Backing stores whose *membership* the epoch contract guards. The
-#: recency-only stores (``_lru``, ``_stamps``) are exempt: lookups
-#: re-stamp them without bumping, by design.
+#: recency-only ``_stamps`` dicts are exempt: lookups re-stamp them
+#: without bumping, by design.
 GUARDED_ATTRS = frozenset({"_sets", "_buckets"})
 
+#: Also guarded in TLB classes (class name contains ``TLB``): a fast
+#: TLB set's recency dict is its membership store. Lookups move an entry
+#: to the end with a ``del`` + reinsert pair, which stays exempt.
+TLB_GUARDED_ATTRS = GUARDED_ATTRS | {"_lru"}
+
 #: Attribute names whose presence marks a class as epoch-carrying.
-EPOCH_MARKERS = frozenset({"epoch", "_set_epochs", "_bump_epoch"})
+EPOCH_MARKERS = frozenset({"epoch", "_set_epochs"})
 
 #: Method names that mutate container membership in place.
 MUTATORS = frozenset({
@@ -69,14 +75,14 @@ def _unparse(node):
         return repr(node)
 
 
-def _is_rooted(expr, aliases):
-    """Is ``expr`` a view into a guarded store (directly, through
+def _is_rooted(expr, aliases, guarded):
+    """Is ``expr`` a view into a ``guarded`` store (directly, through
     subscripts / ``.get()``, or through a tracked local alias)?"""
     while True:
         if isinstance(expr, ast.Name):
             return expr.id in aliases
         if isinstance(expr, ast.Attribute):
-            if expr.attr in GUARDED_ATTRS:
+            if expr.attr in guarded:
                 return True
             return False
         if isinstance(expr, ast.Subscript):
@@ -125,30 +131,30 @@ class _Mutation:
         self.subscript = subscript  # unparsed d[k] text for pairing
 
 
-def _mutations(stmt, aliases):
+def _mutations(stmt, aliases, guarded):
     """Guarded-store mutations performed by ``stmt``."""
     found = []
     if isinstance(stmt, ast.Assign):
         for target in stmt.targets:
             if isinstance(target, ast.Subscript) \
-                    and _is_rooted(target.value, aliases):
+                    and _is_rooted(target.value, aliases, guarded):
                 found.append(_Mutation(stmt, _unparse(target.value),
                                        "assign", _unparse(target)))
     elif isinstance(stmt, ast.AugAssign):
         if isinstance(stmt.target, ast.Subscript) \
-                and _is_rooted(stmt.target.value, aliases):
+                and _is_rooted(stmt.target.value, aliases, guarded):
             found.append(_Mutation(stmt, _unparse(stmt.target.value),
                                    "assign", _unparse(stmt.target)))
     elif isinstance(stmt, ast.Delete):
         for target in stmt.targets:
             if isinstance(target, ast.Subscript) \
-                    and _is_rooted(target.value, aliases):
+                    and _is_rooted(target.value, aliases, guarded):
                 found.append(_Mutation(stmt, _unparse(target.value),
                                        "delete", _unparse(target)))
     for call in _own_calls(stmt):
         func = call.func
         if isinstance(func, ast.Attribute) and func.attr in MUTATORS \
-                and _is_rooted(func.value, aliases):
+                and _is_rooted(func.value, aliases, guarded):
             kind = "delete" if func.attr in ("pop", "popitem") else "call"
             found.append(_Mutation(stmt, _unparse(func.value), kind))
     return found
@@ -228,7 +234,8 @@ def _truthy_defs(block, if_map):
 class EpochCoverageRule(LintRule):
     rule_id = "BF401"
     description = ("hw/ structures: every mutation of a fast-twin backing "
-                   "store (_sets/_buckets) must be covered on all paths by "
+                   "store (_sets/_buckets, and _lru in TLBs) must be "
+                   "covered on all paths by "
                    "the matching epoch bump")
 
     def applies_to(self, module):
@@ -272,7 +279,7 @@ class EpochCoverageRule(LintRule):
 
     # -- per-method analysis ----------------------------------------------
 
-    def _aliases(self, stmts):
+    def _aliases(self, stmts, guarded):
         aliases = set()
         changed = True
         while changed:
@@ -280,7 +287,7 @@ class EpochCoverageRule(LintRule):
             for stmt in stmts:
                 if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
                         and isinstance(stmt.targets[0], ast.Name) \
-                        and _is_rooted(stmt.value, aliases) \
+                        and _is_rooted(stmt.value, aliases, guarded) \
                         and stmt.targets[0].id not in aliases:
                     aliases.add(stmt.targets[0].id)
                     changed = True
@@ -289,10 +296,11 @@ class EpochCoverageRule(LintRule):
     def _check_method(self, method, cls, index, bump_methods, ctx):
         cfg = FunctionCFG(method)
         stmts = list(cfg.statements())
-        aliases = self._aliases(stmts)
+        guarded = TLB_GUARDED_ATTRS if "TLB" in cls.name else GUARDED_ATTRS
+        aliases = self._aliases(stmts, guarded)
         mutations = []
         for stmt in stmts:
-            mutations.extend(_mutations(stmt, aliases))
+            mutations.extend(_mutations(stmt, aliases, guarded))
         if not mutations:
             return
         if_map = _lexical_if_map(method)

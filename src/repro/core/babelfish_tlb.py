@@ -168,8 +168,6 @@ def babelfish_fill_fields(fill_info, load_bitmask=True):
 def make_entry(vpn, pte, proc, fill_info, page_size):
     """Build a BabelFish TLB entry from a walk result."""
     o_bit, orpc, mask, _long = babelfish_fill_fields(fill_info)
-    return TLBEntry(
-        vpn=vpn, ppn=pte.ppn, page_size=page_size, pcid=proc.pcid,
-        ccid=proc.ccid, writable=pte.writable, user=pte.user, cow=pte.cow,
-        o_bit=o_bit, orpc=orpc, pc_mask=mask, inserted_by=proc.pid,
-    )
+    return TLBEntry(vpn, pte.ppn, page_size, proc.pcid, proc.ccid,
+                    pte.writable, pte.user, pte.cow, o_bit, orpc, mask,
+                    proc.pid)

@@ -57,7 +57,7 @@ Registered policies:
 import dataclasses
 
 from repro.hw.params import TLBParams
-from repro.hw.tlb import TLBEntry
+from repro.hw.tlb import REPLACE_SAME_PCID, REPLACE_SHARED, TLBEntry
 from repro.hw.types import PAGE_SHIFT, PageSize
 from repro.kernel.page_table import PTE, table_index
 from repro.core.babelfish_tlb import make_entry
@@ -135,16 +135,18 @@ class TranslationPolicy:
 
     def fill_l2(self, kernel, proc, vpn_group, pte, leaf_table):
         """The L2 TLB entry a completed walk installs for ``proc`` at
-        ``vpn_group``, plus the replacement predicate (which resident
-        entries the insert may overwrite). Returns ``(entry, replace)``."""
+        ``vpn_group``, plus the replace rule saying which resident
+        same-VPN entry the insert may overwrite
+        (:data:`~repro.hw.tlb.REPLACE_SAME_PCID` or
+        :data:`~repro.hw.tlb.REPLACE_SHARED`). Returns ``(entry, rule)``."""
         raise NotImplementedError
 
 
 def _conventional_entry(proc, vpn_group, pte):
     size = pte.page_size
-    return TLBEntry(vpn_group >> size.shift4k, pte.ppn, size,
-                    pcid=proc.pcid, ccid=proc.ccid, writable=pte.writable,
-                    cow=pte.cow, o_bit=True, inserted_by=proc.pid)
+    return TLBEntry(vpn_group >> size.shift4k, pte.ppn, size, proc.pcid,
+                    proc.ccid, pte.writable, True, pte.cow, True, False, 0,
+                    proc.pid)
 
 
 class ConventionalPolicy(TranslationPolicy):
@@ -154,8 +156,7 @@ class ConventionalPolicy(TranslationPolicy):
         self.name = name
 
     def fill_l2(self, kernel, proc, vpn_group, pte, leaf_table):
-        entry = _conventional_entry(proc, vpn_group, pte)
-        return entry, (lambda old: old.pcid == entry.pcid)
+        return _conventional_entry(proc, vpn_group, pte), REPLACE_SAME_PCID
 
 
 class BabelFishPolicy(TranslationPolicy):
@@ -171,10 +172,7 @@ class BabelFishPolicy(TranslationPolicy):
         fill_info = kernel.policy.fill_info(proc, leaf_table, vpn_group)
         entry = make_entry(vpn_group >> size.shift4k, pte, proc, fill_info,
                            size)
-        replace = (lambda old: old.ccid == entry.ccid
-                   and old.o_bit == entry.o_bit
-                   and (not entry.o_bit or old.pcid == entry.pcid))
-        return entry, replace
+        return entry, REPLACE_SHARED
 
 
 class VictimaPolicy(ConventionalPolicy):
@@ -243,9 +241,8 @@ class CoalescedPolicy(TranslationPolicy):
         if pte.page_size is PageSize.SIZE_4K and leaf_table is not None:
             entry = self._coalesced_entry(proc, vpn_group, pte, leaf_table)
             if entry is not None:
-                return entry, (lambda old: old.pcid == entry.pcid)
-        entry = _conventional_entry(proc, vpn_group, pte)
-        return entry, (lambda old: old.pcid == entry.pcid)
+                return entry, REPLACE_SAME_PCID
+        return _conventional_entry(proc, vpn_group, pte), REPLACE_SAME_PCID
 
     def _coalesced_entry(self, proc, vpn_group, pte, leaf_table):
         span = self.span
@@ -266,10 +263,9 @@ class CoalescedPolicy(TranslationPolicy):
                     and member.user == head.user
                     and member.cow == head.cow):
                 return None
-        return TLBEntry(base_vpn >> span.shift4k, head.ppn, span,
-                        pcid=proc.pcid, ccid=proc.ccid,
-                        writable=head.writable, user=head.user,
-                        cow=head.cow, o_bit=True, inserted_by=proc.pid)
+        return TLBEntry(base_vpn >> span.shift4k, head.ppn, span, proc.pcid,
+                        proc.ccid, head.writable, head.user, head.cow, True,
+                        False, 0, proc.pid)
 
 
 #: name -> policy singleton. The two ablation aliases are registered as

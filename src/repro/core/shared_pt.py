@@ -5,7 +5,11 @@ This is the BabelFish page-table policy plugged into
 
 - ``fork_tables``: a fork inside the group copies only the upper levels
   (PGD/PUD/PMD) and points them at the *same* PTE tables (Figure 6). PMD
-  tables that hold 2MB huge-page leaves are shared whole (Section IV-C).
+  tables that hold only 2MB huge-page leaves, and that no process owns,
+  are shared whole (Section IV-C). A 4K fault under such a merged PMD
+  first gives the faulting process its own copy of it (the kernel asks
+  ``install_target`` before building the PTE table), so a merged PMD
+  never points at a PTE table.
 - ``table_provider``: a fault in a shareable (file-backed) VMA attaches
   the group's existing PTE table for that 2MB range, so a page populated
   by one container is already present for the next one.
@@ -100,8 +104,11 @@ class SharedPTManager(PrivatePTPolicy):
                     continue
                 pmd_table = pmd_ref.table
                 base_vpn = (idx4 << 27) | (idx3 << 18)
-                if self.share_huge and self._holds_huge(pmd_table):
+                if self.share_huge and pmd_table.owned_by is None \
+                        and self._holds_only_huge(pmd_table):
                     # 2MB pages: merge the PMD tables themselves (Sec IV-C).
+                    # Only leaf-only, unowned tables: a merged PMD must not
+                    # make 4K tables or an owned copy reachable by sharers.
                     pmd_table.sharers += 1
                     self._mark_shared(ccid, pmd_table, base_vpn)
                     child_pud.entries[idx3] = TableRef(pmd_table)
@@ -133,7 +140,8 @@ class SharedPTManager(PrivatePTPolicy):
                             pte_table, orpc=pte_table.orpc)
                     elif isinstance(pte_ref, PTE):
                         # A huge leaf directly in a non-shared PMD copy
-                        # (share_huge off): clone it CoW-style.
+                        # (share_huge off, or a PMD the merge skipped):
+                        # clone it CoW-style.
                         clone = pte_ref.clone()
                         child_pmd.entries[idx2] = clone
                         if clone.present:
@@ -144,8 +152,9 @@ class SharedPTManager(PrivatePTPolicy):
         return copied
 
     @staticmethod
-    def _holds_huge(pmd_table):
-        return any(isinstance(e, PTE) for e in pmd_table.entries.values())
+    def _holds_only_huge(pmd_table):
+        entries = pmd_table.entries.values()
+        return bool(entries) and all(isinstance(e, PTE) for e in entries)
 
     @staticmethod
     def _write_protect_cow(parent):
@@ -319,18 +328,14 @@ class SharedPTManager(PrivatePTPolicy):
 
     def _clone_table(self, kernel, table, owner):
         """Copy a page of 512 translations; the clone's translations carry
-        the Ownership bit (modelled as ``owned_by``)."""
+        the Ownership bit (modelled as ``owned_by``). Shared tables hold
+        leaves only: PTE tables, and PMD tables merged for 2MB pages."""
         clone = self._alloc_table(kernel, table.level, owner=owner)
         for index, entry in table.entries.items():
-            if isinstance(entry, PTE):
-                copy = entry.clone()
-                clone.entries[index] = copy
-                if copy.present:
-                    kernel.allocator.incref(copy.ppn)
-            else:  # TableRef inside a shared PMD table (huge-page mode)
-                entry.table.sharers += 1
-                clone.entries[index] = TableRef(entry.table, entry.o_bit,
-                                                entry.orpc)
+            copy = entry.clone()
+            clone.entries[index] = copy
+            if copy.present:
+                kernel.allocator.incref(copy.ppn)
         return clone
 
     def _swap_writer_ref(self, kernel, proc, vpn, shared_table, private):

@@ -210,6 +210,20 @@ class CacheHierarchy:
             l1.insert(paddr, is_write)
         return cycles, level
 
+    def walk_access(self, core_id, paddr):
+        """:meth:`access` for a page-walker reference (a ``skip_l1``
+        LOAD): the same state changes, the cycles alone returned."""
+        l2 = self.l2[core_id]
+        if l2.lookup(paddr):
+            return l2.access_cycles
+        l3 = self.l3
+        cycles = l2.access_cycles + l3.access_cycles
+        if not l3.lookup(paddr):
+            cycles += self.dram.access(paddr)
+            l3.insert(paddr)
+        l2.insert(paddr)
+        return cycles
+
     def data_access(self, core_id, paddr, kind_code):
         """:meth:`access` specialized for the fast trace loop: demand
         accesses only (never ``skip_l1``), trace-record kind codes

@@ -18,8 +18,10 @@ class PageWalkCache:
     def __init__(self, params):
         self.params = params
         self.access_cycles = params.access_cycles
+        #: Per level, a recency dict of entry keys (oldest first; hits
+        #: delete + reinsert), so the LRU victim is the first key. The
+        #: page walker probes these dicts inline.
         self._levels = {level: {} for level in PWC_LEVELS}
-        self._stamp = 0
         self.hits = 0
         self.misses = 0
 
@@ -33,8 +35,8 @@ class PageWalkCache:
         cache = self._levels[level]
         key = self._key(entry_paddr)
         if key in cache:
-            self._stamp += 1
-            cache[key] = self._stamp
+            del cache[key]
+            cache[key] = None
             self.hits += 1
             return True
         self.misses += 1
@@ -45,11 +47,11 @@ class PageWalkCache:
             return
         cache = self._levels[level]
         key = self._key(entry_paddr)
-        if key not in cache and len(cache) >= self.params.entries_per_level:
-            victim = min(cache, key=cache.get)
-            del cache[victim]
-        self._stamp += 1
-        cache[key] = self._stamp
+        if key in cache:
+            del cache[key]
+        elif len(cache) >= self.params.entries_per_level:
+            del cache[next(iter(cache))]
+        cache[key] = None
 
     def invalidate_entry(self, level, entry_paddr):
         if level in self._levels:

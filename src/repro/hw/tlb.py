@@ -7,6 +7,11 @@ per-process policy (VPN + PCID match) lives here as
 :func:`conventional_match`; the BabelFish policy (Figure 8) lives in
 :mod:`repro.core.babelfish_tlb`.
 
+A fill names which resident same-VPN entry it may overwrite in place with
+one of two replace rules, :data:`REPLACE_SAME_PCID` (Figure 1) and
+:data:`REPLACE_SHARED` (Figure 8). They are plain constants, so a fill
+builds no closure; ``insert`` also still takes any one-argument predicate.
+
 Two interchangeable backings exist for each structure:
 
 - :class:`SetAssocTLB` / :class:`MultiSizeTLB` — the reference
@@ -14,20 +19,20 @@ Two interchangeable backings exist for each structure:
   stamps. Simple enough to audit against the paper's figures.
 - :class:`FastSetAssocTLB` / :class:`FastMultiSizeTLB` — dict-backed
   drop-ins selected by ``SimConfig.fastpath`` and used by every run that
-  leaves it on, sanitize and trace runs included: per-set ``{vpn:
-  [entries]}`` buckets make lookup O(matching ways), and a move-to-end
-  recency dict replaces the stamp scan. They produce bit-identical
-  hit/miss/eviction/iteration behaviour (tests/test_fastpath.py drives
-  both against random operation streams), and additionally maintain the
-  per-set epoch counters the L0 translation memo
-  (:mod:`repro.sim.fastpath`) validates against. The simulator reads
-  them through the inlined lookups in :mod:`repro.core.babelfish_tlb`.
+  leaves it on, sanitize and trace runs included. Each set has two views:
+  ``_buckets`` (``{vpn: [entries]}``) serves lookups in O(matching ways),
+  and ``_lru`` (a recency dict, oldest first) is the set's membership and
+  recency store, so eviction is its first key and no operation scans a
+  list. Both backings produce bit-identical hit/miss/eviction behaviour
+  and yield ``entries()`` per set in recency order (tests/test_fastpath.py
+  drives both against random operation streams). The simulator reads the
+  fast one through the inlined lookups in :mod:`repro.core.babelfish_tlb`.
 
-Every structure carries a monotonic ``epoch`` counter bumped whenever
-its contents change (insert / effective invalidate / effective flush);
-``MultiSizeTLB`` aggregates its children's bumps. Epochs never reset,
-are never exported in results, and exist solely so cached lookups can
-prove "nothing changed since I was recorded".
+The fast backing also keeps per-set epoch counters (``_set_epochs``),
+bumped whenever a set's contents change (insert / effective invalidate /
+effective flush). They never reset, are never exported in results, and
+exist solely so the L0 translation memo (:mod:`repro.sim.fastpath`) can
+prove "nothing changed in this set since I was recorded".
 """
 
 from repro.hw.types import PageSize
@@ -75,36 +80,59 @@ def conventional_match(entry, vpn, pcid, ccid=None):
     return entry.vpn == vpn and entry.pcid == pcid
 
 
+class ReplaceRule:
+    """A named fill replace rule (see :func:`replaces`)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return "<ReplaceRule %s>" % self.name
+
+
+#: Figure 1's refresh: a fill overwrites a resident same-VPN entry with
+#: the same PCID (conventional fills, victim-level fills and refills).
+REPLACE_SAME_PCID = ReplaceRule("same-pcid")
+#: Figure 8's refresh: same CCID and O bit, and the same PCID too when
+#: the fill is owned (O set). BabelFish L2 fills and shared L1 fills.
+REPLACE_SHARED = ReplaceRule("shared")
+
+
+def replaces(rule, old, new):
+    """Does inserting ``new`` overwrite the resident same-VPN entry
+    ``old`` under ``rule``? ``rule`` is one of the two named rules or a
+    one-argument predicate over ``old``."""
+    if rule is REPLACE_SAME_PCID:
+        return old.pcid == new.pcid
+    if rule is REPLACE_SHARED:
+        return (old.ccid == new.ccid and old.o_bit == new.o_bit
+                and (not new.o_bit or old.pcid == new.pcid))
+    return rule(old)
+
+
 class SetAssocTLB:
     """A set-associative TLB for one page size, with true-LRU replacement."""
 
     def __init__(self, params):
+        self._init_geometry(params)
+        self._sets = [[] for _ in range(self.num_sets)]
+        self._stamps = [dict() for _ in range(self.num_sets)]
+        self._stamp = 0
+
+    def _init_geometry(self, params):
+        """Geometry and counters shared by both backings."""
         self.params = params
         self.num_sets = params.num_sets
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("TLB sets must be a power of two: %d" % self.num_sets)
         self.set_mask = self.num_sets - 1
         self.ways = params.ways
-        self._sets = [[] for _ in range(self.num_sets)]
-        self._stamps = [dict() for _ in range(self.num_sets)]
-        self._stamp = 0
         self.hits = 0
         self.misses = 0
         self.insertions = 0
         self.invalidations = 0
-        #: Monotonic change counter: bumped on insert and on any
-        #: invalidate/flush that actually removed something. Lookups do
-        #: not bump it (recency is not part of the guarded contract).
-        self.epoch = 0
-        #: Back-reference set by :class:`MultiSizeTLB` so child bumps
-        #: propagate to the level's aggregate epoch.
-        self.owner = None
-
-    def _bump_epoch(self):
-        self.epoch += 1
-        owner = self.owner
-        if owner is not None:
-            owner.epoch += 1
 
     def _set_for(self, vpn):
         return vpn & self.set_mask
@@ -129,21 +157,23 @@ class SetAssocTLB:
     def insert(self, entry, replace=None):
         """Insert ``entry``; evict LRU if the set is full.
 
-        ``replace`` is an optional predicate: an existing entry matching it
-        is overwritten in place instead of allocating a new way (used to
-        refresh a stale copy of the same translation).
+        ``replace`` is an optional replace rule (:data:`REPLACE_SAME_PCID`,
+        :data:`REPLACE_SHARED`, or a one-argument predicate): an existing
+        same-VPN entry it accepts is overwritten in place instead of
+        allocating a new way (used to refresh a stale copy of the same
+        translation).
         """
         index = self._set_for(entry.vpn)
         tset = self._sets[index]
         stamps = self._stamps[index]
         if replace is not None:
             for i, old in enumerate(tset):
-                if old.valid and old.vpn == entry.vpn and replace(old):
+                if old.valid and old.vpn == entry.vpn \
+                        and replaces(replace, old, entry):
                     stamps.pop(id(old), None)
                     tset[i] = entry
                     self._touch(entry)
                     self.insertions += 1
-                    self._bump_epoch()
                     return old
         evicted = None
         # invalidate()/flush() remove entries as they mark them invalid,
@@ -155,7 +185,6 @@ class SetAssocTLB:
         tset.append(entry)
         self._touch(entry)
         self.insertions += 1
-        self._bump_epoch()
         return evicted
 
     def invalidate(self, vpn, pred=None):
@@ -170,8 +199,6 @@ class SetAssocTLB:
                 self._stamps[index].pop(id(entry), None)
                 removed += 1
         self.invalidations += removed
-        if removed:
-            self._bump_epoch()
         return removed
 
     def flush(self, pred=None):
@@ -191,19 +218,17 @@ class SetAssocTLB:
                 self._sets[index] = keep
                 removed += dropped
         self.invalidations += removed
-        if removed:
-            self._bump_epoch()
         return removed
 
     def entries(self):
-        for tset in self._sets:
-            for entry in tset:
-                if entry.valid:
-                    yield entry
+        """Every resident entry, set by set, each set least recently
+        used first (the order the fast backing's ``_lru`` keeps)."""
+        for tset, stamps in zip(self._sets, self._stamps):
+            yield from sorted(tset, key=lambda e: stamps[id(e)])
 
     @property
     def occupancy(self):
-        return sum(1 for _ in self.entries())
+        return sum(len(tset) for tset in self._sets)
 
     def __repr__(self):
         return "<%s %d entries %d-way hits=%d misses=%d>" % (
@@ -222,10 +247,6 @@ class MultiSizeTLB:
     def __init__(self, params_by_size, tlb_cls=None):
         tlb_cls = tlb_cls or SetAssocTLB
         self.tlbs = {p.page_size: tlb_cls(p) for p in params_by_size}
-        #: Aggregate change counter: bumped whenever any child bumps.
-        self.epoch = 0
-        for tlb in self.tlbs.values():
-            tlb.owner = self
 
     def lookup(self, vaddr_vpn4k, match, page_size=None):
         """Probe by a 4K VPN; ``page_size`` restricts to one structure.
@@ -237,8 +258,7 @@ class MultiSizeTLB:
             tlb = self.tlbs.get(size)
             if tlb is None:
                 continue
-            vpn = vaddr_vpn4k >> (size.shift - PageSize.SIZE_4K.shift)
-            entry = tlb.lookup(vpn, match)
+            entry = tlb.lookup(vaddr_vpn4k >> size.shift4k, match)
             if entry is not None:
                 return entry, size
         return None, None
@@ -249,8 +269,7 @@ class MultiSizeTLB:
     def invalidate(self, vpn4k, pred=None):
         removed = 0
         for size, tlb in self.tlbs.items():
-            vpn = vpn4k >> (size.shift - PageSize.SIZE_4K.shift)
-            removed += tlb.invalidate(vpn, pred)
+            removed += tlb.invalidate(vpn4k >> size.shift4k, pred)
         return removed
 
     def flush(self, pred=None):
@@ -273,23 +292,23 @@ class MultiSizeTLB:
 class FastSetAssocTLB(SetAssocTLB):
     """Dict-backed :class:`SetAssocTLB` with identical observable behaviour.
 
+    Each set has two views of the same entries:
+
     - ``_buckets[set][vpn]`` lists same-VPN entries in insertion order, so
       a lookup touches only the ways that could match; the reference's
       linear scan visits non-matching VPNs only to reject them, so
       first-match order is preserved exactly.
-    - ``_lru[set]`` is a recency dict (oldest key first; hits delete +
-      reinsert). Its first key is the entry with the minimum reference
-      stamp, so eviction picks the same victim.
-    - ``_sets`` is still maintained as the per-set insertion-order list,
-      keeping ``entries()`` iteration order — and
-      therefore sanitizer scans and flush order — bit-identical.
+    - ``_lru[set]`` is the set's membership and recency store (oldest key
+      first; hits delete + reinsert). Its first key is the entry with the
+      minimum reference stamp, so eviction picks the same victim, and
+      ``entries()`` walks it in the reference's stamp order.
     - ``_set_epochs[set]`` counts content changes per set; the L0
       translation memo (:mod:`repro.sim.fastpath`) records an entry's
       set epoch and trusts a hit only while it is unchanged.
     """
 
     def __init__(self, params):
-        super().__init__(params)
+        self._init_geometry(params)
         self._buckets = [dict() for _ in range(self.num_sets)]
         self._lru = [dict() for _ in range(self.num_sets)]
         self._set_epochs = [0] * self.num_sets
@@ -310,49 +329,42 @@ class FastSetAssocTLB(SetAssocTLB):
             self.misses += 1
         return None
 
-    def _touch(self, entry):
-        lru = self._lru[entry.vpn & self.set_mask]
-        if entry in lru:
-            del lru[entry]
-        lru[entry] = None
-
     def insert(self, entry, replace=None):
-        index = entry.vpn & self.set_mask
+        vpn = entry.vpn
+        index = vpn & self.set_mask
         buckets = self._buckets[index]
         lru = self._lru[index]
-        tset = self._sets[index]
-        if replace is not None:
-            bucket = buckets.get(entry.vpn)
-            if bucket:
-                for i, old in enumerate(bucket):
-                    if replace(old):
-                        bucket[i] = entry
-                        tset[tset.index(old)] = entry
-                        del lru[old]
-                        lru[entry] = None
-                        self.insertions += 1
-                        self._set_epochs[index] += 1
-                        self._bump_epoch()
-                        return old
+        bucket = buckets.get(vpn)
+        if bucket is not None and replace is not None:
+            for i, old in enumerate(bucket):
+                if replace is REPLACE_SAME_PCID:
+                    if old.pcid != entry.pcid:
+                        continue
+                elif not replaces(replace, old, entry):
+                    continue
+                bucket[i] = entry
+                del lru[old]
+                lru[entry] = None
+                self.insertions += 1
+                self._set_epochs[index] += 1
+                return old
         evicted = None
         if len(lru) >= self.ways:
             evicted = next(iter(lru))
             del lru[evicted]
-            bucket = self._buckets[index][evicted.vpn]
-            bucket.remove(evicted)
-            if not bucket:
-                del self._buckets[index][evicted.vpn]
-            tset.remove(evicted)
-        bucket = buckets.get(entry.vpn)
+            victims = buckets[evicted.vpn]
+            victims.remove(evicted)
+            if not victims:
+                del buckets[evicted.vpn]
+                if victims is bucket:
+                    bucket = None
         if bucket is None:
-            buckets[entry.vpn] = [entry]
+            buckets[vpn] = [entry]
         else:
             bucket.append(entry)
         lru[entry] = None
-        tset.append(entry)
         self.insertions += 1
         self._set_epochs[index] += 1
-        self._bump_epoch()
         return evicted
 
     def invalidate(self, vpn, pred=None):
@@ -362,60 +374,60 @@ class FastSetAssocTLB(SetAssocTLB):
             return 0
         removed = 0
         lru = self._lru[index]
-        tset = self._sets[index]
         for entry in list(bucket):
             if pred is None or pred(entry):
                 entry.valid = False
                 bucket.remove(entry)
                 del lru[entry]
-                tset.remove(entry)
                 removed += 1
         if not bucket:
             del self._buckets[index][vpn]
         self.invalidations += removed
         if removed:
             self._set_epochs[index] += 1
-            self._bump_epoch()
         return removed
 
     def flush(self, pred=None):
         removed = 0
         for index in range(self.num_sets):
-            tset = self._sets[index]
-            if not tset:
+            lru = self._lru[index]
+            if not lru:
                 continue
             if pred is None:
-                # Whole-set wipe: tset is non-empty, so the bump is
+                # Whole-set wipe: the set is non-empty, so the bump is
                 # unconditional and sits in the same block as the wipe.
-                here = len(tset)
-                for entry in tset:
+                here = len(lru)
+                for entry in lru:
                     entry.valid = False
-                tset.clear()
+                lru.clear()
                 self._buckets[index].clear()
-                self._lru[index].clear()
                 self._set_epochs[index] += 1
                 removed += here
                 continue
             here = 0
             buckets = self._buckets[index]
-            lru = self._lru[index]
-            for entry in list(tset):
+            for entry in list(lru):
                 if pred(entry):
                     entry.valid = False
-                    tset.remove(entry)
+                    del lru[entry]
                     here += 1
                     bucket = buckets[entry.vpn]
                     bucket.remove(entry)
                     if not bucket:
                         del buckets[entry.vpn]
-                    del lru[entry]
             if here:
                 self._set_epochs[index] += 1
                 removed += here
         self.invalidations += removed
-        if removed:
-            self._bump_epoch()
         return removed
+
+    def entries(self):
+        for lru in self._lru:
+            yield from lru
+
+    @property
+    def occupancy(self):
+        return sum(len(lru) for lru in self._lru)
 
 
 class FastMultiSizeTLB(MultiSizeTLB):
@@ -427,5 +439,4 @@ class FastMultiSizeTLB(MultiSizeTLB):
     def __init__(self, params_by_size):
         super().__init__(params_by_size, tlb_cls=FastSetAssocTLB)
         self._probe = tuple(
-            (size, size.shift - PageSize.SIZE_4K.shift, tlb)
-            for size, tlb in self.tlbs.items())
+            (size, size.shift4k, tlb) for size, tlb in self.tlbs.items())

@@ -41,6 +41,12 @@ class PageSize(enum.Enum):
     SIZE_2M = 21
     SIZE_1G = 30
 
+    # Members key the per-size TLB dicts and every memo key; Enum's own
+    # hash runs Python code (it hashes the member name). Members are
+    # singletons and compare by identity, so the identity hash is
+    # equivalent.
+    __hash__ = object.__hash__
+
     @property
     def shift(self):
         return self.value

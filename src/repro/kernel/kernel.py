@@ -405,10 +405,17 @@ class Kernel:
             # attaching a shared table. When the descent already reached
             # the leaf's table there is nothing to build or attach, so
             # ``ensure_path`` would return this very slot.
+            if level == PMD:
+                # A 4K table is about to hang off this PMD table, which
+                # must not be one merged for 2MB pages and shared with
+                # the group: the policy hands out a private copy first.
+                _table, _index, cycles = self.policy.install_target(
+                    self, proc, vma, lookup_vpn, table, index,
+                    private_content=True)
             provider = self.policy.table_provider(self, proc, vma)
             table, index, allocated = proc.tables.ensure_path(
                 lookup_vpn, leaf_level, provider)
-            cycles = allocated * self.costs.table_alloc
+            cycles += allocated * self.costs.table_alloc
             entry = table.entries.get(index)
             if isinstance(entry, PTE) and entry.present:
                 # Attaching the shared table resolved the fault: the page

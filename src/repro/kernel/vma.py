@@ -20,6 +20,11 @@ class SegmentKind(enum.Enum):
     MMAP = "mmap"
     VDSO = "vdso"
 
+    # Members key the layout bases and the L0 memo: an identity hash
+    # (members are singletons compared by identity) instead of Enum's
+    # Python-level hash of the member name.
+    __hash__ = object.__hash__
+
 
 class VMAKind(enum.Enum):
     #: MAP_SHARED file mapping: all mappers see one physical page, writes

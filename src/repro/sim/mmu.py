@@ -22,7 +22,13 @@ wired, and wiring either turns the L0 memo off.
 """
 
 from repro.hw.pwc import PageWalkCache
-from repro.hw.tlb import FastMultiSizeTLB, MultiSizeTLB, TLBEntry
+from repro.hw.tlb import (
+    REPLACE_SAME_PCID,
+    REPLACE_SHARED,
+    FastMultiSizeTLB,
+    MultiSizeTLB,
+    TLBEntry,
+)
 from repro.hw.types import AccessKind, PageSize
 from repro.core.babelfish_tlb import (
     babelfish_lookup,
@@ -183,8 +189,10 @@ class MMU:
             stats.accesses_i += 1
         else:
             stats.accesses_d += 1
-        vpn_proc = proc.vpn_proc(segment, page_off)
-        vpn_group = proc.vpn_group(segment, page_off)
+        # Process.vpn_proc / vpn_group, inlined (a layout VPN is the
+        # segment base plus the page offset).
+        vpn_proc = proc.layout_proc.bases[segment] + page_off
+        vpn_group = proc.layout_group.bases[segment] + page_off
         cycles = 0
         for _ in range(_MAX_FAULT_RETRIES):
             result = self._try_translate(proc, segment, page_off, vpn_proc,
@@ -350,9 +358,9 @@ class MMU:
     # -- fills -----------------------------------------------------------------------
 
     def _fill_l2(self, proc, vpn_group, pte, leaf_table):
-        entry, replace = self.policy.fill_l2(self.kernel, proc, vpn_group,
-                                             pte, leaf_table)
-        self.l2.insert(entry, replace=replace)
+        entry, rule = self.policy.fill_l2(self.kernel, proc, vpn_group,
+                                          pte, leaf_table)
+        self.l2.tlbs[entry.page_size].insert(entry, rule)
         if self._sanitizer is not None:
             self._sanitizer.check_fill("L2", proc, entry, vpn_group)
         if self.l3 is not None and entry.page_size in self.l3.tlbs:
@@ -360,7 +368,7 @@ class MMU:
             # fast structures track validity/occupancy differently, so
             # one entry object must never live in two structures.
             clone = self._clone_entry(entry)
-            self.l3.insert(clone, replace=lambda old: old.pcid == clone.pcid)
+            self.l3.tlbs[entry.page_size].insert(clone, REPLACE_SAME_PCID)
             if self._sanitizer is not None:
                 self._sanitizer.check_fill("L3", proc, clone, vpn_group)
         return entry
@@ -369,20 +377,17 @@ class MMU:
         """An L3 victim hit refills the L2 TLB (and the caller refills
         the L1) with a clone of the victim entry."""
         entry = self._clone_entry(l3_entry)
-        self.l2.insert(entry, replace=lambda old: old.pcid == entry.pcid)
+        self.l2.tlbs[entry.page_size].insert(entry, REPLACE_SAME_PCID)
         if self._sanitizer is not None:
             self._sanitizer.check_fill("L2", proc, entry, vpn_group)
         return entry
 
     @staticmethod
     def _clone_entry(entry):
-        clone = TLBEntry(entry.vpn, entry.ppn, entry.page_size,
-                         pcid=entry.pcid, ccid=entry.ccid,
-                         writable=entry.writable, user=entry.user,
-                         cow=entry.cow, o_bit=entry.o_bit, orpc=entry.orpc,
-                         pc_mask=entry.pc_mask,
-                         inserted_by=entry.inserted_by)
-        return clone
+        return TLBEntry(entry.vpn, entry.ppn, entry.page_size, entry.pcid,
+                        entry.ccid, entry.writable, entry.user, entry.cow,
+                        entry.o_bit, entry.orpc, entry.pc_mask,
+                        entry.inserted_by)
 
     def _fill_l1(self, proc, vpn_proc, vpn_group, l2_entry, instr):
         size = l2_entry.page_size
@@ -393,29 +398,25 @@ class MMU:
             # span base, so the slice's frame is ppn + offset).
             ppn += vpn_group & size.base_mask
             size = PageSize.SIZE_4K
+        tlb = (self.l1i if instr else self.l1d).tlbs.get(size)
+        if tlb is None:
+            return
+        # L1 entries keep the default user bit; the L2 entry's is not
+        # copied.
         if self._share_l1:
-            vpn = vpn_group >> (size.shift - PageSize.SIZE_4K.shift)
-            entry = TLBEntry(vpn, ppn, size, pcid=proc.pcid,
-                             ccid=proc.ccid, writable=l2_entry.writable,
-                             cow=l2_entry.cow, o_bit=l2_entry.o_bit,
-                             orpc=l2_entry.orpc, pc_mask=l2_entry.pc_mask,
-                             inserted_by=proc.pid)
-            replace = (lambda old: old.ccid == entry.ccid
-                       and old.o_bit == entry.o_bit
-                       and (not entry.o_bit or old.pcid == entry.pcid))
+            entry = TLBEntry(vpn_group >> size.shift4k, ppn, size,
+                             proc.pcid, proc.ccid, l2_entry.writable, True,
+                             l2_entry.cow, l2_entry.o_bit, l2_entry.orpc,
+                             l2_entry.pc_mask, proc.pid)
+            tlb.insert(entry, REPLACE_SHARED)
         else:
-            vpn = vpn_proc >> (size.shift - PageSize.SIZE_4K.shift)
-            entry = TLBEntry(vpn, ppn, size, pcid=proc.pcid,
-                             ccid=proc.ccid, writable=l2_entry.writable,
-                             cow=l2_entry.cow, o_bit=True,
-                             inserted_by=proc.pid)
-            replace = lambda old: old.pcid == entry.pcid
-        multi = self.l1i if instr else self.l1d
-        if size in multi.tlbs:
-            multi.insert(entry, replace=replace)
-            if self._sanitizer is not None:
-                self._sanitizer.check_fill("L1I" if instr else "L1D",
-                                          proc, entry, vpn_group)
+            entry = TLBEntry(vpn_proc >> size.shift4k, ppn, size,
+                             proc.pcid, proc.ccid, l2_entry.writable, True,
+                             l2_entry.cow, True, False, 0, proc.pid)
+            tlb.insert(entry, REPLACE_SAME_PCID)
+        if self._sanitizer is not None:
+            self._sanitizer.check_fill("L1I" if instr else "L1D",
+                                       proc, entry, vpn_group)
 
     # -- faults and invalidations --------------------------------------------------------
 

@@ -242,6 +242,42 @@ class TestEpochCoverageBF401:
             """), HW_PATH)
         assert findings == []
 
+    def test_unbumped_lru_insert_is_flagged(self):
+        # A fast TLB set's recency dict is its membership store: an
+        # entry added there without a set-epoch bump is the same bug.
+        findings = lint(fast_twin("""\
+            def insert(self, index, entry):
+                lru = self._lru[index]
+                lru[entry] = None
+            """), HW_PATH)
+        assert rule_ids(findings) == ["BF401"]
+        assert "lru" in findings[0].message
+
+    def test_bumped_lru_insert_and_restamp_are_clean(self):
+        findings = lint(fast_twin("""\
+            def insert(self, index, entry):
+                self._lru[index][entry] = None
+                self._set_epochs[index] += 1
+
+            def touch(self, index, entry):
+                lru = self._lru[index]
+                del lru[entry]
+                lru[entry] = None
+            """), HW_PATH)
+        assert findings == []
+
+    def test_lru_outside_tlb_classes_is_not_guarded(self):
+        findings = lint("""\
+            class FastCache:
+                def __init__(self):
+                    self._lru = [dict() for _ in range(4)]
+                    self.epoch = 0
+
+                def touch(self, index, tag):
+                    self._lru[index][tag] = None
+            """, HW_PATH)
+        assert findings == []
+
     def test_classes_without_epoch_machinery_are_out_of_scope(self):
         findings = lint("""\
             class PlainBag:

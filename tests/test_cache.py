@@ -1,5 +1,8 @@
 """Unit tests for the set-associative caches and hierarchy."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.hw.cache import CacheHierarchy, SetAssociativeCache
@@ -158,3 +161,49 @@ class TestCacheHierarchy:
         # Core 1 misses its private L2 and hits shared L3.
         _c, level = hierarchy.access(1, 0xC000, skip_l1=True)
         assert level is MemoryLevel.L3
+
+
+def _cache_snapshot(cache):
+    """Counters, dirty lines, epoch and per-set LRU order (oldest first)
+    of either backing."""
+    order = [list(cset) if not cset or next(iter(cset.values())) is None
+             else sorted(cset, key=cset.get) for cset in cache._sets]
+    return (cache.hits, cache.misses, cache.evictions, cache.writebacks,
+            sorted(cache._dirty), cache.epoch, order)
+
+
+def _hierarchy_snapshot(hierarchy):
+    caches = hierarchy.l1i + hierarchy.l1d + hierarchy.l2 + [hierarchy.l3]
+    return ([_cache_snapshot(c) for c in caches],
+            hierarchy.dram.row_hits, hierarchy.dram.row_misses)
+
+
+@pytest.mark.parametrize("fastpath", [False, True],
+                         ids=["reference", "fast"])
+def test_walk_access_matches_skip_l1_load(fastpath):
+    # Twin hierarchies with small L2/L3s so the stream sees L2 hits, L3
+    # hits, DRAM fills, evictions and dirty writebacks. Demand accesses
+    # go to both twins; walker references go to one through
+    # walk_access and to the other through access(..., skip_l1=True).
+    machine = dataclasses.replace(
+        baseline_machine(cores=2),
+        l2=CacheParams("L2", 4096, 4, 64, 8),
+        l3=CacheParams("L3", 16384, 8, 64, 32, shared=True))
+    walk = CacheHierarchy(machine, DRAMModel(machine.dram), fastpath)
+    twin = CacheHierarchy(machine, DRAMModel(machine.dram), fastpath)
+    rng = random.Random(9)
+    kinds = (AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE)
+    for _ in range(6000):
+        core = rng.randrange(2)
+        paddr = rng.randrange(1024) * 64 + rng.randrange(64)
+        if rng.random() < 0.4:
+            kind = rng.choice(kinds)
+            assert walk.access(core, paddr, kind) == \
+                twin.access(core, paddr, kind)
+        else:
+            cycles, _level = twin.access(core, paddr, AccessKind.LOAD,
+                                         skip_l1=True)
+            assert walk.walk_access(core, paddr) == cycles
+    assert _hierarchy_snapshot(walk) == _hierarchy_snapshot(twin)
+    l2 = walk.l2[0]
+    assert l2.hits and l2.evictions and l2.writebacks and walk.l3.hits

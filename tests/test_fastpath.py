@@ -24,8 +24,8 @@ from repro.experiments.common import (build_environment, config_by_name,
 from repro.experiments.perf import run_hot
 from repro.hw.cache import FastSetAssociativeCache, SetAssociativeCache
 from repro.hw.params import CacheParams, TLBParams, baseline_machine
-from repro.hw.tlb import (FastMultiSizeTLB, FastSetAssocTLB, SetAssocTLB,
-                          TLBEntry)
+from repro.hw.tlb import (REPLACE_SAME_PCID, REPLACE_SHARED, FastMultiSizeTLB,
+                          FastSetAssocTLB, SetAssocTLB, TLBEntry, replaces)
 from repro.hw.types import AccessKind, PageSize
 from repro.kernel.fault import InvalidationScope, TLBInvalidation
 from repro.kernel.vma import SegmentKind
@@ -297,6 +297,78 @@ def test_tlb_backings_equivalent_under_random_stream():
         assert _tlb_state(ref) == _tlb_state(fast)
 
 
+def test_tlb_backings_equivalent_under_mixed_replace_rules():
+    # Both named fill rules and plain inserts into small, full sets:
+    # every insert either overwrites in place or evicts the LRU way, and
+    # the two backings must agree on which entry goes and on the
+    # recency order entries() reports afterwards.
+    params = TLBParams("t", 16, 4, PageSize.SIZE_4K, 1)  # 4 sets
+    ref = SetAssocTLB(params)
+    fast = FastSetAssocTLB(params)
+    rng = random.Random(17)
+    rules = (None, REPLACE_SAME_PCID, REPLACE_SHARED)
+    replaced = evicted = 0
+
+    def state(tlb):
+        return ([(e.vpn, e.pcid, e.ccid, e.o_bit, e.ppn)
+                 for e in tlb.entries()], tlb.hits, tlb.misses,
+                tlb.insertions, tlb.invalidations, tlb.occupancy)
+
+    for _ in range(5000):
+        op = rng.random()
+        vpn = rng.randrange(24)
+        pcid = rng.randrange(3)
+        ccid = rng.randrange(2)
+        o_bit = rng.random() < 0.5
+        if op < 0.35:
+            match = (lambda e: e.ccid == ccid
+                     and (not e.o_bit or e.pcid == pcid))
+            a = ref.lookup(vpn, match)
+            b = fast.lookup(vpn, match)
+            assert (a is None) == (b is None)
+        elif op < 0.93:
+            rule = rng.choice(rules)
+            ppn = rng.randrange(1 << 20)
+            new_ref = TLBEntry(vpn, ppn, pcid=pcid, ccid=ccid, o_bit=o_bit)
+            new_fast = TLBEntry(vpn, ppn, pcid=pcid, ccid=ccid, o_bit=o_bit)
+            overwrite = rule is not None and any(
+                e.vpn == vpn and replaces(rule, e, new_ref)
+                for e in ref.entries())
+            a = ref.insert(new_ref, rule)
+            b = fast.insert(new_fast, rule)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.vpn, a.pcid, a.ccid, a.o_bit, a.ppn) == \
+                    (b.vpn, b.pcid, b.ccid, b.o_bit, b.ppn)
+                if overwrite:
+                    replaced += 1
+                else:
+                    evicted += 1
+        elif op < 0.98:
+            pred = lambda e: e.ccid == ccid
+            assert ref.invalidate(vpn, pred) == fast.invalidate(vpn, pred)
+        else:
+            pred = lambda e: e.pcid == pcid
+            assert ref.flush(pred) == fast.flush(pred)
+        assert state(ref) == state(fast)
+    assert replaced > 100 and evicted > 100
+
+
+def _resident(tlb):
+    """Every entry a backing's stores hold: the reference's set lists;
+    the fast backing's recency dicts and lookup buckets, which must
+    hold the same entries."""
+    if isinstance(tlb, FastSetAssocTLB):
+        in_lru = [e for lru in tlb._lru for e in lru]
+        in_buckets = [e for buckets in tlb._buckets
+                      for bucket in buckets.values() for e in bucket]
+        assert sorted(map(id, in_lru)) == sorted(map(id, in_buckets))
+        assert all(bucket for buckets in tlb._buckets
+                   for bucket in buckets.values())
+        return in_lru
+    return [e for tset in tlb._sets for e in tset]
+
+
 @pytest.mark.parametrize("cls", [SetAssocTLB, FastSetAssocTLB],
                          ids=["reference", "fast"])
 def test_no_invalid_entry_survives_in_a_set(cls):
@@ -315,7 +387,7 @@ def test_no_invalid_entry_survives_in_a_set(cls):
             tlb.invalidate(vpn, lambda e: e.pcid == pcid)
         else:
             tlb.flush(lambda e: e.pcid == pcid)
-        assert all(e.valid for tset in tlb._sets for e in tset)
+        assert all(e.valid for e in _resident(tlb))
 
 
 def _cache_state(cache):

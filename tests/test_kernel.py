@@ -21,7 +21,7 @@ from repro.kernel.audit import audit_kernel
 from repro.kernel.fault import FaultType
 from repro.kernel.frames import FrameKind
 from repro.kernel.kernel import Kernel, KernelConfig, PrivatePTPolicy
-from repro.kernel.page_table import PMD, PageTable
+from repro.kernel.page_table import PageTable
 from repro.kernel.vma import SegmentKind, VMAKind
 
 from conftest import MiniSystem
@@ -309,8 +309,7 @@ _OPS = st.lists(st.one_of(
 
 def _differential_leg(policy_name, max_writers, vmas, drop_offsets):
     """A kernel with one process mapping ``vmas`` in the MMAP window;
-    returns ``(kernel, procs, vma_starts, seen)``. ``procs`` grows by
-    fork; ``seen`` records whether a fork merged a PMD table."""
+    returns ``(kernel, procs, vma_starts)``. ``procs`` grows by fork."""
     registry = CCIDRegistry()
     group = registry.group_for("tenant", "app")
     layout = canonical_layout()
@@ -340,12 +339,12 @@ def _differential_leg(policy_name, max_writers, vmas, drop_offsets):
                     file=file, writable=writable, huge_ok=huge_ok)
         starts.append(base + offset)
         offset += npages
-    return kernel, [proc], starts, {"merged_pmd": False}
+    return kernel, [proc], starts
 
 
 def _apply(leg, op, ranged):
     """Run one op on a leg; returns the exception type it raised."""
-    kernel, procs, starts, seen = leg
+    kernel, procs, starts = leg
     kind, which, offset, count, is_write = op
     proc = procs[which % len(procs)]
     # Start at most 32 pages before some VMA, or anywhere inside it and
@@ -356,7 +355,6 @@ def _apply(leg, op, ranged):
         if kind == "fork":
             child = kernel.fork(proc)[0]
             procs.append(child)
-            seen["merged_pmd"] |= _merges_pmd(child)
         elif kind == "range" and ranged:
             kernel.touch_range(proc, vpn, count, is_write)
         else:
@@ -383,13 +381,6 @@ def _audit(kernel):
     return findings
 
 
-def _merges_pmd(proc):
-    """Does ``proc``, just forked, share a PMD table with its parent (the
-    2MB-page merge of Section IV-C)?"""
-    return any(table.level == PMD and table.shared_key is not None
-               for table in proc.tables.iter_tables())
-
-
 class TestTouchRangeDifferential:
     """``touch_range`` against a loop of ``touch`` calls on an identical
     kernel: the same state after every op, the same exception."""
@@ -409,9 +400,6 @@ class TestTouchRangeDifferential:
             assert kernel_state(ranged[0]) == kernel_state(per_page[0])
         findings = _audit(ranged[0])
         assert findings == _audit(per_page[0])
-        # Dropped installs leak their frame by design. Once a fork has
-        # merged a PMD table for 2MB pages, 4K tables can end up under it:
-        # a known SharedPTManager defect, pinned by strict xfails in
-        # tests/test_shared_pt.py. Both legs must still agree on it.
-        if policy_name != "dropping" and not ranged[3]["merged_pmd"]:
+        # Dropped installs leak their frame by design.
+        if policy_name != "dropping":
             assert findings == []

@@ -1,7 +1,5 @@
 """Tests for BabelFish's shared page tables (Sections III-B, IV-B, Appendix)."""
 
-import pytest
-
 from repro.core.mask_page import region_of
 from repro.kernel.audit import audit_kernel
 from repro.kernel.fault import FaultType, InvalidationScope
@@ -298,14 +296,11 @@ class TestTeardown:
 
 
 class TestHugeMergeWithPteTables:
-    """Known defect: the fork-time PMD merge for 2MB pages (Section IV-C)
-    takes any PMD table that holds a huge leaf: one that also points at
-    4K PTE tables, and one the parent owns after a CoW. Those tables
-    become reachable from every sharer, and nested ``sharers`` counters
-    no longer match. A 4K fault under a merged PMD builds its PTE table
-    inside the shared PMD too. The differential touch test in
-    tests/test_kernel.py skips its audit-clean check once a fork has
-    merged a PMD table; drop that exemption with these markers."""
+    """The fork-time PMD merge for 2MB pages (Section IV-C) takes only
+    PMD tables that hold huge leaves alone and that no process owns, and
+    a 4K fault under a merged PMD privatizes it before building its PTE
+    table. Otherwise 4K tables and owned copies become reachable from
+    every sharer and nested ``sharers`` counters no longer match."""
 
     @staticmethod
     def _mixed_region(sys):
@@ -313,7 +308,6 @@ class TestHugeMergeWithPteTables:
                         huge_ok=True, name="thp")
         sys.touch(sys.zygote, HEAP, 4096, write=True)   # 2MB leaf
 
-    @pytest.mark.xfail(strict=True, reason="PMD merge shares PTE tables")
     def test_fork_after_4k_and_huge_in_one_region(self, mini_babelfish):
         sys = mini_babelfish
         self._mixed_region(sys)
@@ -321,7 +315,6 @@ class TestHugeMergeWithPteTables:
         sys.fork()
         assert audit_kernel(sys.kernel, raise_on_failure=False) == []
 
-    @pytest.mark.xfail(strict=True, reason="4K fault under a merged PMD")
     def test_4k_fault_under_merged_pmd(self, mini_babelfish):
         sys = mini_babelfish
         self._mixed_region(sys)
@@ -329,7 +322,6 @@ class TestHugeMergeWithPteTables:
         sys.touch(child, HEAP, 0, write=True)
         assert audit_kernel(sys.kernel, raise_on_failure=False) == []
 
-    @pytest.mark.xfail(strict=True, reason="PMD merge shares owned tables")
     def test_fork_after_cow_of_merged_pmd(self, mini_babelfish):
         sys = mini_babelfish
         sys.kernel.mmap(sys.zygote, HEAP, 4096, 1024, VMAKind.ANON,

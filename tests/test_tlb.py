@@ -3,7 +3,15 @@
 import pytest
 
 from repro.hw.params import TLBParams
-from repro.hw.tlb import MultiSizeTLB, SetAssocTLB, TLBEntry, conventional_match
+from repro.hw.tlb import (
+    REPLACE_SAME_PCID,
+    REPLACE_SHARED,
+    FastSetAssocTLB,
+    MultiSizeTLB,
+    SetAssocTLB,
+    TLBEntry,
+    conventional_match,
+)
 from repro.hw.types import PageSize
 
 
@@ -151,3 +159,66 @@ class TestMultiSizeTLB:
         found, _ = multi.lookup(0x10, lambda e: True,
                                 page_size=PageSize.SIZE_2M)
         assert found is None
+
+
+@pytest.mark.parametrize("cls", [SetAssocTLB, FastSetAssocTLB],
+                         ids=["reference", "fast"])
+class TestReplaceRules:
+    """The two named fill rules, on both backings: a rule either
+    overwrites one resident same-VPN entry in place (returning it) or
+    the fill takes a new way beside it."""
+
+    @staticmethod
+    def fill(cls, resident, new, rule):
+        tlb = cls(TLBParams("t", 8, 4, PageSize.SIZE_4K, 1))
+        tlb.insert(resident)
+        returned = tlb.insert(new, rule)
+        return returned, [(e.ppn, e.pcid, e.ccid, e.o_bit)
+                          for e in tlb.entries()]
+
+    def test_same_pcid_overwrites(self, cls):
+        old, new = entry(0x10, ppn=1, pcid=3), entry(0x10, ppn=2, pcid=3)
+        returned, resident = self.fill(cls, old, new, REPLACE_SAME_PCID)
+        assert returned is old
+        assert resident == [(2, 3, 0, False)]
+
+    def test_same_pcid_keeps_other_pcid(self, cls):
+        old, new = entry(0x10, ppn=1, pcid=3), entry(0x10, ppn=2, pcid=4)
+        returned, resident = self.fill(cls, old, new, REPLACE_SAME_PCID)
+        assert returned is None
+        assert resident == [(1, 3, 0, False), (2, 4, 0, False)]
+
+    def test_shared_overwrites_group_entry_of_any_pcid(self, cls):
+        old = entry(0x10, ppn=1, pcid=3, ccid=7, o_bit=False)
+        new = entry(0x10, ppn=2, pcid=4, ccid=7, o_bit=False)
+        returned, resident = self.fill(cls, old, new, REPLACE_SHARED)
+        assert returned is old
+        assert resident == [(2, 4, 7, False)]
+
+    def test_shared_keeps_o_bit_mismatch(self, cls):
+        old = entry(0x10, ppn=1, pcid=3, ccid=7, o_bit=False)
+        new = entry(0x10, ppn=2, pcid=3, ccid=7, o_bit=True)
+        returned, resident = self.fill(cls, old, new, REPLACE_SHARED)
+        assert returned is None
+        assert resident == [(1, 3, 7, False), (2, 3, 7, True)]
+
+    def test_shared_keeps_other_ccid(self, cls):
+        old = entry(0x10, ppn=1, pcid=3, ccid=7, o_bit=False)
+        new = entry(0x10, ppn=2, pcid=3, ccid=8, o_bit=False)
+        returned, resident = self.fill(cls, old, new, REPLACE_SHARED)
+        assert returned is None
+        assert resident == [(1, 3, 7, False), (2, 3, 8, False)]
+
+    def test_shared_keeps_owned_entry_of_other_pcid(self, cls):
+        old = entry(0x10, ppn=1, pcid=3, ccid=7, o_bit=True)
+        new = entry(0x10, ppn=2, pcid=4, ccid=7, o_bit=True)
+        returned, resident = self.fill(cls, old, new, REPLACE_SHARED)
+        assert returned is None
+        assert resident == [(1, 3, 7, True), (2, 4, 7, True)]
+
+    def test_shared_overwrites_owned_entry_of_same_pcid(self, cls):
+        old = entry(0x10, ppn=1, pcid=3, ccid=7, o_bit=True)
+        new = entry(0x10, ppn=2, pcid=3, ccid=7, o_bit=True)
+        returned, resident = self.fill(cls, old, new, REPLACE_SHARED)
+        assert returned is old
+        assert resident == [(2, 3, 7, True)]

@@ -1,18 +1,23 @@
 """Deep tests for the page walker: PWC behaviour, 1GB pages, and cache
 interactions (Figure 7's mechanics)."""
 
+import dataclasses
+import random
+
 from repro.hw.cache import CacheHierarchy
 from repro.hw.dram import DRAMModel
 from repro.hw.params import baseline_machine
-from repro.hw.pwc import PageWalkCache
-from repro.hw.types import PageSize
-from repro.kernel.page_table import PTE, PUD
-from repro.kernel.vma import SegmentKind
+from repro.hw.pwc import PWC_LEVELS, PageWalkCache
+from repro.hw.types import AccessKind, PageSize
+from repro.kernel.page_table import (PGD, PTE, PTE_LEVEL, PUD, TableRef,
+                                     table_index)
+from repro.kernel.vma import SegmentKind, VMAKind
 from repro.sim.walker import PageWalker
 
 from conftest import MiniSystem
 
 MMAP = SegmentKind.MMAP
+HEAP = SegmentKind.HEAP
 
 
 def walker_setup(cores=1):
@@ -134,3 +139,76 @@ class TestWalkAccounting:
         assert result.fault
         assert result.pte is None
         assert result.leaf_level == 4  # nothing mapped: stops at PGD
+
+
+def _reference_walk(proc, vpn, hierarchy, pwc):
+    """Figure 2's walk one level at a time through the public pieces:
+    ``table_index``, ``entry_paddr``, the PWC's lookup/insert and the
+    hierarchy's skip-L1 load. Returns ``(pte, leaf_table, leaf_level,
+    cycles, fault)``."""
+    cycles = 0
+    table, level = proc.tables.pgd, PGD
+    while True:
+        index = table_index(vpn, level)
+        paddr = table.entry_paddr(index)
+        if level > PTE_LEVEL and pwc.lookup(level, paddr):
+            cycles += pwc.access_cycles
+        else:
+            cycles += hierarchy.access(0, paddr, AccessKind.LOAD,
+                                       skip_l1=True)[0]
+            if level > PTE_LEVEL:
+                pwc.insert(level, paddr)
+        entry = table.entries.get(index)
+        if isinstance(entry, TableRef):
+            table, level = entry.table, level - 1
+            continue
+        if entry is None:
+            return None, None, level, cycles, True
+        if not entry.present:
+            return None, table, level, cycles, True
+        return entry, table, level, cycles, False
+
+
+class TestOnePassWalk:
+    def test_matches_level_by_level_reference(self):
+        # 4K pages, a 2MB page, holes and unmapped segments, walked in a
+        # random order through a 2-entry-per-level PWC so it evicts.
+        sys = MiniSystem(babelfish=True)
+        sys.kernel.mmap(sys.zygote, HEAP, 4096, 512, VMAKind.ANON,
+                        huge_ok=True, name="thp")
+        sys.touch(sys.zygote, HEAP, 4096, write=True)
+        for off in range(0, 64, 3):
+            sys.touch(sys.zygote, MMAP, off)
+            sys.touch(sys.zygote, HEAP, off * 7, write=True)
+        child = sys.fork()
+        sys.touch(child, HEAP, 5, write=True)
+        machine = baseline_machine(cores=1)
+        pwc_params = dataclasses.replace(machine.mmu.pwc,
+                                         entries_per_level=2)
+        hierarchy = CacheHierarchy(machine, DRAMModel(machine.dram))
+        pwc = PageWalkCache(pwc_params)
+        walker = PageWalker(0, hierarchy, pwc)
+        twin_hierarchy = CacheHierarchy(machine, DRAMModel(machine.dram))
+        twin_pwc = PageWalkCache(pwc_params)
+        rng = random.Random(4)
+        segments = (MMAP, HEAP, SegmentKind.LIBS, SegmentKind.STACK)
+        total = 0
+        outcomes = set()
+        for _ in range(600):
+            proc = rng.choice((sys.zygote, child))
+            vpn = sys.vpn(proc, rng.choice(segments), rng.randrange(4700))
+            got = walker.walk(proc, vpn)
+            want = _reference_walk(proc, vpn, twin_hierarchy, twin_pwc)
+            assert (got.pte, got.leaf_table, got.leaf_level, got.cycles,
+                    got.fault) == want
+            total += got.cycles
+            outcomes.add((got.leaf_level, got.fault))
+        # 4K and 2MB leaves, and faults at several levels.
+        assert {(1, False), (2, False), (1, True)} <= outcomes
+        assert len({level for level, fault in outcomes if fault}) >= 2
+        assert walker.walks == 600 and walker.total_cycles == total
+        assert (pwc.hits, pwc.misses) == (twin_pwc.hits, twin_pwc.misses)
+        assert pwc.hits and pwc.misses
+        for level in PWC_LEVELS:
+            assert list(pwc._levels[level]) == list(twin_pwc._levels[level])
+        assert hierarchy.stats() == twin_hierarchy.stats()
