@@ -9,13 +9,14 @@ from repro.analysis.sanitizer import (
     CoherenceError,
     TranslationSanitizer,
 )
+from repro.core.aslr import ASLRMode
 from repro.hw.cache import CacheHierarchy
 from repro.hw.dram import DRAMModel
 from repro.hw.params import baseline_machine
 from repro.hw.tlb import TLBEntry
 from repro.hw.types import AccessKind
 from repro.kernel.fault import InvalidationScope, TLBInvalidation
-from repro.kernel.vma import SegmentKind
+from repro.kernel.vma import SegmentKind, VMAKind
 from repro.sim.config import babelfish_config, baseline_config
 from repro.sim.mmu import MMU
 from repro.sim.simulator import K_LOAD, Simulator
@@ -253,3 +254,29 @@ class TestSimulatorIntegration:
                         sys.kernel)
         assert sim.sanitizer is None
         assert all(m.sanitizer is None for m in sim.mmus)
+
+
+class TestHugeCowCoherence:
+    """A CoW break inside a process's owned copy of a merged 2MB-page
+    PMD table must mark the writer private for the written 2MB range,
+    or a sharer's refill hands the writer its stale shared entry."""
+
+    @pytest.mark.parametrize("aslr_mode", [ASLRMode.HW, ASLRMode.SW],
+                             ids=["aslr-hw", "aslr-sw"])
+    def test_second_range_written_in_owned_pmd_copy(self, aslr_mode):
+        sys = MiniSystem(babelfish=True, aslr_mode=aslr_mode)
+        sys.kernel.mmap(sys.zygote, HEAP, 4096, 1024, VMAKind.ANON,
+                        huge_ok=True, name="thp")
+        sys.touch(sys.zygote, HEAP, 4096, write=True)
+        sys.touch(sys.zygote, HEAP, 4608, write=True)
+        a, b = sys.fork("a"), sys.fork("b")
+        sim = Simulator(baseline_machine(cores=2),
+                        babelfish_config(aslr_mode=aslr_mode, sanitize=True),
+                        sys.kernel)
+        core0, core1 = sim.mmus
+        core0.translate(a, HEAP, 4096, AccessKind.STORE)  # owned PMD copy
+        core0.translate(a, HEAP, 4608, AccessKind.STORE)  # break in copy
+        core1.translate(b, HEAP, 4608, AccessKind.LOAD)   # shared refill
+        core1.translate(a, HEAP, 4608, AccessKind.LOAD)
+        assert core0.stats.cow_faults == 2
+        assert sim.sanitizer.violations == []
