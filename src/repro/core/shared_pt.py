@@ -217,6 +217,17 @@ class SharedPTManager(PrivatePTPolicy):
             # 2MB range; break the page privately, but the shared (O=0)
             # entry for this VPN still carries a stale PC bitmask and must
             # be invalidated everywhere (Section III-A).
+            if table.level == PMD and self.mask_dir.get(proc.ccid, vpn):
+                # An owned copy of a merged 2MB-page PMD covers the whole
+                # region, but the writer's PC bit was set for the range
+                # it first wrote only: mark this range private too, or a
+                # sharer's refill would serve the writer the shared page.
+                if not self._mark_private(proc, vpn):
+                    return self._revert_and_break(kernel, proc, vpn)
+                shared = self._find_shared_table(
+                    kernel, proc.ccid, self._pmd_table_key(proc.ccid, vpn))
+                if shared is not None:
+                    shared.orpc = True
             outcome = kernel.default_cow_break(proc, vpn, table, index, pte)
             outcome.invalidations.append(TLBInvalidation(
                 vpn, InvalidationScope.SHARED_ENTRY, ccid=proc.ccid))
@@ -275,20 +286,27 @@ class SharedPTManager(PrivatePTPolicy):
 
         Returns the private table, or None if the MaskPage is full (the
         caller must revert the region)."""
-        mask_page = self.mask_dir.get_or_create(proc.ccid, vpn)
-        try:
-            bit = mask_page.assign_bit(proc.pid, pmd_index_of(vpn))
-        except MaskPageFull:
+        if not self._mark_private(proc, vpn):
             return None
-        proc.pc_bits[self.mask_domain(vpn)] = bit
-        mask_page.set_private(bit, pmd_index_of(vpn))
-
         private = self._clone_table(kernel, table, owner=proc.pid)
         self._swap_writer_ref(kernel, proc, vpn, table, private)
         # All sharers must now consult the PC bitmask for this range.
         table.orpc = True
         kernel.pte_pages_copied += 1
         return private
+
+    def _mark_private(self, proc, vpn):
+        """The MaskPage step of a CoW: give ``proc`` a PC-bitmask bit and
+        set it for the 2MB range of ``vpn``. False if the MaskPage is
+        full (the caller must revert the region)."""
+        mask_page = self.mask_dir.get_or_create(proc.ccid, vpn)
+        try:
+            bit = mask_page.assign_bit(proc.pid, pmd_index_of(vpn))
+        except MaskPageFull:
+            return False
+        proc.pc_bits[self.mask_domain(vpn)] = bit
+        mask_page.set_private(bit, pmd_index_of(vpn))
+        return True
 
     def install_target(self, kernel, proc, vma, vpn, table, index,
                        private_content):
