@@ -339,8 +339,8 @@ class ModuleIndex:
     ``methods_of(cls)`` follows base classes *defined in the same
     module* (the engine lints files independently), which is enough to
     resolve the helper-method patterns the dataflow rules care about
-    (``Fast*`` twins inheriting ``_bump_epoch`` from their reference
-    base, teardown helpers on ``Kernel``).
+    (subclasses inheriting ``_bump_epoch`` from a base, teardown helpers
+    on ``Kernel``).
     """
 
     def __init__(self, tree):

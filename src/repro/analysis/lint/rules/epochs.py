@@ -1,4 +1,4 @@
-"""BF401: epoch-coverage for the fast-twin backing stores (``hw/``).
+"""BF401: epoch-coverage for the TLB and cache backing stores (``hw/``).
 
 The exact fast path (:mod:`repro.sim.fastpath`, DESIGN §11) is only
 correct because every *content* change to a TLB/cache structure bumps
@@ -6,14 +6,13 @@ its epoch counters — the L0 translation memo and the same-line cache
 memo replay a previous hit iff the epochs they recorded are unchanged.
 PR 4's one real bug was exactly a missed bump: ``invalidate`` removed a
 line but skipped ``epoch += 1`` on a path where a ``pop``-result test
-misread the fast backing's ``None`` values.
+misread a set's ``None`` values.
 
 This rule makes the contract mechanical. In every ``hw/`` class that
 carries epoch machinery, a statement that mutates a guarded backing
 store (``_sets`` / ``_buckets``, plus ``_lru`` in TLB classes, where it
-is each set's membership store that eviction and ``entries()`` read;
-the caches' pure-recency ``_stamps`` dicts are exempt by the documented
-contract) must be *covered* by a set-epoch bump:
+is each set's membership store that eviction and ``entries()`` read)
+must be *covered* by a set-epoch bump:
 
 - the bump **dominates** the mutation (runs before it on every path), or
 - the bump **postdominates** it (runs after it on every path), or
@@ -48,13 +47,11 @@ from repro.analysis.lint.cfg import (
 )
 from repro.analysis.lint.engine import LintRule
 
-#: Backing stores whose *membership* the epoch contract guards. The
-#: recency-only ``_stamps`` dicts are exempt: lookups re-stamp them
-#: without bumping, by design.
+#: Backing stores whose *membership* the epoch contract guards.
 GUARDED_ATTRS = frozenset({"_sets", "_buckets"})
 
-#: Also guarded in TLB classes (class name contains ``TLB``): a fast
-#: TLB set's recency dict is its membership store. Lookups move an entry
+#: Also guarded in TLB classes (class name contains ``TLB``): a TLB
+#: set's recency dict is its membership store. Lookups move an entry
 #: to the end with a ``del`` + reinsert pair, which stays exempt.
 TLB_GUARDED_ATTRS = GUARDED_ATTRS | {"_lru"}
 
@@ -233,7 +230,7 @@ def _truthy_defs(block, if_map):
 
 class EpochCoverageRule(LintRule):
     rule_id = "BF401"
-    description = ("hw/ structures: every mutation of a fast-twin backing "
+    description = ("hw/ structures: every mutation of a TLB/cache backing "
                    "store (_sets/_buckets, and _lru in TLBs) must be "
                    "covered on all paths by "
                    "the matching epoch bump")
@@ -317,7 +314,7 @@ class EpochCoverageRule(LintRule):
             return
         for mutation in uncovered:
             ctx.report(mutation.stmt,
-                       "mutation of fast-twin backing store '%s' in %s.%s() "
+                       "mutation of backing store '%s' in %s.%s() "
                        "has a path with no epoch bump; bump "
                        "self._set_epochs[...]/self.epoch (or _bump_epoch()) "
                        "so it dominates or follows the mutation on every "

@@ -8,9 +8,9 @@ Entries are matched on VPN *and CCID*. On a match:
   check (and its extra latency) is skipped when ORPC is clear (Figure 5b).
 - A write hit on a CoW translation raises a CoW page fault (boxes 5/6).
 
-The lookups are policy-only: they layer on the generic
-:class:`repro.hw.tlb.MultiSizeTLB` structures (the ``_fast`` twins on
-their dict-backed :class:`~repro.hw.tlb.FastMultiSizeTLB` form).
+The lookups are policy-only: they run over the generic
+:class:`repro.hw.tlb.MultiSizeTLB` structures, with the match predicate
+inlined over their per-set lookup buckets instead of a closure per probe.
 """
 
 from repro.hw.types import PageSize
@@ -36,7 +36,7 @@ def hit_provenance(entry, proc):
 
 
 def babelfish_lookup(multi, vpn4k, proc, is_write, domain_fn):
-    """Figure 8's lookup over any :class:`~repro.hw.tlb.MultiSizeTLB`.
+    """Figure 8's lookup over a :class:`~repro.hw.tlb.MultiSizeTLB`.
 
     Entries match on VPN and CCID; an owned entry (O set) also needs the
     PCID, a shared one misses for a process holding a private copy (its
@@ -48,53 +48,10 @@ def babelfish_lookup(multi, vpn4k, proc, is_write, domain_fn):
     Returns ``(entry, page_size, consulted_bitmask, cow_fault)``:
     ``consulted_bitmask`` means the PC bitmask was read, so an L2 access
     takes the long (12-cycle) time; ``cow_fault`` means the hit entry is
-    CoW and the access is a write (boxes 5/6). This is the reference the
-    simulator runs over the linear-scan structures;
-    :func:`babelfish_lookup_fast` is the same lookup inlined over the
-    dict-backed ones.
+    CoW and the access is a write (boxes 5/6). A hit moves the entry to
+    the most-recent end of its set and counts a hit; each size probed
+    without a hit counts a miss.
     """
-    consulted = [False]
-    pcid, ccid = proc.pcid, proc.ccid
-    pc_bits = proc.pc_bits
-
-    def match(entry):
-        if entry.ccid != ccid:
-            return False                            # box 1: no CCID match
-        if entry.o_bit:
-            return entry.pcid == pcid               # boxes 2, 9
-        if entry.orpc:
-            consulted[0] = True                     # box 3 (long access)
-            bit = pc_bits.get(domain_fn(entry))
-            if bit is not None and (entry.pc_mask >> bit) & 1:
-                return False                        # process has private copy
-        if is_write and not entry.writable and not entry.cow:
-            return False                            # permission miss
-        return True
-
-    entry, size = multi.lookup(vpn4k, match)
-    return (entry, size, consulted[0],
-            entry is not None and is_write and entry.cow)   # box 5/6
-
-
-def conventional_lookup(multi, vpn4k, pcid, is_write):
-    """Baseline lookup: VPN + PCID match (Figure 1), permission-checked.
-    Returns ``(entry, page_size, cow_fault)``."""
-
-    def match(entry):
-        if entry.pcid != pcid:
-            return False
-        if is_write and not entry.writable and not entry.cow:
-            return False
-        return True
-
-    entry, size = multi.lookup(vpn4k, match)
-    return entry, size, entry is not None and is_write and entry.cow
-
-
-def babelfish_lookup_fast(multi, vpn4k, proc, is_write, domain_fn):
-    """:func:`babelfish_lookup` with the Figure 8 predicate inlined over
-    :class:`~repro.hw.tlb.FastMultiSizeTLB` internals: the same tuple and
-    the same hits/misses/LRU effects, without a closure per probe."""
     pcid = proc.pcid
     ccid = proc.ccid
     pc_bits = proc.pc_bits
@@ -128,10 +85,9 @@ def babelfish_lookup_fast(multi, vpn4k, proc, is_write, domain_fn):
     return None, None, consulted, False
 
 
-def conventional_lookup_fast(multi, vpn4k, pcid, is_write):
-    """:func:`conventional_lookup` inlined over
-    :class:`~repro.hw.tlb.FastMultiSizeTLB` internals; returns
-    ``(entry, page_size, cow_fault)``."""
+def conventional_lookup(multi, vpn4k, pcid, is_write):
+    """Baseline lookup: VPN + PCID match (Figure 1), permission-checked.
+    Returns ``(entry, page_size, cow_fault)``."""
     for size, shift, tlb in multi._probe:
         vpn = vpn4k >> shift
         index = vpn & tlb.set_mask
@@ -151,7 +107,7 @@ def conventional_lookup_fast(multi, vpn4k, pcid, is_write):
     return None, None, False
 
 
-def babelfish_fill_fields(fill_info, load_bitmask=True):
+def babelfish_fill_fields(fill_info):
     """Derive the stored O-PC fields for a TLB fill.
 
     ``fill_info`` is ``(o_bit, orpc, pc_mask)`` from the page-table policy.
@@ -160,7 +116,7 @@ def babelfish_fill_fields(fill_info, load_bitmask=True):
     ``(o_bit, orpc, stored_mask, long_access)``.
     """
     o_bit, orpc, pc_mask = fill_info
-    if not o_bit and orpc and load_bitmask:
+    if not o_bit and orpc:
         return o_bit, orpc, pc_mask, True
     return o_bit, orpc, 0, False
 

@@ -21,11 +21,11 @@ module replaces it with an explicit registry: a
   replace.
 
 The *lookup* rules stay where they were: Figure 8's CCID lookup in
-:mod:`repro.core.babelfish_tlb` (with its fast twin) and the
-conventional PCID lookup next to it. A policy only chooses between
-them (``uses_ccid``); both lookups are already generic over every
-structure geometry a policy can declare, which is what keeps the
-reference and fastpath tiers bit-identical for free (DESIGN.md §17).
+:mod:`repro.core.babelfish_tlb` and the conventional PCID lookup next
+to it. A policy only chooses between them (``uses_ccid``); both lookups
+are already generic over every structure geometry a policy can declare,
+which is what keeps the reference and fastpath tiers bit-identical for
+free (DESIGN.md §17).
 
 Registered policies:
 
@@ -66,8 +66,8 @@ from repro.core.babelfish_tlb import make_entry
 class CoalescedSpan:
     """A synthetic page-size-like object for coalesced TLB entries.
 
-    The generic TLB structures (:class:`repro.hw.tlb.MultiSizeTLB` and
-    its fast twin), the lookup functions, invalidation, and the
+    The generic TLB structures (:class:`repro.hw.tlb.MultiSizeTLB`), the
+    lookup functions, invalidation, and the
     sanitizer's coverage math only ever use ``shift``/``shift4k``/
     ``base_pages``/``base_mask`` — the same interface
     :class:`repro.hw.types.PageSize` members expose. A span of

@@ -218,10 +218,9 @@ class SharedPTManager(PrivatePTPolicy):
             # entry for this VPN still carries a stale PC bitmask and must
             # be invalidated everywhere (Section III-A).
             if table.level == PMD and self.mask_dir.get(proc.ccid, vpn):
-                # An owned copy of a merged 2MB-page PMD covers the whole
-                # region, but the writer's PC bit was set for the range
-                # it first wrote only: mark this range private too, or a
-                # sharer's refill would serve the writer the shared page.
+                # An owned copy of a merged 2MB-page PMD spans the region
+                # but was marked private for its first range only; mark
+                # this one too, or sharers' refills serve it to the writer.
                 if not self._mark_private(proc, vpn):
                     return self._revert_and_break(kernel, proc, vpn)
                 shared = self._find_shared_table(

@@ -1,4 +1,4 @@
-"""Hot-path perf harness: fast path vs reference, on a steady-state trace.
+"""Hot-path perf harness: fast path vs memo-off reference, on a hot trace.
 
 The fast path (:mod:`repro.sim.fastpath`) accelerates the *repeat* case —
 the L1-TLB-hit, L1-cache-hit stream that dominates once an application
@@ -12,8 +12,9 @@ small code/heap/dataset working set that is TLB-resident after warm-up
 tail so the slow path stays exercised.
 
 Each tier runs the identical workload twice — ``fastpath=True`` and
-``fastpath=False`` — asserts the two ``RunResult.as_dict()`` are
-bit-identical, and reports the accesses/sec ratio. The trajectory file
+``fastpath=False`` (the same structures with the L0 memo and the tight
+loop off) — asserts the two ``RunResult.as_dict()`` are bit-identical,
+and reports the accesses/sec ratio. The trajectory file
 ``BENCH_hotpath.json`` (repo root) is machine-normalized: the tracked
 metric is the fast/reference *ratio*; the raw accesses/sec figures ride
 along for local context only and are expected to differ across machines.

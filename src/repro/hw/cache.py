@@ -25,17 +25,16 @@ class SetAssociativeCache:
         self._tag_shift = self.num_sets.bit_length() - 1
         self.access_cycles = params.access_cycles
         self.ways = params.ways
-        # One dict per set: tag -> last-use stamp. Dicts keep us O(1) on
-        # lookup; LRU victim search is O(ways), ways <= 16.
+        # One recency-ordered dict per set (tag -> None, oldest first;
+        # hits delete + reinsert), so the LRU victim is the first key.
         self._sets = [dict() for _ in range(self.num_sets)]
         self._dirty = set()
-        self._stamp = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.writebacks = 0
         #: Monotonic change counter: bumped on insert and on any
-        #: invalidate/flush that removed a line. Hits re-stamp LRU state
+        #: invalidate/flush that removed a line. Hits reorder LRU state
         #: but do not change residency, so they leave it alone; the
         #: hierarchy's same-line memo relies on exactly that contract.
         self.epoch = 0
@@ -46,11 +45,13 @@ class SetAssociativeCache:
 
     def lookup(self, paddr, is_write=False):
         """Probe the cache; returns True on hit and updates LRU/dirty state."""
-        index, tag = self._index_tag(paddr)
+        line = paddr >> self.line_bits
+        index = line & self.set_mask
+        tag = line >> self._tag_shift
         cset = self._sets[index]
         if tag in cset:
-            self._stamp += 1
-            cset[tag] = self._stamp
+            del cset[tag]
+            cset[tag] = None
             if is_write:
                 self._dirty.add((index, tag))
             self.hits += 1
@@ -60,17 +61,20 @@ class SetAssociativeCache:
 
     def insert(self, paddr, is_write=False):
         """Fill a line, evicting the LRU way if the set is full."""
-        index, tag = self._index_tag(paddr)
+        line = paddr >> self.line_bits
+        index = line & self.set_mask
+        tag = line >> self._tag_shift
         cset = self._sets[index]
-        if tag not in cset and len(cset) >= self.ways:
-            victim = min(cset, key=cset.get)
+        if tag in cset:
+            del cset[tag]
+        elif len(cset) >= self.ways:
+            victim = next(iter(cset))
             del cset[victim]
             self.evictions += 1
             if (index, victim) in self._dirty:
                 self._dirty.discard((index, victim))
                 self.writebacks += 1
-        self._stamp += 1
-        cset[tag] = self._stamp
+        cset[tag] = None
         if is_write:
             self._dirty.add((index, tag))
         self.epoch += 1
@@ -78,9 +82,9 @@ class SetAssociativeCache:
     def invalidate(self, paddr):
         index, tag = self._index_tag(paddr)
         cset = self._sets[index]
-        # Membership, not pop-default: the fast backing stores None as
-        # the per-tag value, which a pop-is-None test would misread as
-        # "absent" and skip the epoch bump.
+        # Membership, not pop-default: a set stores None as the per-tag
+        # value, which a pop-is-None test would misread as "absent" and
+        # skip the epoch bump.
         if tag in cset:
             del cset[tag]
             self.epoch += 1
@@ -101,67 +105,17 @@ class SetAssociativeCache:
             self.name, self.params.size_bytes, self.ways, self.hits, self.misses)
 
 
-class FastSetAssociativeCache(SetAssociativeCache):
-    """Recency-dict :class:`SetAssociativeCache` with identical observable
-    behaviour, selected by ``SimConfig.fastpath``.
-
-    The reference keeps ``tag -> stamp`` per set and scans for the
-    minimum stamp to evict; stamps are unique and monotonic, so their
-    order is exactly recency order. This backing stores the same tags in
-    a recency-ordered dict (oldest first; hits delete + reinsert), making
-    eviction ``next(iter(set))`` instead of an O(ways) ``min`` — the same
-    victim, without the scan. Hit/miss/eviction/writeback counters,
-    dirty-line state, ``occupancy``, and the ``epoch`` contract all match
-    the reference bit for bit (tests/test_fastpath.py drives both against
-    random access streams).
-    """
-
-    def lookup(self, paddr, is_write=False):
-        line = paddr >> self.line_bits
-        index = line & self.set_mask
-        tag = line >> self._tag_shift
-        cset = self._sets[index]
-        if tag in cset:
-            del cset[tag]
-            cset[tag] = None
-            if is_write:
-                self._dirty.add((index, tag))
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def insert(self, paddr, is_write=False):
-        line = paddr >> self.line_bits
-        index = line & self.set_mask
-        tag = line >> self._tag_shift
-        cset = self._sets[index]
-        if tag in cset:
-            del cset[tag]
-        elif len(cset) >= self.ways:
-            victim = next(iter(cset))
-            del cset[victim]
-            self.evictions += 1
-            if (index, victim) in self._dirty:
-                self._dirty.discard((index, victim))
-                self.writebacks += 1
-        cset[tag] = None
-        if is_write:
-            self._dirty.add((index, tag))
-        self.epoch += 1
-
-
 class CacheHierarchy:
     """Per-core L1I/L1D + private L2, shared L3, and DRAM behind it."""
 
-    def __init__(self, machine, dram, fastpath=False):
+    def __init__(self, machine, dram):
         self.machine = machine
         self.dram = dram
-        cache_cls = FastSetAssociativeCache if fastpath else SetAssociativeCache
-        self.l1i = [cache_cls(machine.l1i) for _ in range(machine.cores)]
-        self.l1d = [cache_cls(machine.l1d) for _ in range(machine.cores)]
-        self.l2 = [cache_cls(machine.l2) for _ in range(machine.cores)]
-        self.l3 = cache_cls(machine.l3)
+        cores = range(machine.cores)
+        self.l1i = [SetAssociativeCache(machine.l1i) for _ in cores]
+        self.l1d = [SetAssociativeCache(machine.l1d) for _ in cores]
+        self.l2 = [SetAssociativeCache(machine.l2) for _ in cores]
+        self.l3 = SetAssociativeCache(machine.l3)
         #: Same-line memo for :meth:`data_access`: per core, per L1
         #: structure (0=ifetch, 1=data), the last line that hit in L1 as
         #: ``(line, epoch-at-hit)``. A repeat access to the same line
@@ -230,8 +184,7 @@ class CacheHierarchy:
         (0=ifetch, 1=load, 2=store) instead of :class:`AccessKind`, the
         L1 probe and same-line memo inlined, and a plain cycle count
         returned instead of a ``(cycles, level)`` tuple. State changes
-        are identical to :meth:`access`; only called on a hierarchy
-        built with ``fastpath=True``, and the only user of the line
+        are identical to :meth:`access`; the only user of the line
         memo."""
         is_write = kind_code == 2
         ifetch = kind_code == 0
@@ -253,7 +206,7 @@ class CacheHierarchy:
             return l1.access_cycles
         cycles = l1.access_cycles
         if tag in cset:
-            # Inline FastSetAssociativeCache.lookup hit.
+            # Inline SetAssociativeCache.lookup hit.
             del cset[tag]
             cset[tag] = None
             if is_write:

@@ -2,37 +2,20 @@
 
 A :class:`SetAssocTLB` stores :class:`TLBEntry` objects and is policy-free:
 ``lookup(vpn, match)`` returns the first valid way in the set whose VPN
-matches and that the caller's ``match`` predicate accepts. The conventional
-per-process policy (VPN + PCID match) lives here as
-:func:`conventional_match`; the BabelFish policy (Figure 8) lives in
-:mod:`repro.core.babelfish_tlb`.
+matches and that the caller's ``match`` predicate accepts. The
+conventional (Figure 1) and BabelFish (Figure 8) lookups the simulator
+runs live in :mod:`repro.core.babelfish_tlb`, inlined over these
+structures' internals.
 
 A fill names which resident same-VPN entry it may overwrite in place with
 one of two replace rules, :data:`REPLACE_SAME_PCID` (Figure 1) and
 :data:`REPLACE_SHARED` (Figure 8). They are plain constants, so a fill
-builds no closure; ``insert`` also still takes any one-argument predicate.
+builds no closure.
 
-Two interchangeable backings exist for each structure:
-
-- :class:`SetAssocTLB` / :class:`MultiSizeTLB` — the reference
-  implementations: linear scans over per-set lists, ``id()``-keyed LRU
-  stamps. Simple enough to audit against the paper's figures.
-- :class:`FastSetAssocTLB` / :class:`FastMultiSizeTLB` — dict-backed
-  drop-ins selected by ``SimConfig.fastpath`` and used by every run that
-  leaves it on, sanitize and trace runs included. Each set has two views:
-  ``_buckets`` (``{vpn: [entries]}``) serves lookups in O(matching ways),
-  and ``_lru`` (a recency dict, oldest first) is the set's membership and
-  recency store, so eviction is its first key and no operation scans a
-  list. Both backings produce bit-identical hit/miss/eviction behaviour
-  and yield ``entries()`` per set in recency order (tests/test_fastpath.py
-  drives both against random operation streams). The simulator reads the
-  fast one through the inlined lookups in :mod:`repro.core.babelfish_tlb`.
-
-The fast backing also keeps per-set epoch counters (``_set_epochs``),
-bumped whenever a set's contents change (insert / effective invalidate /
-effective flush). They never reset, are never exported in results, and
-exist solely so the L0 translation memo (:mod:`repro.sim.fastpath`) can
-prove "nothing changed in this set since I was recorded".
+A set keeps a lookup view, a recency view and an epoch counter for the
+L0 translation memo (see :class:`SetAssocTLB`). The linear-scan twins
+these structures were derived from are kept as a test oracle
+(``tests/structure_oracle.py``).
 """
 
 from repro.hw.types import PageSize
@@ -75,13 +58,8 @@ class TLBEntry:
                    self.o_bit, self.orpc))
 
 
-def conventional_match(entry, vpn, pcid, ccid=None):
-    """Conventional TLB hit rule: VPN and PCID must both match (Figure 1)."""
-    return entry.vpn == vpn and entry.pcid == pcid
-
-
 class ReplaceRule:
-    """A named fill replace rule (see :func:`replaces`)."""
+    """A named fill replace rule (see :meth:`SetAssocTLB.insert`)."""
 
     __slots__ = ("name",)
 
@@ -100,29 +78,23 @@ REPLACE_SAME_PCID = ReplaceRule("same-pcid")
 REPLACE_SHARED = ReplaceRule("shared")
 
 
-def replaces(rule, old, new):
-    """Does inserting ``new`` overwrite the resident same-VPN entry
-    ``old`` under ``rule``? ``rule`` is one of the two named rules or a
-    one-argument predicate over ``old``."""
-    if rule is REPLACE_SAME_PCID:
-        return old.pcid == new.pcid
-    if rule is REPLACE_SHARED:
-        return (old.ccid == new.ccid and old.o_bit == new.o_bit
-                and (not new.o_bit or old.pcid == new.pcid))
-    return rule(old)
-
-
 class SetAssocTLB:
-    """A set-associative TLB for one page size, with true-LRU replacement."""
+    """A set-associative TLB for one page size, with true-LRU replacement.
+
+    Each set has two views of the same entries:
+
+    - ``_buckets[set][vpn]`` lists same-VPN entries in insertion order, so
+      a lookup touches only the ways that could match, in first-match
+      order.
+    - ``_lru[set]`` is the set's membership and recency store (oldest key
+      first; hits delete + reinsert). Its first key is the eviction
+      victim, and ``entries()`` walks it.
+    - ``_set_epochs[set]`` counts content changes per set and is never
+      exported; the L0 translation memo (:mod:`repro.sim.fastpath`)
+      trusts a recorded hit only while its set epoch is unchanged.
+    """
 
     def __init__(self, params):
-        self._init_geometry(params)
-        self._sets = [[] for _ in range(self.num_sets)]
-        self._stamps = [dict() for _ in range(self.num_sets)]
-        self._stamp = 0
-
-    def _init_geometry(self, params):
-        """Geometry and counters shared by both backings."""
         self.params = params
         self.num_sets = params.num_sets
         if self.num_sets & (self.num_sets - 1):
@@ -133,187 +105,12 @@ class SetAssocTLB:
         self.misses = 0
         self.insertions = 0
         self.invalidations = 0
-
-    def _set_for(self, vpn):
-        return vpn & self.set_mask
-
-    def lookup(self, vpn, match, record=True):
-        """Find a hit using predicate ``match(entry)``; updates LRU and stats."""
-        tset = self._sets[self._set_for(vpn)]
-        for entry in tset:
-            if entry.valid and entry.vpn == vpn and match(entry):
-                self._touch(entry)
-                if record:
-                    self.hits += 1
-                return entry
-        if record:
-            self.misses += 1
-        return None
-
-    def _touch(self, entry):
-        self._stamp += 1
-        self._stamps[self._set_for(entry.vpn)][id(entry)] = self._stamp
-
-    def insert(self, entry, replace=None):
-        """Insert ``entry``; evict LRU if the set is full.
-
-        ``replace`` is an optional replace rule (:data:`REPLACE_SAME_PCID`,
-        :data:`REPLACE_SHARED`, or a one-argument predicate): an existing
-        same-VPN entry it accepts is overwritten in place instead of
-        allocating a new way (used to refresh a stale copy of the same
-        translation).
-        """
-        index = self._set_for(entry.vpn)
-        tset = self._sets[index]
-        stamps = self._stamps[index]
-        if replace is not None:
-            for i, old in enumerate(tset):
-                if old.valid and old.vpn == entry.vpn \
-                        and replaces(replace, old, entry):
-                    stamps.pop(id(old), None)
-                    tset[i] = entry
-                    self._touch(entry)
-                    self.insertions += 1
-                    return old
-        evicted = None
-        # invalidate()/flush() remove entries as they mark them invalid,
-        # so every resident entry is live.
-        if len(tset) >= self.ways:
-            evicted = min(tset, key=lambda e: stamps.get(id(e), 0))
-            tset.remove(evicted)
-            stamps.pop(id(evicted), None)
-        tset.append(entry)
-        self._touch(entry)
-        self.insertions += 1
-        return evicted
-
-    def invalidate(self, vpn, pred=None):
-        """Invalidate entries for ``vpn`` (optionally filtered by ``pred``)."""
-        index = self._set_for(vpn)
-        tset = self._sets[index]
-        removed = 0
-        for entry in list(tset):
-            if entry.valid and entry.vpn == vpn and (pred is None or pred(entry)):
-                entry.valid = False
-                tset.remove(entry)
-                self._stamps[index].pop(id(entry), None)
-                removed += 1
-        self.invalidations += removed
-        return removed
-
-    def flush(self, pred=None):
-        """Flush everything (or everything matching ``pred``)."""
-        removed = 0
-        for index, tset in enumerate(self._sets):
-            keep = []
-            dropped = 0
-            for entry in tset:
-                if pred is None or pred(entry):
-                    entry.valid = False
-                    self._stamps[index].pop(id(entry), None)
-                    dropped += 1
-                else:
-                    keep.append(entry)
-            if dropped:
-                self._sets[index] = keep
-                removed += dropped
-        self.invalidations += removed
-        return removed
-
-    def entries(self):
-        """Every resident entry, set by set, each set least recently
-        used first (the order the fast backing's ``_lru`` keeps)."""
-        for tset, stamps in zip(self._sets, self._stamps):
-            yield from sorted(tset, key=lambda e: stamps[id(e)])
-
-    @property
-    def occupancy(self):
-        return sum(len(tset) for tset in self._sets)
-
-    def __repr__(self):
-        return "<%s %d entries %d-way hits=%d misses=%d>" % (
-            self.params.name, self.params.entries, self.ways,
-            self.hits, self.misses)
-
-
-class MultiSizeTLB:
-    """A TLB level holding several page sizes in parallel structures.
-
-    Table I's L1 has separate 4K/2M/1G arrays; the L2 TLB likewise. A
-    lookup probes the structure for each size the level supports, using the
-    VPN computed at that size.
-    """
-
-    def __init__(self, params_by_size, tlb_cls=None):
-        tlb_cls = tlb_cls or SetAssocTLB
-        self.tlbs = {p.page_size: tlb_cls(p) for p in params_by_size}
-
-    def lookup(self, vaddr_vpn4k, match, page_size=None):
-        """Probe by a 4K VPN; ``page_size`` restricts to one structure.
-
-        Returns ``(entry, page_size)`` or ``(None, None)``.
-        """
-        sizes = [page_size] if page_size else list(self.tlbs)
-        for size in sizes:
-            tlb = self.tlbs.get(size)
-            if tlb is None:
-                continue
-            entry = tlb.lookup(vaddr_vpn4k >> size.shift4k, match)
-            if entry is not None:
-                return entry, size
-        return None, None
-
-    def insert(self, entry, replace=None):
-        return self.tlbs[entry.page_size].insert(entry, replace=replace)
-
-    def invalidate(self, vpn4k, pred=None):
-        removed = 0
-        for size, tlb in self.tlbs.items():
-            removed += tlb.invalidate(vpn4k >> size.shift4k, pred)
-        return removed
-
-    def flush(self, pred=None):
-        return sum(tlb.flush(pred) for tlb in self.tlbs.values())
-
-    @property
-    def hits(self):
-        return sum(t.hits for t in self.tlbs.values())
-
-    @property
-    def misses(self):
-        return sum(t.misses for t in self.tlbs.values())
-
-    def entries(self):
-        for tlb in self.tlbs.values():
-            for entry in tlb.entries():
-                yield entry
-
-
-class FastSetAssocTLB(SetAssocTLB):
-    """Dict-backed :class:`SetAssocTLB` with identical observable behaviour.
-
-    Each set has two views of the same entries:
-
-    - ``_buckets[set][vpn]`` lists same-VPN entries in insertion order, so
-      a lookup touches only the ways that could match; the reference's
-      linear scan visits non-matching VPNs only to reject them, so
-      first-match order is preserved exactly.
-    - ``_lru[set]`` is the set's membership and recency store (oldest key
-      first; hits delete + reinsert). Its first key is the entry with the
-      minimum reference stamp, so eviction picks the same victim, and
-      ``entries()`` walks it in the reference's stamp order.
-    - ``_set_epochs[set]`` counts content changes per set; the L0
-      translation memo (:mod:`repro.sim.fastpath`) records an entry's
-      set epoch and trusts a hit only while it is unchanged.
-    """
-
-    def __init__(self, params):
-        self._init_geometry(params)
         self._buckets = [dict() for _ in range(self.num_sets)]
         self._lru = [dict() for _ in range(self.num_sets)]
         self._set_epochs = [0] * self.num_sets
 
-    def lookup(self, vpn, match, record=True):
+    def lookup(self, vpn, match):
+        """Find a hit using predicate ``match(entry)``; updates LRU and stats."""
         index = vpn & self.set_mask
         bucket = self._buckets[index].get(vpn)
         if bucket:
@@ -322,14 +119,20 @@ class FastSetAssocTLB(SetAssocTLB):
                     lru = self._lru[index]
                     del lru[entry]
                     lru[entry] = None
-                    if record:
-                        self.hits += 1
+                    self.hits += 1
                     return entry
-        if record:
-            self.misses += 1
+        self.misses += 1
         return None
 
     def insert(self, entry, replace=None):
+        """Insert ``entry``; evict LRU if the set is full.
+
+        ``replace`` is an optional replace rule (:data:`REPLACE_SAME_PCID`
+        or :data:`REPLACE_SHARED`): an existing same-VPN entry it accepts
+        is overwritten in place (and returned) instead of allocating a
+        new way (used to refresh a stale copy of the same translation).
+        Otherwise returns the evicted entry, or None.
+        """
         vpn = entry.vpn
         index = vpn & self.set_mask
         buckets = self._buckets[index]
@@ -340,8 +143,9 @@ class FastSetAssocTLB(SetAssocTLB):
                 if replace is REPLACE_SAME_PCID:
                     if old.pcid != entry.pcid:
                         continue
-                elif not replaces(replace, old, entry):
-                    continue
+                elif (old.ccid != entry.ccid or old.o_bit != entry.o_bit
+                      or (entry.o_bit and old.pcid != entry.pcid)):
+                    continue                        # REPLACE_SHARED
                 bucket[i] = entry
                 del lru[old]
                 lru[entry] = None
@@ -368,6 +172,7 @@ class FastSetAssocTLB(SetAssocTLB):
         return evicted
 
     def invalidate(self, vpn, pred=None):
+        """Invalidate entries for ``vpn`` (optionally filtered by ``pred``)."""
         index = vpn & self.set_mask
         bucket = self._buckets[index].get(vpn)
         if not bucket:
@@ -388,26 +193,16 @@ class FastSetAssocTLB(SetAssocTLB):
         return removed
 
     def flush(self, pred=None):
+        """Flush everything (or everything matching ``pred``)."""
         removed = 0
         for index in range(self.num_sets):
             lru = self._lru[index]
             if not lru:
                 continue
-            if pred is None:
-                # Whole-set wipe: the set is non-empty, so the bump is
-                # unconditional and sits in the same block as the wipe.
-                here = len(lru)
-                for entry in lru:
-                    entry.valid = False
-                lru.clear()
-                self._buckets[index].clear()
-                self._set_epochs[index] += 1
-                removed += here
-                continue
             here = 0
             buckets = self._buckets[index]
             for entry in list(lru):
-                if pred(entry):
+                if pred is None or pred(entry):
                     entry.valid = False
                     del lru[entry]
                     here += 1
@@ -422,6 +217,8 @@ class FastSetAssocTLB(SetAssocTLB):
         return removed
 
     def entries(self):
+        """Every resident entry, set by set, each set least recently
+        used first."""
         for lru in self._lru:
             yield from lru
 
@@ -429,14 +226,51 @@ class FastSetAssocTLB(SetAssocTLB):
     def occupancy(self):
         return sum(len(lru) for lru in self._lru)
 
+    def __repr__(self):
+        return "<%s %d entries %d-way hits=%d misses=%d>" % (
+            self.params.name, self.params.entries, self.ways,
+            self.hits, self.misses)
 
-class FastMultiSizeTLB(MultiSizeTLB):
-    """:class:`MultiSizeTLB` over :class:`FastSetAssocTLB` children, with
-    the per-size probe sequence (size, 4K-shift, structure) precomputed
-    for the inlined lookups in :mod:`repro.core.babelfish_tlb` and the L0
-    memo, which do no dict/list building per call."""
+
+#: Old name, kept because perfbench/design.json wraps
+#: ``repro.hw.tlb:FastSetAssocTLB.insert`` for its ``hw.tlb_insert`` layer.
+FastSetAssocTLB = SetAssocTLB
+
+
+class MultiSizeTLB:
+    """A TLB level holding several page sizes in parallel structures.
+
+    Table I's L1 has separate 4K/2M/1G arrays; the L2 TLB likewise. A
+    lookup (:mod:`repro.core.babelfish_tlb`) probes the structure for
+    each size the level supports, using the VPN computed at that size,
+    in the order ``_probe`` lists them: ``(size, 4K-shift, structure)``
+    per size, precomputed so the lookups and the L0 memo build no
+    dicts or lists per call.
+    """
 
     def __init__(self, params_by_size):
-        super().__init__(params_by_size, tlb_cls=FastSetAssocTLB)
+        self.tlbs = {p.page_size: SetAssocTLB(p) for p in params_by_size}
         self._probe = tuple(
             (size, size.shift4k, tlb) for size, tlb in self.tlbs.items())
+
+    def insert(self, entry, replace=None):
+        return self.tlbs[entry.page_size].insert(entry, replace)
+
+    def invalidate(self, vpn4k, pred=None):
+        return sum(tlb.invalidate(vpn4k >> shift, pred)
+                   for _size, shift, tlb in self._probe)
+
+    def flush(self, pred=None):
+        return sum(tlb.flush(pred) for tlb in self.tlbs.values())
+
+    @property
+    def hits(self):
+        return sum(t.hits for t in self.tlbs.values())
+
+    @property
+    def misses(self):
+        return sum(t.misses for t in self.tlbs.values())
+
+    def entries(self):
+        for tlb in self.tlbs.values():
+            yield from tlb.entries()

@@ -54,7 +54,7 @@ def prewarm():
 
     Generating (and materializing) one small trace per stock profile
     warms every workload generator; the micro ``run_app`` drives kernel
-    bring-up, page-table construction, the TLB/cache twins, and the
+    bring-up, page-table construction, the TLB/cache structures, and the
     fast-path memo end to end, so the first real request meets fully
     warmed code paths. Returns accounting for the ``ready`` message.
     """

@@ -47,14 +47,14 @@ class SimConfig:
     #: the measurement slice; see DESIGN.md Section 4).
     quantum_instructions: int = 20_000
     #: Enable the exact simulator fast path (:mod:`repro.sim.fastpath`):
-    #: the per-core L0 translation memo, dict-backed TLB sets, the
-    #: same-line L1 cache memo, and the tightened trace loop. Bit-
-    #: identical to the reference path by construction (DESIGN.md §11;
-    #: tests/test_fastpath.py verifies every stock config both ways), so
-    #: it defaults on. ``False`` — or ``REPRO_FASTPATH=0`` in the
-    #: environment — forces the reference implementations. ``sanitize``
-    #: and ``trace`` runs keep the fast structures but turn the memos
-    #: and the tightened loop off, so their hooks see every access.
+    #: the per-core L0 translation memo, the same-line L1 cache memo,
+    #: and the tightened trace loop. Bit-identical to the memo-off path
+    #: by construction (DESIGN.md §11; tests/test_fastpath.py verifies
+    #: every stock config both ways), so it defaults on. ``False`` — or
+    #: ``REPRO_FASTPATH=0`` — sends every access through the full
+    #: translate pass on the reference loop, over the same structures;
+    #: ``sanitize`` and ``trace`` runs do the same, so their hooks see
+    #: every access.
     fastpath: bool = True
     #: Enable the translation-coherence sanitizer: a shadow MMU that
     #: cross-checks every TLB fill/hit/invalidation against an independent

@@ -8,15 +8,15 @@ end-to-end latency. Mirroring the fast/slow split of Utopia (PAPERS.md)
 — this module short-circuits the *repeat* case while provably preserving
 every architectural observable:
 
-- :func:`fastpath_active` gates the fast structures on
+- :func:`fastpath_active` gates the memo and the tight loop on
   ``SimConfig.fastpath`` (default on) and the ``REPRO_FASTPATH=0``
-  environment escape hatch. Sanitize/trace runs keep the fast
-  structures but run without the memo and on the reference trace loop,
-  whose per-event hooks the memo would bypass.
+  environment escape hatch. Sanitize/trace runs also run without them,
+  on the reference trace loop, whose per-event hooks the memo would
+  bypass. Every run uses the same TLB and cache structures.
 - :class:`TranslationMemo` caches, per (pid, segment, page) and per
   access space (ifetch/data), the L1 TLB entry that hit last time plus
   everything needed to *replay* the reference hit: the precomputed
-  ppn4k, the entry's set and set-epoch in its (fast) TLB structure, the
+  ppn4k, the entry's set and set-epoch in its TLB structure, the
   set-epochs of any structures probed before it, and the ORPC bitmask
   scope for re-checking ``proc.pc_bits`` live. The memo is seeded by
   ``MMU._try_translate`` on an L1 hit.
@@ -33,7 +33,7 @@ every architectural observable:
 
 Nothing here is ever exported into a :class:`~repro.sim.stats.RunResult`
 — epochs and memo state are internal, so ``RunResult.as_dict()`` of a
-fast run is bit-identical to the reference run (tests/test_fastpath.py
+fast run is bit-identical to a memo-off run (tests/test_fastpath.py
 asserts this for every stock config).
 """
 
@@ -41,8 +41,8 @@ import os
 
 from repro.hw.types import AccessKind
 
-#: Environment escape hatch: ``REPRO_FASTPATH=0`` forces the reference
-#: path regardless of ``SimConfig.fastpath``.
+#: Environment escape hatch: ``REPRO_FASTPATH=0`` turns the memo and the
+#: tight loop off regardless of ``SimConfig.fastpath``.
 FASTPATH_ENV = "REPRO_FASTPATH"
 
 #: Trace-record kind codes index this directly (0=IFETCH 1=LOAD 2=STORE).
@@ -65,7 +65,7 @@ class TranslationMemo:
         (entry, tlb, set_idx, set_epoch, ppn4k, page_size,
          write_ok, write_seeded, mask_domain, pc_mask, pre)
 
-    where ``tlb`` is the :class:`~repro.hw.tlb.FastSetAssocTLB` holding
+    where ``tlb`` is the :class:`~repro.hw.tlb.SetAssocTLB` holding
     ``entry``, ``pre`` lists ``(tlb, set_idx, set_epoch)`` for every
     structure the multi-size lookup probed (and missed) before the hit,
     ``write_ok`` is ``entry.writable and not entry.cow``, and

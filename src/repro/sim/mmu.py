@@ -12,29 +12,25 @@ The translation path (Section VI's timing rules):
 4. Page walk through the PWC and cache hierarchy; faults invoke the
    kernel and retry.
 
-:meth:`MMU._try_translate` is the one pass over these steps. The
-structures behind it are the dict-backed ``Fast*`` TLBs unless
-``SimConfig.fastpath`` or ``REPRO_FASTPATH=0`` selects the linear-scan
-references (:mod:`repro.sim.fastpath`), and the lookup functions are
-picked once per MMU to match. Sanitize and trace runs use the same
-structures; their hooks are read once per pass and fire only when
-wired, and wiring either turns the L0 memo off.
+:meth:`MMU._try_translate` is the one pass over these steps, over the
+same TLB structures in every run. ``SimConfig.fastpath`` (and
+``REPRO_FASTPATH=0``) decides only whether the L0 translation memo
+(:mod:`repro.sim.fastpath`) sits in front of it. Sanitizer and tracer
+hooks are read once per pass and fire only when wired, and wiring
+either turns the L0 memo off.
 """
 
 from repro.hw.pwc import PageWalkCache
 from repro.hw.tlb import (
     REPLACE_SAME_PCID,
     REPLACE_SHARED,
-    FastMultiSizeTLB,
     MultiSizeTLB,
     TLBEntry,
 )
 from repro.hw.types import AccessKind, PageSize
 from repro.core.babelfish_tlb import (
     babelfish_lookup,
-    babelfish_lookup_fast,
     conventional_lookup,
-    conventional_lookup_fast,
     entry_region,
     hit_provenance,
 )
@@ -74,17 +70,17 @@ class MMU:
         #: The translation policy (repro.core.policy): structure
         #: geometry, fill rule, and capability flags all come from here.
         self.policy = policy = config.translation_policy
-        #: Fast structures + L0 memo, unless the config or the environment
-        #: asks for the reference implementations (repro.sim.fastpath).
+        #: The L0 memo is on unless the config or the environment turns
+        #: the fast path off (repro.sim.fastpath).
         self.fast = fast = fastpath_active(config)
-        multi = FastMultiSizeTLB if fast else MultiSizeTLB
-        self.l1d = multi([mmu.l1d_4k, mmu.l1d_2m, mmu.l1d_1g])
-        self.l1i = multi([mmu.l1i_4k])
-        self.l2 = multi(list(policy.l2_tlb_params(mmu)))
+        self.l1d = MultiSizeTLB([mmu.l1d_4k, mmu.l1d_2m, mmu.l1d_1g])
+        self.l1i = MultiSizeTLB([mmu.l1i_4k])
+        self.l2 = MultiSizeTLB(list(policy.l2_tlb_params(mmu)))
         victim = policy.victim_tlb_params(machine)
         #: Optional L3 victim TLB level (Victima-style policies): probed
         #: between an L2 TLB miss and the page walk.
-        self.l3 = multi(list(victim[0])) if victim is not None else None
+        self.l3 = (MultiSizeTLB(list(victim[0])) if victim is not None
+                   else None)
         self.l3_cycles = victim[1] if victim is not None else 0
         self.pwc = PageWalkCache(mmu.pwc)
         self.walker = PageWalker(core_id, hierarchy, self.pwc)
@@ -94,15 +90,9 @@ class MMU:
         self.aslr_cycles = mmu.aslr_transform_cycles
         self.stats = MMUStats()
         #: The Figure 8 (BabelFish) and Figure 1 (conventional) lookups
-        #: for the structures' backing: inlined over the dict-backed
-        #: sets, or the linear-scan references. Both pairs return the
-        #: same tuples (repro.core.babelfish_tlb).
-        if fast:
-            self._bf_lookup = babelfish_lookup_fast
-            self._conv_lookup = conventional_lookup_fast
-        else:
-            self._bf_lookup = babelfish_lookup
-            self._conv_lookup = conventional_lookup
+        #: (repro.core.babelfish_tlb).
+        self._bf_lookup = babelfish_lookup
+        self._conv_lookup = conventional_lookup
         #: MaskPage scope of an entry's PC bit: the 1GB region, or the
         #: 2MB range under the per-range indirection extension.
         self._domain_fn = (getattr(kernel.policy, "entry_mask_domain", None)
@@ -111,7 +101,7 @@ class MMU:
         #: invalidations to every core.
         self.invalidation_sink = self._local_invalidation_sink
         #: L0 translation memo (repro.sim.fastpath). ``_memo_store`` is
-        #: the instance (or None without fast structures); ``_memo`` is
+        #: the instance (or None with the fast path off); ``_memo`` is
         #: what the translate pass seeds and the fast trace loop serves
         #: from, and goes None whenever a sanitizer or tracer is wired
         #: (their per-event hooks must see every lookup). The
@@ -213,8 +203,7 @@ class MMU:
         """One pass through L1 -> L2 -> (L3) -> walk. Returns (cycles,
         ppn4k|None, page_size|None); ppn4k None means a fault was
         serviced and the access must retry. The sanitizer and tracer
-        hooks fire only when wired, in the same order on either
-        structure backing."""
+        hooks fire only when wired."""
         stats = self.stats
         sanitizer = self._sanitizer
         tracer = self._tracer
@@ -364,9 +353,9 @@ class MMU:
         if self._sanitizer is not None:
             self._sanitizer.check_fill("L2", proc, entry, vpn_group)
         if self.l3 is not None and entry.page_size in self.l3.tlbs:
-            # Inclusive victim fill. Always a clone: the reference and
-            # fast structures track validity/occupancy differently, so
-            # one entry object must never live in two structures.
+            # Inclusive victim fill. Always a clone: one entry object
+            # must never live in two structures (each set's recency dict
+            # keys on it, and an invalidation clears its valid bit).
             clone = self._clone_entry(entry)
             self.l3.tlbs[entry.page_size].insert(clone, REPLACE_SAME_PCID)
             if self._sanitizer is not None:

@@ -42,25 +42,23 @@ class Simulator:
         self.config = config
         self.kernel = kernel
         self.dram = DRAMModel(machine.dram)
-        # Fast structures (repro.sim.fastpath) unless the config or
-        # REPRO_FASTPATH=0 asks for the reference ones; the MMUs make
-        # the matching choice from the same predicate.
-        fast = fastpath.fastpath_active(config)
         #: Optional :class:`repro.obs.live.ProgressMonitor`; the run loop
         #: advances it once per quantum with the instructions consumed.
         #: Stays None unless a harness attaches one — the hot loop then
         #: pays a single ``is not None`` test per quantum.
         self.progress = None
-        self.hierarchy = CacheHierarchy(machine, self.dram, fastpath=fast)
+        self.hierarchy = CacheHierarchy(machine, self.dram)
         self.sanitizer = (TranslationSanitizer(kernel, config)
                           if config.sanitize else None)
         trace_options = resolve_trace_options(config.trace)
         self.tracer = Tracer(trace_options) if trace_options else None
         #: The tight trace loop with the L0 memo and the same-line cache
-        #: memo. Debug runs (sanitizer or tracer wired) take the
-        #: reference loop, whose per-record hooks those memos would skip.
-        self._fast = (fast and self.sanitizer is None
-                      and self.tracer is None)
+        #: memo, unless the config or REPRO_FASTPATH=0 turns the fast
+        #: path off (repro.sim.fastpath). Debug runs (sanitizer or tracer
+        #: wired) take the reference loop, whose per-record hooks those
+        #: memos would skip.
+        self._fast = (fastpath.fastpath_active(config)
+                      and self.sanitizer is None and self.tracer is None)
         self.mmus = [MMU(core, machine, config, self.hierarchy, kernel)
                      for core in range(machine.cores)]
         for mmu in self.mmus:

@@ -113,10 +113,10 @@ def mini_any(request):
 
 @pytest.fixture
 def memo_off(monkeypatch):
-    """Context manager: MMUs built inside it keep the fast TLB and
-    cache backings but get no L0 translation memo. A run under it is a
-    third execution leg beside the reference and the full fast path, so
-    a memo bug and a structure-swap bug cannot cancel out."""
+    """Context manager: MMUs built inside it get no L0 translation memo
+    but keep the tight trace loop. A run under it is a third execution
+    leg beside the reference (``linear_structures``) and the full fast
+    path, so a memo bug and a structure bug cannot cancel out."""
     from repro.sim import mmu
 
     @contextlib.contextmanager
@@ -126,6 +126,33 @@ def memo_off(monkeypatch):
             yield
 
     return disabled
+
+
+@pytest.fixture
+def linear_structures(monkeypatch):
+    """Context manager: simulators and MMUs built inside it run on the
+    linear-scan TLBs, caches and closure lookups of
+    ``structure_oracle``, with the fast path off (those structures keep
+    no epochs for the L0 memo). A run under it is the reference leg of a
+    differential test against the production structures."""
+    import structure_oracle as oracle
+    from repro.hw import cache
+    from repro.sim import mmu
+    from repro.sim.fastpath import FASTPATH_ENV
+
+    @contextlib.contextmanager
+    def swapped():
+        with monkeypatch.context() as patch:
+            patch.setattr(mmu, "MultiSizeTLB", oracle.LinearMultiSizeTLB)
+            patch.setattr(mmu, "babelfish_lookup", oracle.babelfish_lookup)
+            patch.setattr(mmu, "conventional_lookup",
+                          oracle.conventional_lookup)
+            patch.setattr(cache, "SetAssociativeCache",
+                          oracle.LinearSetAssociativeCache)
+            patch.setenv(FASTPATH_ENV, "0")
+            yield
+
+    return swapped
 
 
 @pytest.fixture

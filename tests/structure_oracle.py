@@ -1,0 +1,266 @@
+"""Test-only oracle for the simulator's TLB and cache structures.
+
+These are the linear-scan implementations the dict-backed structures in
+``repro.hw`` were derived from, kept simple enough to audit against the
+paper's figures:
+
+- :class:`LinearSetAssocTLB` / :class:`LinearMultiSizeTLB`: per-set lists
+  scanned in insertion order, LRU by ``id()``-keyed use stamps, and a
+  ``MultiSizeTLB.lookup(vpn4k, match)`` that takes a match predicate.
+- :class:`LinearSetAssociativeCache`: ``tag -> stamp`` per set, the
+  victim found by a ``min()`` over the stamps.
+- :func:`babelfish_lookup` / :func:`conventional_lookup`: Figure 8's and
+  Figure 1's lookups as closures handed to ``LinearMultiSizeTLB.lookup``.
+
+Each exposes the interface the simulator uses, so the ``linear_structures``
+fixture in ``conftest.py`` can swap them into ``repro.sim.mmu`` and
+``repro.hw.cache`` and a whole run can serve as the reference leg of a
+differential test. They keep no set epochs, so such a run must leave the
+L0 memo and the tight trace loop off (the fixture sees to it).
+"""
+
+from repro.hw.cache import SetAssociativeCache
+from repro.hw.tlb import REPLACE_SAME_PCID, REPLACE_SHARED
+
+
+def replaces(rule, old, new):
+    """Does inserting ``new`` overwrite the resident same-VPN entry
+    ``old`` under ``rule``: one of the two named rules of
+    ``repro.hw.tlb``, or any one-argument predicate over ``old``?"""
+    if rule is REPLACE_SAME_PCID:
+        return old.pcid == new.pcid
+    if rule is REPLACE_SHARED:
+        return (old.ccid == new.ccid and old.o_bit == new.o_bit
+                and (not new.o_bit or old.pcid == new.pcid))
+    return rule(old)
+
+
+class LinearSetAssocTLB:
+    """A set-associative TLB for one page size, with true-LRU replacement
+    by use stamps."""
+
+    def __init__(self, params):
+        self.params = params
+        self.num_sets = params.num_sets
+        if self.num_sets & (self.num_sets - 1):
+            raise ValueError("TLB sets must be a power of two: %d" % self.num_sets)
+        self.set_mask = self.num_sets - 1
+        self.ways = params.ways
+        self.hits = 0
+        self.misses = 0
+        self.insertions = 0
+        self.invalidations = 0
+        self._sets = [[] for _ in range(self.num_sets)]
+        self._stamps = [dict() for _ in range(self.num_sets)]
+        self._stamp = 0
+
+    def _set_for(self, vpn):
+        return vpn & self.set_mask
+
+    def lookup(self, vpn, match):
+        """Find a hit using predicate ``match(entry)``; updates LRU and stats."""
+        tset = self._sets[self._set_for(vpn)]
+        for entry in tset:
+            if entry.valid and entry.vpn == vpn and match(entry):
+                self._touch(entry)
+                self.hits += 1
+                return entry
+        self.misses += 1
+        return None
+
+    def _touch(self, entry):
+        self._stamp += 1
+        self._stamps[self._set_for(entry.vpn)][id(entry)] = self._stamp
+
+    def insert(self, entry, replace=None):
+        """Insert ``entry``; evict LRU if the set is full. An existing
+        same-VPN entry that ``replace`` (a named rule or a predicate)
+        accepts is overwritten in place instead."""
+        index = self._set_for(entry.vpn)
+        tset = self._sets[index]
+        stamps = self._stamps[index]
+        if replace is not None:
+            for i, old in enumerate(tset):
+                if old.valid and old.vpn == entry.vpn \
+                        and replaces(replace, old, entry):
+                    stamps.pop(id(old), None)
+                    tset[i] = entry
+                    self._touch(entry)
+                    self.insertions += 1
+                    return old
+        evicted = None
+        # invalidate()/flush() remove entries as they mark them invalid,
+        # so every resident entry is live.
+        if len(tset) >= self.ways:
+            evicted = min(tset, key=lambda e: stamps.get(id(e), 0))
+            tset.remove(evicted)
+            stamps.pop(id(evicted), None)
+        tset.append(entry)
+        self._touch(entry)
+        self.insertions += 1
+        return evicted
+
+    def invalidate(self, vpn, pred=None):
+        """Invalidate entries for ``vpn`` (optionally filtered by ``pred``)."""
+        index = self._set_for(vpn)
+        tset = self._sets[index]
+        removed = 0
+        for entry in list(tset):
+            if entry.valid and entry.vpn == vpn and (pred is None or pred(entry)):
+                entry.valid = False
+                tset.remove(entry)
+                self._stamps[index].pop(id(entry), None)
+                removed += 1
+        self.invalidations += removed
+        return removed
+
+    def flush(self, pred=None):
+        """Flush everything (or everything matching ``pred``)."""
+        removed = 0
+        for index, tset in enumerate(self._sets):
+            keep = []
+            dropped = 0
+            for entry in tset:
+                if pred is None or pred(entry):
+                    entry.valid = False
+                    self._stamps[index].pop(id(entry), None)
+                    dropped += 1
+                else:
+                    keep.append(entry)
+            if dropped:
+                self._sets[index] = keep
+                removed += dropped
+        self.invalidations += removed
+        return removed
+
+    def entries(self):
+        """Every resident entry, set by set, each set least recently
+        used first."""
+        for tset, stamps in zip(self._sets, self._stamps):
+            yield from sorted(tset, key=lambda e: stamps[id(e)])
+
+    @property
+    def occupancy(self):
+        return sum(len(tset) for tset in self._sets)
+
+
+class LinearMultiSizeTLB:
+    """A TLB level holding one :class:`LinearSetAssocTLB` per page size."""
+
+    def __init__(self, params_by_size):
+        self.tlbs = {p.page_size: LinearSetAssocTLB(p) for p in params_by_size}
+
+    def lookup(self, vaddr_vpn4k, match):
+        """Probe every size by a 4K VPN; returns ``(entry, page_size)``
+        or ``(None, None)``."""
+        for size, tlb in self.tlbs.items():
+            entry = tlb.lookup(vaddr_vpn4k >> size.shift4k, match)
+            if entry is not None:
+                return entry, size
+        return None, None
+
+    def insert(self, entry, replace=None):
+        return self.tlbs[entry.page_size].insert(entry, replace)
+
+    def invalidate(self, vpn4k, pred=None):
+        removed = 0
+        for size, tlb in self.tlbs.items():
+            removed += tlb.invalidate(vpn4k >> size.shift4k, pred)
+        return removed
+
+    def flush(self, pred=None):
+        return sum(tlb.flush(pred) for tlb in self.tlbs.values())
+
+    @property
+    def hits(self):
+        return sum(t.hits for t in self.tlbs.values())
+
+    @property
+    def misses(self):
+        return sum(t.misses for t in self.tlbs.values())
+
+    def entries(self):
+        for tlb in self.tlbs.values():
+            yield from tlb.entries()
+
+
+class LinearSetAssociativeCache(SetAssociativeCache):
+    """:class:`~repro.hw.cache.SetAssociativeCache` with each set a
+    ``tag -> last-use stamp`` dict and the LRU victim found by a scan for
+    the minimum stamp. Invalidate and flush are the production ones:
+    they only test membership and drop tags."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self._stamp = 0
+
+    def lookup(self, paddr, is_write=False):
+        index, tag = self._index_tag(paddr)
+        cset = self._sets[index]
+        if tag in cset:
+            self._stamp += 1
+            cset[tag] = self._stamp
+            if is_write:
+                self._dirty.add((index, tag))
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def insert(self, paddr, is_write=False):
+        index, tag = self._index_tag(paddr)
+        cset = self._sets[index]
+        if tag not in cset and len(cset) >= self.ways:
+            victim = min(cset, key=cset.get)
+            del cset[victim]
+            self.evictions += 1
+            if (index, victim) in self._dirty:
+                self._dirty.discard((index, victim))
+                self.writebacks += 1
+        self._stamp += 1
+        cset[tag] = self._stamp
+        if is_write:
+            self._dirty.add((index, tag))
+        self.epoch += 1
+
+
+def babelfish_lookup(multi, vpn4k, proc, is_write, domain_fn):
+    """Figure 8's lookup over a :class:`LinearMultiSizeTLB`, as a match
+    closure; returns the same ``(entry, page_size, consulted_bitmask,
+    cow_fault)`` as :func:`repro.core.babelfish_tlb.babelfish_lookup`."""
+    consulted = [False]
+    pcid, ccid = proc.pcid, proc.ccid
+    pc_bits = proc.pc_bits
+
+    def match(entry):
+        if entry.ccid != ccid:
+            return False                            # box 1: no CCID match
+        if entry.o_bit:
+            return entry.pcid == pcid               # boxes 2, 9
+        if entry.orpc:
+            consulted[0] = True                     # box 3 (long access)
+            bit = pc_bits.get(domain_fn(entry))
+            if bit is not None and (entry.pc_mask >> bit) & 1:
+                return False                        # process has private copy
+        if is_write and not entry.writable and not entry.cow:
+            return False                            # permission miss
+        return True
+
+    entry, size = multi.lookup(vpn4k, match)
+    return (entry, size, consulted[0],
+            entry is not None and is_write and entry.cow)   # box 5/6
+
+
+def conventional_lookup(multi, vpn4k, pcid, is_write):
+    """Figure 1's lookup over a :class:`LinearMultiSizeTLB`: VPN + PCID,
+    permission-checked. Returns ``(entry, page_size, cow_fault)``."""
+
+    def match(entry):
+        if entry.pcid != pcid:
+            return False
+        if is_write and not entry.writable and not entry.cow:
+            return False
+        return True
+
+    entry, size = multi.lookup(vpn4k, match)
+    return entry, size, entry is not None and is_write and entry.cow

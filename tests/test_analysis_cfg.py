@@ -188,7 +188,7 @@ FAST_TWIN_HEADER = textwrap.dedent("""\
 
 
 def fast_twin(method_source):
-    """The fast-twin fixture class with ``method_source`` as a method."""
+    """The TLB fixture class with ``method_source`` as a method."""
     body = textwrap.indent(textwrap.dedent(method_source), "    ")
     return FAST_TWIN_HEADER + "\n" + body
 
@@ -216,7 +216,7 @@ class TestEpochCoverageBF401:
 
     def test_pop_result_guarded_bump_is_flagged(self):
         # The PR 4 bug shape: the bump only runs when the pop result
-        # tests truthy, and the fast backing stores None values.
+        # tests truthy, and a set stores None values.
         findings = lint(fast_twin("""\
             def invalidate(self, index, tag):
                 popped = self._buckets[index].pop(tag, None)

@@ -1,23 +1,24 @@
 """Tests for the Figure 8 TLB lookup flowchart.
 
-Every lookup case runs on both backings the simulator pairs: the
-linear-scan :class:`MultiSizeTLB` with the reference lookups, and the
-dict-backed :class:`FastMultiSizeTLB` with the inlined ``_fast`` ones.
-The ``Fast`` test classes re-run their base class's cases on the second
-pair, and every case asserts on the returned tuple fields.
+Every lookup case runs on two pairs: the linear-scan oracle
+(``structure_oracle``: :class:`LinearMultiSizeTLB` with the closure
+lookups) and the production :class:`MultiSizeTLB` with the inlined
+lookups of :mod:`repro.core.babelfish_tlb`. The ``Fast`` test classes
+re-run their base class's cases on the production pair, and every case
+asserts on the returned tuple fields.
 """
+
+import structure_oracle as oracle
 
 from repro.core.babelfish_tlb import (
     babelfish_fill_fields,
     babelfish_lookup,
-    babelfish_lookup_fast,
     conventional_lookup,
-    conventional_lookup_fast,
     entry_region,
     make_entry,
 )
 from repro.hw.params import TLBParams
-from repro.hw.tlb import FastMultiSizeTLB, MultiSizeTLB, TLBEntry
+from repro.hw.tlb import MultiSizeTLB, TLBEntry
 from repro.hw.types import PageSize
 from repro.kernel.page_table import PTE
 
@@ -43,10 +44,11 @@ def owned_entry(vpn=0x10, ppn=0x200, pcid=1, ccid=7):
 
 
 class TestFigure8:
-    """Reference pair: MultiSizeTLB + :func:`babelfish_lookup`."""
+    """Reference pair: the oracle's LinearMultiSizeTLB + closure
+    ``babelfish_lookup``."""
 
-    multi_cls = MultiSizeTLB
-    lookup_fn = staticmethod(babelfish_lookup)
+    multi_cls = oracle.LinearMultiSizeTLB
+    lookup_fn = staticmethod(oracle.babelfish_lookup)
 
     def multi(self):
         return self.multi_cls([TLBParams("4k", 16, 4, PageSize.SIZE_4K,
@@ -157,17 +159,18 @@ class TestFigure8:
 
 
 class TestFigure8Fast(TestFigure8):
-    """Fast pair: FastMultiSizeTLB + :func:`babelfish_lookup_fast`."""
+    """Production pair: MultiSizeTLB + :func:`babelfish_lookup`."""
 
-    multi_cls = FastMultiSizeTLB
-    lookup_fn = staticmethod(babelfish_lookup_fast)
+    multi_cls = MultiSizeTLB
+    lookup_fn = staticmethod(babelfish_lookup)
 
 
 class TestConventionalLookup:
-    """Reference pair: MultiSizeTLB + :func:`conventional_lookup`."""
+    """Reference pair: the oracle's LinearMultiSizeTLB + closure
+    ``conventional_lookup``."""
 
-    multi_cls = MultiSizeTLB
-    lookup_fn = staticmethod(conventional_lookup)
+    multi_cls = oracle.LinearMultiSizeTLB
+    lookup_fn = staticmethod(oracle.conventional_lookup)
 
     def multi(self):
         return self.multi_cls([TLBParams("4k", 16, 4, PageSize.SIZE_4K,
@@ -190,10 +193,10 @@ class TestConventionalLookup:
 
 
 class TestConventionalLookupFast(TestConventionalLookup):
-    """Fast pair: FastMultiSizeTLB + :func:`conventional_lookup_fast`."""
+    """Production pair: MultiSizeTLB + :func:`conventional_lookup`."""
 
-    multi_cls = FastMultiSizeTLB
-    lookup_fn = staticmethod(conventional_lookup_fast)
+    multi_cls = MultiSizeTLB
+    lookup_fn = staticmethod(conventional_lookup)
 
 
 class TestFillHelpers:

@@ -1,9 +1,10 @@
 """Three-leg triangulation of the execution tiers.
 
 The batch engine that once gave this suite its third leg was removed
-(DESIGN §14). The third leg is now the fast structures with the L0
-translation memo off (the ``memo_off`` fixture), beside the reference
-path and the full fast path: all three must produce the same
+(DESIGN §14). The third leg is now the production structures with the
+L0 translation memo off (the ``memo_off`` fixture), beside the
+reference path (the linear-scan oracle structures, ``linear_structures``)
+and the full fast path: all three must produce the same
 ``RunResult.as_dict()`` on the hot-locality workload of the perf
 harness and the same summary on a container churn storm.
 """
@@ -18,9 +19,11 @@ STOCK_CONFIGS = ("Baseline", "BabelFish", "BabelFish-PT", "BabelFish-TLB",
 
 
 @pytest.mark.parametrize("name", STOCK_CONFIGS)
-def test_stock_configs_triangulate(name, memo_off):
+def test_stock_configs_triangulate(name, memo_off, linear_structures):
     cores = 2 if name == "BabelFish" else 1
-    ref, _, _s = run_hot(config_by_name(name, fastpath=False), cores, 1200)
+    with linear_structures():
+        ref, _, _s = run_hot(config_by_name(name, fastpath=False), cores,
+                             1200)
     fast, _, _s = run_hot(config_by_name(name), cores, 1200)
     with memo_off():
         env = build_environment(config_by_name(name), cores=1)
@@ -30,7 +33,7 @@ def test_stock_configs_triangulate(name, memo_off):
     assert bare == ref
 
 
-def test_churn_storm_triangulates(memo_off):
+def test_churn_storm_triangulates(memo_off, linear_structures):
     # Container stop/restart mid-stream: PCID/CCID flushes, recycling,
     # and cross-core shootdowns land between accesses of every leg.
     from repro.experiments.churn import run_churn
@@ -39,7 +42,8 @@ def test_churn_storm_triangulates(memo_off):
         return run_churn(cycles=25, sanitize=False, fastpath=fastpath,
                          pcid_bits=4, kill_rate=0.2, seed=11)
 
-    ref = churn(fastpath=False)
+    with linear_structures():
+        ref = churn(fastpath=False)
     fast = churn(fastpath=True)
     with memo_off():
         bare = churn(fastpath=True)

@@ -1,5 +1,6 @@
 """Unit tests for the set-associative caches and hierarchy."""
 
+import contextlib
 import dataclasses
 import random
 
@@ -178,19 +179,24 @@ def _hierarchy_snapshot(hierarchy):
             hierarchy.dram.row_hits, hierarchy.dram.row_misses)
 
 
-@pytest.mark.parametrize("fastpath", [False, True],
+@pytest.mark.parametrize("linear", [True, False],
                          ids=["reference", "fast"])
-def test_walk_access_matches_skip_l1_load(fastpath):
+def test_walk_access_matches_skip_l1_load(linear, linear_structures):
     # Twin hierarchies with small L2/L3s so the stream sees L2 hits, L3
     # hits, DRAM fills, evictions and dirty writebacks. Demand accesses
     # go to both twins; walker references go to one through
     # walk_access and to the other through access(..., skip_l1=True).
+    # Both twins are built on the linear-scan oracle caches, or both on
+    # the production ones.
     machine = dataclasses.replace(
         baseline_machine(cores=2),
         l2=CacheParams("L2", 4096, 4, 64, 8),
         l3=CacheParams("L3", 16384, 8, 64, 32, shared=True))
-    walk = CacheHierarchy(machine, DRAMModel(machine.dram), fastpath)
-    twin = CacheHierarchy(machine, DRAMModel(machine.dram), fastpath)
+    with linear_structures() if linear else contextlib.nullcontext():
+        walk = CacheHierarchy(machine, DRAMModel(machine.dram))
+        twin = CacheHierarchy(machine, DRAMModel(machine.dram))
+    expected = "LinearSetAssociativeCache" if linear else "SetAssociativeCache"
+    assert type(walk.l3).__name__ == expected
     rng = random.Random(9)
     kinds = (AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE)
     for _ in range(6000):

@@ -3,29 +3,33 @@
 The contract under test: with ``SimConfig.fastpath`` on (the default),
 every architectural observable — ``RunResult.as_dict()``, per-call
 translation cycles and physical addresses, TLB/cache counters — is
-bit-identical to a run with ``fastpath=False``. The suite drives the
-whole stack (every stock config, end to end, plus a seeded fuzz and
-hand-built traces), the swapped structures (random operation streams
-against both backings), the L0 memo's invalidation edge cases (CoW
-retry, cross-core shootdowns, mid-run measurement reset, debug-mode
-bypass), and the perf harness's trajectory file.
+bit-identical to a reference run: ``fastpath=False`` on the linear-scan
+structures of ``structure_oracle`` (the ``linear_structures`` fixture).
+The suite drives the whole stack (every stock config, end to end, plus
+a seeded fuzz and hand-built traces), the structures themselves (random
+operation streams against the oracle), the L0 memo's invalidation edge
+cases (CoW retry, cross-core shootdowns, mid-run measurement reset,
+debug-mode bypass), and the perf harness's trajectory file.
 """
 
+import contextlib
 import json
 import random
 
 import pytest
 
 from conftest import MiniSystem
+from structure_oracle import (LinearMultiSizeTLB, LinearSetAssocTLB,
+                              LinearSetAssociativeCache, replaces)
 
 from repro.experiments import perf, runcache
 from repro.experiments.common import (build_environment, config_by_name,
                                       config_cache_key, deploy_app, run_app)
 from repro.experiments.perf import run_hot
-from repro.hw.cache import FastSetAssociativeCache, SetAssociativeCache
+from repro.hw.cache import SetAssociativeCache
 from repro.hw.params import CacheParams, TLBParams, baseline_machine
-from repro.hw.tlb import (REPLACE_SAME_PCID, REPLACE_SHARED, FastMultiSizeTLB,
-                          FastSetAssocTLB, SetAssocTLB, TLBEntry, replaces)
+from repro.hw.tlb import (REPLACE_SAME_PCID, REPLACE_SHARED, MultiSizeTLB,
+                          SetAssocTLB, TLBEntry)
 from repro.hw.types import AccessKind, PageSize
 from repro.kernel.fault import InvalidationScope, TLBInvalidation
 from repro.kernel.vma import SegmentKind
@@ -37,11 +41,15 @@ STOCK_CONFIGS = ("Baseline", "BabelFish", "BabelFish-PT", "BabelFish-TLB",
                  "BigTLB", "Victima", "Coalesced")
 
 
-def _run_both(name, cores=1, scale=0.03, **overrides):
+def _run_both(linear, name, cores=1, scale=0.03, **overrides):
+    """``as_dict()`` of a production run and of a reference run (the
+    ``linear_structures`` fixture's context manager is ``linear``)."""
     fast = run_app("mongodb", config_by_name(name, **overrides),
                    cores=cores, scale=scale, use_cache=False)
-    ref = run_app("mongodb", config_by_name(name, fastpath=False, **overrides),
-                  cores=cores, scale=scale, use_cache=False)
+    with linear():
+        ref = run_app("mongodb",
+                      config_by_name(name, fastpath=False, **overrides),
+                      cores=cores, scale=scale, use_cache=False)
     return fast.result.as_dict(), ref.result.as_dict()
 
 
@@ -49,22 +57,28 @@ def _run_both(name, cores=1, scale=0.03, **overrides):
 
 
 @pytest.mark.parametrize("name", STOCK_CONFIGS)
-def test_stock_configs_bit_identical(name):
+def test_stock_configs_bit_identical(name, linear_structures):
     cores = 2 if name == "BabelFish" else 1
-    fast, ref = _run_both(name, cores=cores)
+    fast, ref = _run_both(linear_structures, name, cores=cores)
     assert fast == ref
 
 
 @pytest.mark.parametrize("name", STOCK_CONFIGS)
-def test_stock_configs_triangulate_with_batch(name, memo_off):
+def test_stock_configs_triangulate_with_batch(name, memo_off,
+                                              linear_structures):
     # The batch tier is gone (DESIGN §14): requesting it for the config
     # is refused. The two remaining tiers triangulate through a third
-    # leg, the fast structures with the L0 memo off, on the full app
-    # pipeline.
+    # leg, the production structures with the L0 memo off, on the full
+    # app pipeline.
     with pytest.raises(TypeError):
         config_by_name(name, batch=True)
     cores = 2 if name == "BabelFish" else 1
-    fast, ref = _run_both(name, cores=cores)
+    fast, ref = _run_both(linear_structures, name, cores=cores)
+    with linear_structures():
+        env = build_environment(config_by_name(name), cores=1)
+        assert not env.sim._fast and env.sim.mmus[0]._memo is None
+        assert type(env.sim.mmus[0].l2) is LinearMultiSizeTLB
+        assert type(env.sim.hierarchy.l3) is LinearSetAssociativeCache
     with memo_off():
         env = build_environment(config_by_name(name), cores=1)
         assert env.sim.mmus[0].fast and env.sim.mmus[0]._memo is None
@@ -74,21 +88,24 @@ def test_stock_configs_triangulate_with_batch(name, memo_off):
     assert bare == ref
 
 
-def test_sanitize_mode_bit_identical():
-    # Sanitized runs on the fast structures (memo off, reference loop)
-    # against sanitized runs on the linear-scan structures.
-    fast, ref = _run_both("BabelFish", scale=0.02, sanitize=True)
+def test_sanitize_mode_bit_identical(linear_structures):
+    # Sanitized runs on the production structures (memo off, reference
+    # loop) against sanitized runs on the linear-scan structures.
+    fast, ref = _run_both(linear_structures, "BabelFish", scale=0.02,
+                          sanitize=True)
     assert fast == ref
 
 
-def test_trace_mode_bit_identical():
-    # Traced runs on the fast structures against traced runs on the
-    # linear-scan structures: same counters and the same event stream.
-    fast, ref = _run_both("BabelFish", scale=0.02, trace=True)
+def test_trace_mode_bit_identical(linear_structures):
+    # Traced runs on the production structures against traced runs on
+    # the linear-scan structures: same counters and the same event
+    # stream.
+    fast, ref = _run_both(linear_structures, "BabelFish", scale=0.02,
+                          trace=True)
     assert fast == ref
 
 
-def test_churn_stop_restart_stream_bit_identical():
+def test_churn_stop_restart_stream_bit_identical(linear_structures):
     # Container churn is the hard case for the memo/epoch machinery:
     # every stop fires PCID/CCID-scoped flushes mid-stream and every
     # restart reuses cores (and, past the wrap, PCIDs). The summary is
@@ -98,13 +115,14 @@ def test_churn_stop_restart_stream_bit_identical():
 
     fast = run_churn(cycles=25, sanitize=False, fastpath=True,
                      pcid_bits=4, kill_rate=0.2, seed=11)
-    ref = run_churn(cycles=25, sanitize=False, fastpath=False,
-                    pcid_bits=4, kill_rate=0.2, seed=11)
+    with linear_structures():
+        ref = run_churn(cycles=25, sanitize=False, fastpath=False,
+                        pcid_bits=4, kill_rate=0.2, seed=11)
     assert fast.pcid_recycles > 0  # the storm actually wrapped
     assert fast.summary() == ref.summary()
 
 
-def test_fuzz_mixed_configs():
+def test_fuzz_mixed_configs(linear_structures):
     # 50 seeded (config, cores, records) draws of the hot-locality
     # workload; every one must be bit-identical to the reference run.
     rng = random.Random(1234)
@@ -113,8 +131,9 @@ def test_fuzz_mixed_configs():
         cores = rng.choice((1, 2))
         records = rng.randrange(150, 700)
         fast, _, _s = run_hot(config_by_name(name), cores, records)
-        ref, _, _s = run_hot(config_by_name(name, fastpath=False),
-                             cores, records)
+        with linear_structures():
+            ref, _, _s = run_hot(config_by_name(name, fastpath=False),
+                                 cores, records)
         assert fast == ref, ("fuzz trial %d diverged: %s cores=%d "
                              "records=%d" % (trial, name, cores, records))
 
@@ -172,17 +191,20 @@ def _cow_store_trace():
     _cow_store_trace(),
 ], ids=["fault-first", "fault-last", "fault-both", "no-faults", "hot-loop",
         "cow-heap-stores"])
-def test_explicit_traces_bit_identical(trace):
-    assert _run_trace(trace, True) == _run_trace(trace, False)
+def test_explicit_traces_bit_identical(trace, linear_structures):
+    fast = _run_trace(trace, True)
+    with linear_structures():
+        assert fast == _run_trace(trace, False)
 
 
-def test_reset_measurement_mid_run_identical():
+def test_reset_measurement_mid_run_identical(linear_structures):
     # run_hot warms, calls reset_measurement(), then measures — the memo
     # and epochs survive the reset (stats objects are replaced, not the
     # TLBs) and must still replay the reference path exactly.
     fast_dict, accesses, _s = run_hot(config_by_name("BabelFish"), 1, 1500)
-    ref_dict, _, _s = run_hot(config_by_name("BabelFish", fastpath=False),
-                              1, 1500)
+    with linear_structures():
+        ref_dict, _, _s = run_hot(
+            config_by_name("BabelFish", fastpath=False), 1, 1500)
     assert accesses == 3000  # 2 containers on the single core
     assert fast_dict == ref_dict
 
@@ -206,8 +228,8 @@ def test_escape_hatches(monkeypatch):
 @pytest.mark.parametrize("overrides", [{"sanitize": True}, {"trace": True}],
                          ids=["sanitizer-mode", "tracer-mode"])
 def test_debug_modes_bypass_fast_structures(overrides):
-    # Debug runs build the same fast TLBs and caches as production runs,
-    # so their hooks check the structures production uses; only the L0
+    # Debug runs build the same TLBs and caches as production runs, so
+    # their hooks check the structures production uses; only the L0
     # memo and the tight trace loop, which would skip the hooks, are off.
     config = config_by_name("BabelFish", **overrides)
     assert fastpath_active(config)
@@ -215,10 +237,10 @@ def test_debug_modes_bypass_fast_structures(overrides):
     assert env.sim._fast is False
     mmu = env.sim.mmus[0]
     assert mmu.fast and mmu._memo is None
-    assert isinstance(mmu.l1d, FastMultiSizeTLB)
-    assert isinstance(mmu.l2, FastMultiSizeTLB)
-    assert type(env.sim.hierarchy.l3) is FastSetAssociativeCache
-    assert type(env.sim.hierarchy.l1d[0]) is FastSetAssociativeCache
+    assert type(mmu.l1d) is MultiSizeTLB
+    assert type(mmu.l2) is MultiSizeTLB
+    assert type(env.sim.hierarchy.l3) is SetAssociativeCache
+    assert type(env.sim.hierarchy.l1d[0]) is SetAssociativeCache
 
 
 def test_post_hoc_tracer_or_sanitizer_disables_memo():
@@ -255,7 +277,7 @@ def test_run_cache_key_includes_fastpath():
     assert runcache.config_field_dict(ref)["fastpath"] is False
 
 
-# -- structure equivalence under random operation streams ----------------------
+# -- structures against the linear-scan oracle under random operation streams --
 
 
 def _tlb_state(tlb):
@@ -266,8 +288,8 @@ def _tlb_state(tlb):
 
 def test_tlb_backings_equivalent_under_random_stream():
     params = TLBParams("t", 32, 4, PageSize.SIZE_4K, 1)
-    ref = SetAssocTLB(params)
-    fast = FastSetAssocTLB(params)
+    ref = LinearSetAssocTLB(params)
+    fast = SetAssocTLB(params)
     rng = random.Random(7)
     for _ in range(4000):
         op = rng.random()
@@ -282,7 +304,7 @@ def test_tlb_backings_equivalent_under_random_stream():
                 assert (a.vpn, a.pcid, a.ppn) == (b.vpn, b.pcid, b.ppn)
         elif op < 0.80:
             ppn = rng.randrange(1 << 20)
-            replace = match if rng.random() < 0.5 else None
+            replace = REPLACE_SAME_PCID if rng.random() < 0.5 else None
             a = ref.insert(TLBEntry(vpn, ppn, pcid=pcid), replace=replace)
             b = fast.insert(TLBEntry(vpn, ppn, pcid=pcid), replace=replace)
             assert (a is None) == (b is None)
@@ -300,11 +322,11 @@ def test_tlb_backings_equivalent_under_random_stream():
 def test_tlb_backings_equivalent_under_mixed_replace_rules():
     # Both named fill rules and plain inserts into small, full sets:
     # every insert either overwrites in place or evicts the LRU way, and
-    # the two backings must agree on which entry goes and on the
-    # recency order entries() reports afterwards.
+    # the structure and the oracle must agree on which entry goes and on
+    # the recency order entries() reports afterwards.
     params = TLBParams("t", 16, 4, PageSize.SIZE_4K, 1)  # 4 sets
-    ref = SetAssocTLB(params)
-    fast = FastSetAssocTLB(params)
+    ref = LinearSetAssocTLB(params)
+    fast = SetAssocTLB(params)
     rng = random.Random(17)
     rules = (None, REPLACE_SAME_PCID, REPLACE_SHARED)
     replaced = evicted = 0
@@ -355,10 +377,10 @@ def test_tlb_backings_equivalent_under_mixed_replace_rules():
 
 
 def _resident(tlb):
-    """Every entry a backing's stores hold: the reference's set lists;
-    the fast backing's recency dicts and lookup buckets, which must
+    """Every entry a TLB's stores hold: the oracle's set lists; the
+    production structure's recency dicts and lookup buckets, which must
     hold the same entries."""
-    if isinstance(tlb, FastSetAssocTLB):
+    if isinstance(tlb, SetAssocTLB):
         in_lru = [e for lru in tlb._lru for e in lru]
         in_buckets = [e for buckets in tlb._buckets
                       for bucket in buckets.values() for e in bucket]
@@ -369,7 +391,7 @@ def _resident(tlb):
     return [e for tset in tlb._sets for e in tset]
 
 
-@pytest.mark.parametrize("cls", [SetAssocTLB, FastSetAssocTLB],
+@pytest.mark.parametrize("cls", [LinearSetAssocTLB, SetAssocTLB],
                          ids=["reference", "fast"])
 def test_no_invalid_entry_survives_in_a_set(cls):
     # Regression for the removed dead re-filter in insert():
@@ -398,8 +420,8 @@ def _cache_state(cache):
 
 def test_cache_backings_equivalent_under_random_stream():
     params = CacheParams("c", 4096, 4)  # 16 sets, 4 ways
-    ref = SetAssociativeCache(params)
-    fast = FastSetAssociativeCache(params)
+    ref = LinearSetAssociativeCache(params)
+    fast = SetAssociativeCache(params)
     rng = random.Random(11)
     for _ in range(6000):
         op = rng.random()
@@ -420,10 +442,11 @@ def test_cache_backings_equivalent_under_random_stream():
 
 
 def test_cache_backings_pick_same_victims():
-    # Fill one set beyond capacity in a known order and confirm both
-    # backings evict the same (LRU) tags after an intervening hit.
+    # Fill one set beyond capacity in a known order and confirm the
+    # cache and the oracle evict the same (LRU) tags after an
+    # intervening hit.
     params = CacheParams("c", 1024, 4)  # 4 sets, 4 ways
-    for cls in (SetAssociativeCache, FastSetAssociativeCache):
+    for cls in (LinearSetAssociativeCache, SetAssociativeCache):
         cache = cls(params)
         lines = [tag * 4 * 64 for tag in range(5)]  # all map to set 0
         for paddr in lines[:4]:
@@ -495,19 +518,21 @@ def test_cow_fault_retry_invalidates_memo(mini_babelfish):
     assert mmu._memo.d[(child.pid, SegmentKind.HEAP, 3)][4] == private_ppn
 
 
-def test_cross_core_shootdown_between_same_page_accesses():
+def test_cross_core_shootdown_between_same_page_accesses(linear_structures):
     # Twin differential: the same six-access sequence on a fast and a
-    # reference simulator (identical MiniSystems, so pids/layouts/frames
-    # coincide) must produce identical per-access timing, physical
-    # addresses, and counters — including across the cross-core
+    # linear-scan reference simulator (identical MiniSystems, so
+    # pids/layouts/frames coincide) must produce identical per-access
+    # timing, physical addresses, and counters — including across the cross-core
     # SHARED_ENTRY/REGION_SHARED shootdown that b's CoW write broadcasts
     # between core 0's two accesses to the same page.
     outcomes = []
     for fastpath in (True, False):
         mini = MiniSystem(babelfish=True)
-        sim = Simulator(baseline_machine(cores=2),
-                        config_by_name("BabelFish", fastpath=fastpath),
-                        mini.kernel)
+        with (contextlib.nullcontext() if fastpath
+              else linear_structures()):
+            sim = Simulator(baseline_machine(cores=2),
+                            config_by_name("BabelFish", fastpath=fastpath),
+                            mini.kernel)
         mmu0, mmu1 = sim.mmus
         a = mini.fork("a")
         b = mini.fork("b")

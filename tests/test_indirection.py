@@ -120,10 +120,10 @@ class TestIndirectionEndToEnd:
         assert len(all_frames) == len(set(all_frames))
 
     def test_tlb_lookup_uses_range_domain(self):
-        from repro.core.babelfish_tlb import (babelfish_lookup,
-                                              babelfish_lookup_fast)
+        import structure_oracle as oracle
+        from repro.core.babelfish_tlb import babelfish_lookup
         from repro.hw.params import TLBParams
-        from repro.hw.tlb import FastMultiSizeTLB, MultiSizeTLB, TLBEntry
+        from repro.hw.tlb import MultiSizeTLB, TLBEntry
         from repro.hw.types import PageSize
 
         kernel, children = self.cow_storm(per_range=True, writers=3)
@@ -133,10 +133,11 @@ class TestIndirectionEndToEnd:
         domain = policy.mask_domain(vpn)
         assert domain == vpn >> 9
         bit = writer.pc_bits[domain]
-        # Both backings the simulator pairs: linear-scan + reference
-        # lookup, dict-backed + inlined lookup.
-        for multi_cls, lookup in ((MultiSizeTLB, babelfish_lookup),
-                                  (FastMultiSizeTLB, babelfish_lookup_fast)):
+        # The linear-scan oracle with its closure lookup, and the
+        # production structure with the inlined one.
+        for multi_cls, lookup in ((oracle.LinearMultiSizeTLB,
+                                   oracle.babelfish_lookup),
+                                  (MultiSizeTLB, babelfish_lookup)):
             multi = multi_cls([TLBParams("4k", 16, 4, PageSize.SIZE_4K, 10)])
             shared_entry = TLBEntry(vpn, 0x999, pcid=0, ccid=writer.ccid,
                                     o_bit=False, orpc=True,

@@ -373,12 +373,13 @@ class TestChurnNewPolicies:
         assert result.clean
 
     @pytest.mark.parametrize("name", ["Victima", "Coalesced"])
-    def test_churn_fast_matches_reference(self, name):
+    def test_churn_fast_matches_reference(self, name, linear_structures):
         from repro.experiments.churn import run_churn
         fast = run_churn(cycles=20, config_name=name, sanitize=False,
                          fastpath=True)
-        ref = run_churn(cycles=20, config_name=name, sanitize=False,
-                        fastpath=False)
+        with linear_structures():
+            ref = run_churn(cycles=20, config_name=name, sanitize=False,
+                            fastpath=False)
         assert fast.summary() == ref.summary()
 
 

@@ -8,7 +8,7 @@ from repro.core.mask_page import MaskPage, MaskPageFull, pmd_index_of, region_of
 from repro.core.opc import MAX_PRIVATE_COPIES, OPCField
 from repro.hw.cache import SetAssociativeCache
 from repro.hw.params import CacheParams, TLBParams
-from repro.hw.tlb import SetAssocTLB, TLBEntry
+from repro.hw.tlb import REPLACE_SAME_PCID, SetAssocTLB, TLBEntry
 from repro.hw.types import PageSize
 from repro.kernel.aslr_layout import randomized_layout
 from repro.kernel.frames import FrameAllocator
@@ -67,7 +67,7 @@ class TestTLBProperties:
         tlb = SetAssocTLB(TLBParams("t", 16, 4, PageSize.SIZE_4K, 1))
         for vpn, pcid in inserts:
             tlb.insert(TLBEntry(vpn, 1, pcid=pcid),
-                       replace=lambda old, p=pcid: old.pcid == p)
+                       replace=REPLACE_SAME_PCID)
             assert tlb.lookup(vpn, lambda e, p=pcid: e.pcid == p) is not None
 
     @given(st.lists(VPN48, max_size=60), VPN48)

@@ -1,5 +1,7 @@
 """Tests for the walker, MMU, scheduler, and simulator."""
 
+import contextlib
+
 import pytest
 
 from repro.core.aslr import ASLRMode
@@ -129,9 +131,11 @@ class TestMMU:
     @pytest.mark.parametrize("fastpath", [True, False],
                              ids=["fast", "reference"])
     def test_translation_that_never_converges_raises_typed_error(
-            self, mini_baseline, fastpath):
+            self, mini_baseline, fastpath, linear_structures):
         sys = mini_baseline
-        mmu, _ = make_mmu(sys, baseline_config(fastpath=fastpath))
+        with (contextlib.nullcontext() if fastpath
+              else linear_structures()):
+            mmu, _ = make_mmu(sys, baseline_config(fastpath=fastpath))
         calls = []
 
         def service_nothing(proc, vpn_group, is_write):

@@ -2,15 +2,16 @@
 
 import pytest
 
+from structure_oracle import LinearSetAssocTLB
+
+from repro.core.babelfish_tlb import conventional_lookup
 from repro.hw.params import TLBParams
 from repro.hw.tlb import (
     REPLACE_SAME_PCID,
     REPLACE_SHARED,
-    FastSetAssocTLB,
     MultiSizeTLB,
     SetAssocTLB,
     TLBEntry,
-    conventional_match,
 )
 from repro.hw.types import PageSize
 
@@ -65,14 +66,14 @@ class TestSetAssocTLB:
         tlb = small_tlb()
         tlb.insert(entry(0x10, ppn=0xAAA, pcid=3))
         tlb.insert(entry(0x10, ppn=0xBBB, pcid=3),
-                   replace=lambda old: old.pcid == 3)
+                   replace=REPLACE_SAME_PCID)
         assert tlb.occupancy == 1
         assert tlb.lookup(0x10, lambda e: True).ppn == 0xBBB
 
     def test_replace_only_matching(self):
         tlb = small_tlb()
         tlb.insert(entry(0x10, pcid=3))
-        tlb.insert(entry(0x10, pcid=4), replace=lambda old: old.pcid == 4)
+        tlb.insert(entry(0x10, pcid=4), replace=REPLACE_SAME_PCID)
         assert tlb.occupancy == 2
 
     def test_invalidate_by_pred(self):
@@ -108,10 +109,16 @@ class TestSetAssocTLB:
             SetAssocTLB(TLBParams("bad", 12, 2, PageSize.SIZE_4K, 1))
 
     def test_conventional_match(self):
-        e = entry(0x10, pcid=7)
-        assert conventional_match(e, 0x10, 7)
-        assert not conventional_match(e, 0x10, 8)
-        assert not conventional_match(e, 0x11, 7)
+        """Figure 1's hit rule: VPN and PCID must both match."""
+        multi = MultiSizeTLB([TLBParams("t", 8, 2, PageSize.SIZE_4K, 1)])
+        multi.insert(entry(0x10, pcid=7))
+
+        def hit(vpn, pcid):
+            return conventional_lookup(multi, vpn, pcid, False)[0] is not None
+
+        assert hit(0x10, 7)
+        assert not hit(0x10, 8)
+        assert not hit(0x11, 7)
 
 
 class TestMultiSizeTLB:
@@ -121,10 +128,16 @@ class TestMultiSizeTLB:
             TLBParams("2m", 4, 2, PageSize.SIZE_2M, 1),
         ])
 
+    @staticmethod
+    def lookup(multi, vpn4k):
+        """Probe every size for a pcid-1 read: ``(entry, page_size)``."""
+        found, size, _cow = conventional_lookup(multi, vpn4k, 1, False)
+        return found, size
+
     def test_4k_lookup(self):
         multi = self.make()
         multi.insert(TLBEntry(0x10, 0x100, PageSize.SIZE_4K, pcid=1))
-        found, size = multi.lookup(0x10, lambda e: True)
+        found, size = self.lookup(multi, 0x10)
         assert found is not None
         assert size is PageSize.SIZE_4K
 
@@ -132,14 +145,15 @@ class TestMultiSizeTLB:
         multi = self.make()
         # A 2MB page at 2M-VPN 3 covers 4K-VPNs [3*512, 4*512).
         multi.insert(TLBEntry(3, 0x100, PageSize.SIZE_2M, pcid=1))
-        found, size = multi.lookup(3 * 512 + 17, lambda e: True)
+        found, size = self.lookup(multi, 3 * 512 + 17)
         assert found is not None
         assert size is PageSize.SIZE_2M
 
     def test_miss_returns_none(self):
         multi = self.make()
-        found, size = multi.lookup(0x999, lambda e: True)
+        found, size = self.lookup(multi, 0x999)
         assert found is None and size is None
+        assert multi.misses == 2  # one per size structure
 
     def test_invalidate_covers_all_sizes(self):
         multi = self.make()
@@ -154,17 +168,20 @@ class TestMultiSizeTLB:
         assert len(list(multi.entries())) == 2
 
     def test_size_restricted_lookup(self):
+        # Each size keeps its own structure: a 4K fill is invisible to
+        # a probe of the 2MB one.
         multi = self.make()
         multi.insert(TLBEntry(0x10, 0x100, PageSize.SIZE_4K, pcid=1))
-        found, _ = multi.lookup(0x10, lambda e: True,
-                                page_size=PageSize.SIZE_2M)
-        assert found is None
+        tlb_2m = multi.tlbs[PageSize.SIZE_2M]
+        assert tlb_2m.lookup(0x10 >> 9, lambda e: True) is None
+        assert tlb_2m.occupancy == 0
 
 
-@pytest.mark.parametrize("cls", [SetAssocTLB, FastSetAssocTLB],
+@pytest.mark.parametrize("cls", [LinearSetAssocTLB, SetAssocTLB],
                          ids=["reference", "fast"])
 class TestReplaceRules:
-    """The two named fill rules, on both backings: a rule either
+    """The two named fill rules, on the linear-scan oracle and the
+    production structure: a rule either
     overwrites one resident same-VPN entry in place (returning it) or
     the fill takes a new way beside it."""
 

@@ -113,12 +113,13 @@ class Test1GBPages:
         assert machine.mmu.l2_1g.entries == 16
 
     def test_multisize_1g_lookup(self):
+        from repro.core.babelfish_tlb import conventional_lookup
         from repro.hw.params import TLBParams
         from repro.hw.tlb import MultiSizeTLB, TLBEntry
         multi = MultiSizeTLB([TLBParams("1g", 4, 4, PageSize.SIZE_1G, 1)])
         multi.insert(TLBEntry(2, 0x1000, PageSize.SIZE_1G, pcid=1))
         vpn4k = (2 << 18) + 98765
-        found, size = multi.lookup(vpn4k, lambda e: True)
+        found, size, _cow = conventional_lookup(multi, vpn4k, 1, False)
         assert found is not None and size is PageSize.SIZE_1G
 
 
