@@ -134,14 +134,18 @@ def linear_structures(monkeypatch):
     linear-scan TLBs, caches and closure lookups of
     ``structure_oracle``, with the fast path off (those structures keep
     no epochs for the L0 memo). A run under it is the reference leg of a
-    differential test against the production structures."""
+    differential test against the production structures; ``on=False``
+    swaps nothing, for tests parametrized over both legs."""
     import structure_oracle as oracle
     from repro.hw import cache
     from repro.sim import mmu
     from repro.sim.fastpath import FASTPATH_ENV
 
     @contextlib.contextmanager
-    def swapped():
+    def swapped(on=True):
+        if not on:
+            yield
+            return
         with monkeypatch.context() as patch:
             patch.setattr(mmu, "MultiSizeTLB", oracle.LinearMultiSizeTLB)
             patch.setattr(mmu, "babelfish_lookup", oracle.babelfish_lookup)

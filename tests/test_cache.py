@@ -1,10 +1,11 @@
 """Unit tests for the set-associative caches and hierarchy."""
 
-import contextlib
 import dataclasses
 import random
 
 import pytest
+
+from structure_oracle import LinearSetAssociativeCache
 
 from repro.hw.cache import CacheHierarchy, SetAssociativeCache
 from repro.hw.dram import DRAMModel
@@ -192,11 +193,10 @@ def test_walk_access_matches_skip_l1_load(linear, linear_structures):
         baseline_machine(cores=2),
         l2=CacheParams("L2", 4096, 4, 64, 8),
         l3=CacheParams("L3", 16384, 8, 64, 32, shared=True))
-    with linear_structures() if linear else contextlib.nullcontext():
+    with linear_structures(linear):
         walk = CacheHierarchy(machine, DRAMModel(machine.dram))
         twin = CacheHierarchy(machine, DRAMModel(machine.dram))
-    expected = "LinearSetAssociativeCache" if linear else "SetAssociativeCache"
-    assert type(walk.l3).__name__ == expected
+    assert (type(walk.l3) is LinearSetAssociativeCache) == linear
     rng = random.Random(9)
     kinds = (AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE)
     for _ in range(6000):

@@ -12,7 +12,6 @@ cases (CoW retry, cross-core shootdowns, mid-run measurement reset,
 debug-mode bypass), and the perf harness's trajectory file.
 """
 
-import contextlib
 import json
 import random
 
@@ -528,8 +527,7 @@ def test_cross_core_shootdown_between_same_page_accesses(linear_structures):
     outcomes = []
     for fastpath in (True, False):
         mini = MiniSystem(babelfish=True)
-        with (contextlib.nullcontext() if fastpath
-              else linear_structures()):
+        with linear_structures(not fastpath):
             sim = Simulator(baseline_machine(cores=2),
                             config_by_name("BabelFish", fastpath=fastpath),
                             mini.kernel)

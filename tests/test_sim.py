@@ -1,7 +1,5 @@
 """Tests for the walker, MMU, scheduler, and simulator."""
 
-import contextlib
-
 import pytest
 
 from repro.core.aslr import ASLRMode
@@ -133,8 +131,7 @@ class TestMMU:
     def test_translation_that_never_converges_raises_typed_error(
             self, mini_baseline, fastpath, linear_structures):
         sys = mini_baseline
-        with (contextlib.nullcontext() if fastpath
-              else linear_structures()):
+        with linear_structures(not fastpath):
             mmu, _ = make_mmu(sys, baseline_config(fastpath=fastpath))
         calls = []
 
