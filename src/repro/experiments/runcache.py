@@ -255,23 +255,22 @@ class DiskRunCache:
 
     def load(self, key_data):
         """The stored payload for ``key_data``, or None on a miss (also on
-        a torn/corrupt entry, which is then treated as absent).
+        a torn/corrupt entry, or a JSON value that is not an entry object
+        with a payload object, which is then treated as absent).
 
         Reads only the final path — in-flight ``.tmp.*`` staging files
         from concurrent writers are invisible by construction.
         """
         try:
-            text = self._path(key_data).read_text()
-        except OSError:
-            self.misses += 1
-            return None
-        try:
-            entry = json.loads(text)
-        except ValueError:
+            entry = json.loads(self._path(key_data).read_text())
+        except (OSError, ValueError):
+            entry = None
+        payload = entry.get("payload") if isinstance(entry, dict) else None
+        if not isinstance(payload, dict):
             self.misses += 1
             return None
         self.hits += 1
-        return entry.get("payload")
+        return payload
 
     def store(self, key_data, payload):
         self.root.mkdir(parents=True, exist_ok=True)

@@ -6,8 +6,11 @@ name-based cache key silently returned the stock config's run for them.
 """
 
 import dataclasses
+import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.common import (
     build_environment,
@@ -217,6 +220,70 @@ class TestDiskCache:
         run_app("httpd", config_by_name("Baseline"), **SMALL)
         assert cache.clear() == 1
         assert cache.entries() == []
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner,
+                                     max_size=4)),
+    max_leaves=10)
+
+#: Any JSON value except a well-formed entry (an object whose payload is
+#: an object): objects with a non-object payload are drawn explicitly.
+_NOT_AN_ENTRY = (
+    _JSON_VALUES.filter(lambda v: not (isinstance(v, dict)
+                                       and isinstance(v.get("payload"), dict)))
+    | st.builds(lambda extra, payload: {**extra, "payload": payload},
+                st.dictionaries(st.sampled_from(["key", "code"]),
+                                _JSON_VALUES),
+                _JSON_VALUES.filter(lambda v: not isinstance(v, dict))))
+
+_FUZZ = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestDiskCacheEntryFuzz:
+    """A real stored entry, damaged: ``load`` returns the stored payload
+    or None, never raises, and counts a hit only when it returns one."""
+
+    KEY = {"kind": "app", "app": "httpd", "cores": 1}
+    PAYLOAD = {"stats": {"accesses_d": 12, "l1_hits_d": 9},
+               "request_latency": [[1, 40]]}
+
+    def _load(self, cache):
+        hits, misses = cache.hits, cache.misses
+        got = cache.load(self.KEY)
+        assert got is None or got == self.PAYLOAD
+        hit = got is not None
+        assert (cache.hits - hits, cache.misses - misses) == (
+            (1, 0) if hit else (0, 1))
+        return got
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_truncated_entry(self, tmp_path, data):
+        cache = DiskRunCache(tmp_path, fingerprint="fp-a")
+        path = cache.store(self.KEY, self.PAYLOAD)
+        blob = path.read_bytes()
+        cut = data.draw(st.integers(0, len(blob)))
+        path.write_bytes(blob[:cut])
+        assert (self._load(cache) is not None) == (cut == len(blob))
+
+    @_FUZZ
+    @given(value=_NOT_AN_ENTRY)
+    @example(value=[])
+    @example(value=None)
+    @example(value="x")
+    @example(value={"key": {}, "code": "fp-a"})
+    @example(value={"payload": None})
+    def test_replaced_entry(self, tmp_path, value):
+        cache = DiskRunCache(tmp_path, fingerprint="fp-a")
+        path = cache.store(self.KEY, self.PAYLOAD)
+        assert self._load(cache) == self.PAYLOAD
+        path.write_text(json.dumps(value))
+        assert self._load(cache) is None
 
 
 def _result_signature(run):
