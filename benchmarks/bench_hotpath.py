@@ -1,10 +1,11 @@
-"""Hot-path perf trajectory: fast path vs reference, bit-identity enforced.
+"""Hot-path perf trajectory: L0 memo on vs off, bit-identity enforced.
 
 Unlike the figure/table benchmarks, this one measures the *simulator*,
 not the paper: :mod:`repro.experiments.perf` runs a steady-state
 hot-locality workload under ``fastpath=True`` and ``fastpath=False``,
 raises if the two ``RunResult.as_dict()`` ever diverge, and writes the
-fast/reference accesses-per-second ratio per tier to
+fast/reference accesses-per-second ratio per tier (the same trace loop
+with the memo on and off, so the ratio measures the memo alone) to
 ``BENCH_hotpath.json`` at the repo root (ratios are the tracked,
 machine-normalized trajectory; the raw rates ride along for context).
 

@@ -19,8 +19,8 @@ with mid-bring-up kills, the translation sanitizer on, and exact
 resource-leak accounting; exits nonzero on any violation or leak.
 
 ``zoo`` runs the policy ablation grid (:mod:`repro.experiments.zoo`):
-every registered translation policy x the stock workloads, all three
-execution tiers triangulated bit-identical per cell, MPKI/latency
+every registered translation policy x the stock workloads, both
+execution tiers (L0 memo on and off) bit-identical per cell, MPKI/latency
 grid and policy-gain ratios written to ``BENCH_zoo.json``; exits
 nonzero if any cell's tiers diverge.
 

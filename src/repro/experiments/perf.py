@@ -1,7 +1,7 @@
-"""Hot-path perf harness: fast path vs memo-off reference, on a hot trace.
+"""Hot-path perf harness: L0 memo on vs off, on a hot trace.
 
-The fast path (:mod:`repro.sim.fastpath`) accelerates the *repeat* case —
-the L1-TLB-hit, L1-cache-hit stream that dominates once an application
+The L0 translation memo (:mod:`repro.sim.fastpath`) accelerates the
+*repeat* case — the L1-TLB-hit stream that dominates once an application
 reaches steady state. The stock synthetic workloads deliberately sweep
 large working sets (their point is to miss), so at benchmark scale they
 spend most records on compulsory misses and understate what the fast
@@ -12,12 +12,13 @@ small code/heap/dataset working set that is TLB-resident after warm-up
 tail so the slow path stays exercised.
 
 Each tier runs the identical workload twice — ``fastpath=True`` and
-``fastpath=False`` (the same structures with the L0 memo and the tight
-loop off) — asserts the two ``RunResult.as_dict()`` are bit-identical,
-and reports the accesses/sec ratio. The trajectory file
-``BENCH_hotpath.json`` (repo root) is machine-normalized: the tracked
-metric is the fast/reference *ratio*; the raw accesses/sec figures ride
-along for local context only and are expected to differ across machines.
+``fastpath=False`` (the same trace loop and structures with the L0 memo
+off) — asserts the two ``RunResult.as_dict()`` are bit-identical, and
+reports the accesses/sec ratio, which thus measures the memo alone. The
+trajectory file ``BENCH_hotpath.json`` (repo root) is machine-normalized:
+the tracked metric is the fast/reference *ratio*; the raw accesses/sec
+figures ride along for local context only and are expected to differ
+across machines.
 
 Entry points: ``python -m repro.experiments perf [--smoke]`` and
 ``benchmarks/bench_hotpath.py`` both call :func:`run_harness`.

@@ -179,7 +179,7 @@ class CacheHierarchy:
         return cycles
 
     def data_access(self, core_id, paddr, kind_code):
-        """:meth:`access` specialized for the fast trace loop: demand
+        """:meth:`access` specialized for the trace loop: demand
         accesses only (never ``skip_l1``), trace-record kind codes
         (0=ifetch, 1=load, 2=store) instead of :class:`AccessKind`, the
         L1 probe and same-line memo inlined, and a plain cycle count

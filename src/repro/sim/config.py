@@ -46,15 +46,13 @@ class SimConfig:
     #: Scheduler quantum in instructions (Table I's 10ms scaled down with
     #: the measurement slice; see DESIGN.md Section 4).
     quantum_instructions: int = 20_000
-    #: Enable the exact simulator fast path (:mod:`repro.sim.fastpath`):
-    #: the per-core L0 translation memo, the same-line L1 cache memo,
-    #: and the tightened trace loop. Bit-identical to the memo-off path
-    #: by construction (DESIGN.md §11; tests/test_fastpath.py verifies
-    #: every stock config both ways), so it defaults on. ``False`` — or
-    #: ``REPRO_FASTPATH=0`` — sends every access through the full
-    #: translate pass on the reference loop, over the same structures;
-    #: ``sanitize`` and ``trace`` runs do the same, so their hooks see
-    #: every access.
+    #: Enable the per-core L0 translation memo (:mod:`repro.sim.fastpath`).
+    #: Bit-identical to the memo-off path by construction (DESIGN.md §11;
+    #: tests/test_fastpath.py verifies every stock config both ways), so
+    #: it defaults on. ``False`` — or ``REPRO_FASTPATH=0`` — sends every
+    #: access through the full translate pass; ``sanitize`` and ``trace``
+    #: runs do the same, so their hooks see every lookup. The trace loop
+    #: and the same-line cache memo are the same in every run.
     fastpath: bool = True
     #: Enable the translation-coherence sanitizer: a shadow MMU that
     #: cross-checks every TLB fill/hit/invalidation against an independent

@@ -1,18 +1,28 @@
-"""The simulator's exact fast path: L0 translation memo + tight trace loop.
+"""The simulator's trace loop and its exact L0 translation memo.
 
 Every experiment funnels millions of trace records through
-``Simulator._run_quantum`` -> ``MMU.translate`` -> TLB lookups ->
-``CacheHierarchy.access``; per-access interpreter overhead dominates
-end-to-end latency. Mirroring the fast/slow split of Utopia (PAPERS.md)
-— and exploiting the same page-level locality BabelFish itself banks on
-— this module short-circuits the *repeat* case while provably preserving
-every architectural observable:
+:func:`run_quantum` -> ``MMU.translate`` -> TLB lookups -> the cache
+hierarchy; per-access interpreter overhead dominates end-to-end latency.
+Mirroring the fast/slow split of Utopia (PAPERS.md) — and exploiting the
+same page-level locality BabelFish itself banks on — this module
+short-circuits the *repeat* case while provably preserving every
+architectural observable:
 
-- :func:`fastpath_active` gates the memo and the tight loop on
+- :func:`run_quantum` is the simulator's only trace loop, for every run
+  (sanitized, traced and memo-off ones included): prebound locals, a
+  tuple-indexed kind table, a per-core reused
+  :class:`~repro.sim.mmu.TranslationResult`, batched stats counters,
+  ``CacheHierarchy.data_access`` with its same-line memo, and the L0
+  memo's guard-and-replay inlined. A record is served from the memo
+  only when it proves the translate pass would return the same entry
+  with the same side effects (see DESIGN.md §11 for the exactness
+  argument); otherwise the access goes to ``MMU.translate``, which
+  reseeds.
+- :func:`fastpath_active` gates the L0 memo alone on
   ``SimConfig.fastpath`` (default on) and the ``REPRO_FASTPATH=0``
-  environment escape hatch. Sanitize/trace runs also run without them,
-  on the reference trace loop, whose per-event hooks the memo would
-  bypass. Every run uses the same TLB and cache structures.
+  environment escape hatch. Sanitize/trace runs also run without it,
+  because their per-lookup hooks live in the translate pass; the loop
+  then sees empty memo tables and sends every record there.
 - :class:`TranslationMemo` caches, per (pid, segment, page) and per
   access space (ifetch/data), the L1 TLB entry that hit last time plus
   everything needed to *replay* the reference hit: the precomputed
@@ -20,20 +30,10 @@ every architectural observable:
   set-epochs of any structures probed before it, and the ORPC bitmask
   scope for re-checking ``proc.pc_bits`` live. The memo is seeded by
   ``MMU._try_translate`` on an L1 hit.
-- :func:`run_quantum_fast` is ``Simulator._run_quantum`` with prebound
-  locals, a tuple-indexed kind table, a per-core reused
-  :class:`~repro.sim.mmu.TranslationResult` instead of a fresh
-  allocation per record, and the memo's guard-and-replay inlined. A
-  record serves the access only when it proves the translate pass
-  would return the same entry with the same side effects (see
-  DESIGN.md §11 for the exactness argument); otherwise the access goes
-  to ``MMU.translate``, which reseeds. The loop is only dispatched when
-  no tracer/sanitizer is wired, so the (then no-op) tracer hooks are
-  omitted.
 
 Nothing here is ever exported into a :class:`~repro.sim.stats.RunResult`
 — epochs and memo state are internal, so ``RunResult.as_dict()`` of a
-fast run is bit-identical to a memo-off run (tests/test_fastpath.py
+memo-on run is bit-identical to a memo-off run (tests/test_fastpath.py
 asserts this for every stock config).
 """
 
@@ -41,8 +41,8 @@ import os
 
 from repro.hw.types import AccessKind
 
-#: Environment escape hatch: ``REPRO_FASTPATH=0`` turns the memo and the
-#: tight loop off regardless of ``SimConfig.fastpath``.
+#: Environment escape hatch: ``REPRO_FASTPATH=0`` turns the L0 memo off
+#: regardless of ``SimConfig.fastpath``.
 FASTPATH_ENV = "REPRO_FASTPATH"
 
 #: Trace-record kind codes index this directly (0=IFETCH 1=LOAD 2=STORE).
@@ -50,7 +50,7 @@ _KINDS = (AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE)
 
 
 def fastpath_active(config):
-    """True when ``config`` and the environment both allow the fast path."""
+    """True when ``config`` and the environment both allow the L0 memo."""
     if not getattr(config, "fastpath", True):
         return False
     return os.environ.get(FASTPATH_ENV, "1") != "0"
@@ -72,7 +72,7 @@ class TranslationMemo:
     ``mask_domain`` is the ORPC bitmask scope to re-check against
     ``proc.pc_bits`` (None when the reference match does no mask check).
 
-    :func:`run_quantum_fast` serves a record only while every guard
+    :func:`run_quantum` serves a record only while every guard
     holds (the entry's set and each pre-probed set unchanged, the
     write/read seeding compatible, the live ORPC bit clear) and then
     replays the reference side effects exactly: the access and L1-hit
@@ -92,7 +92,7 @@ class TranslationMemo:
     def seed(self, proc, segment, page_off, instr, is_write, lookup_vpn,
              entry, multi, ppn4k):
         """Record an L1 hit so the next access to the same page can be
-        served by :func:`run_quantum_fast`."""
+        served by :func:`run_quantum`."""
         size = entry.page_size
         pre = []
         tlb = None
@@ -119,14 +119,14 @@ class TranslationMemo:
             mask_domain, pc_mask, tuple(pre))
 
 
-def run_quantum_fast(sim, core_id, proc):
-    """``Simulator._run_quantum`` with prebound locals, a reused
-    translation result, and the L0 memo's guard-and-replay inlined into
-    the loop (its only copy: a record failing a guard falls through to
-    ``mmu.translate``, which runs the full pass). Dispatched only when
-    no tracer or sanitizer is wired, so their (always-None) hooks are
-    omitted; every counter and cycle update matches the reference loop
-    exactly."""
+def run_quantum(sim, core_id, proc):
+    """Run ``proc`` on ``core_id`` for one scheduler quantum (or until its
+    trace ends); returns the instructions consumed. The L0 memo's
+    guard-and-replay is inlined here (its only copy: a record failing a
+    guard falls through to ``mmu.translate``, which runs the full pass).
+    With a tracer wired the memo is off, so every record reaches the
+    clock tick before ``translate``, where every traced event is
+    emitted."""
     mmu = sim.mmus[core_id]
     stats = mmu.stats
     trace = sim._traces.get(proc.pid)
@@ -140,19 +140,21 @@ def run_quantum_fast(sim, core_id, proc):
     scratch = mmu._tr_scratch
     memo = mmu._memo
     # An empty table never hits, turning the inline replay into a plain
-    # dict miss when the memo is unwired (e.g. a hand-attached tracer).
+    # dict miss when the memo is off (fastpath=False, sanitizer, tracer).
     memo_i = memo.i if memo is not None else {}
     memo_d = memo.d if memo is not None else {}
     pid = proc.pid
     pc_bits = proc.pc_bits
     l1_cycles = mmu.l1_cycles
+    tracer = sim.tracer
+    quantum_start = sim.core_cycles[core_id]
     cycles = 0
     insts = 0
     t_cycles = 0
     m_cycles = 0
     # Memo-hit counter deltas, flushed to ``stats`` after the loop. All
     # increments commute with the ones ``translate`` applies directly,
-    # and nothing reads ``stats`` mid-quantum on this (hook-free) path.
+    # and no hook reads ``stats`` mid-quantum.
     acc_i = hits_i = acc_d = hits_d = 0
     finished = False
     if trace is not None:
@@ -214,6 +216,8 @@ def run_quantum_fast(sim, core_id, proc):
                         lru[entry] = None
                         tr_cycles = l1_cycles
             if tr_cycles < 0:
+                if tracer is not None:
+                    tracer.tick(core_id, quantum_start + cycles)
                 tr = translate(proc, segment, page_off, kinds[kind_code],
                                is_write, scratch)
                 tr_cycles = tr.cycles
@@ -237,10 +241,13 @@ def run_quantum_fast(sim, core_id, proc):
     stats.memory_cycles += m_cycles
     stats.instructions += insts
     sim.core_cycles[core_id] += cycles
-    sim._proc_cycles[proc.pid] = sim._proc_cycles.get(proc.pid, 0) + cycles
+    if tracer is not None:
+        tracer.quantum(core_id, pid, quantum_start, sim.core_cycles[core_id],
+                       insts)
+    sim._proc_cycles[pid] = sim._proc_cycles.get(pid, 0) + cycles
     if finished:
-        sim._completion[proc.pid] = sim.core_cycles[core_id]
-        sim._traces.pop(proc.pid, None)
+        sim._completion[pid] = sim.core_cycles[core_id]
+        sim._traces.pop(pid, None)
         sim.scheduler.remove(proc)
     nxt = sim.scheduler.rotate(core_id)
     if nxt is not None and nxt is not proc:

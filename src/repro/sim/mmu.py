@@ -13,11 +13,11 @@ The translation path (Section VI's timing rules):
    kernel and retry.
 
 :meth:`MMU._try_translate` is the one pass over these steps, over the
-same TLB structures in every run. ``SimConfig.fastpath`` (and
-``REPRO_FASTPATH=0``) decides only whether the L0 translation memo
-(:mod:`repro.sim.fastpath`) sits in front of it. Sanitizer and tracer
-hooks are read once per pass and fire only when wired, and wiring
-either turns the L0 memo off.
+same TLB structures in every run, called by the one trace loop
+(:func:`repro.sim.fastpath.run_quantum`). ``SimConfig.fastpath`` (and
+``REPRO_FASTPATH=0``) decides only whether the L0 translation memo sits
+in front of it. Sanitizer and tracer hooks are read once per pass and
+fire only when wired, and wiring either turns the L0 memo off.
 """
 
 from repro.hw.pwc import PageWalkCache
@@ -45,9 +45,9 @@ _MAX_FAULT_RETRIES = 6
 
 
 class TranslationResult:
-    """One translated access (allocated per access on the reference path,
-    reused per core by the fast trace loop — hence a mutable slotted
-    class rather than a dataclass)."""
+    """One translated access (reused per core by the trace loop, allocated
+    per call by other callers of :meth:`MMU.translate` — hence a mutable
+    slotted class rather than a dataclass)."""
 
     __slots__ = ("cycles", "ppn4k", "page_size")
 
@@ -71,7 +71,7 @@ class MMU:
         #: geometry, fill rule, and capability flags all come from here.
         self.policy = policy = config.translation_policy
         #: The L0 memo is on unless the config or the environment turns
-        #: the fast path off (repro.sim.fastpath).
+        #: it off (repro.sim.fastpath).
         self.fast = fast = fastpath_active(config)
         self.l1d = MultiSizeTLB([mmu.l1d_4k, mmu.l1d_2m, mmu.l1d_1g])
         self.l1i = MultiSizeTLB([mmu.l1i_4k])
@@ -101,18 +101,17 @@ class MMU:
         #: invalidations to every core.
         self.invalidation_sink = self._local_invalidation_sink
         #: L0 translation memo (repro.sim.fastpath). ``_memo_store`` is
-        #: the instance (or None with the fast path off); ``_memo`` is
-        #: what the translate pass seeds and the fast trace loop serves
-        #: from, and goes None whenever a sanitizer or tracer is wired
-        #: (their per-event hooks must see every lookup). The
-        #: sanitizer/tracer properties below keep the two in sync for
-        #: any wiring order.
+        #: the instance (or None with the memo off); ``_memo`` is what
+        #: the translate pass seeds and the trace loop serves from, and
+        #: goes None whenever a sanitizer or tracer is wired (their
+        #: per-event hooks must see every lookup). The sanitizer/tracer
+        #: properties below keep the two in sync for any wiring order.
         self._memo_store = (
             TranslationMemo(config.share_l1_tlb, self._domain_fn)
             if fast else None)
         self._memo = self._memo_store
-        #: Reused result for the fast trace loop (one per core; the
-        #: public translate() still allocates unless ``into`` is passed).
+        #: Reused result for the trace loop (one per core; the public
+        #: translate() still allocates unless ``into`` is passed).
         self._tr_scratch = TranslationResult()
         # Per-config constants prebound for the translate pass (none of
         # these can change over a run). All policy capability
@@ -170,8 +169,8 @@ class MMU:
                   into=None):
         """Translate one access; returns a :class:`TranslationResult`
         (``into``, updated in place, when the caller passes one). The
-        fast trace loop serves L0 memo hits itself and calls this only
-        for the accesses the memo refuses."""
+        trace loop serves L0 memo hits itself and calls this only for
+        the accesses the memo refuses."""
         stats = self.stats
         instr = kind is AccessKind.IFETCH
         is_write = is_write or kind is AccessKind.STORE

@@ -4,7 +4,8 @@ Processes (container workloads) are attached to cores together with their
 memory-access traces; the scheduler multiplexes 2-3 of them per core with
 the Table I quantum. Every trace record is one memory access plus a gap of
 non-memory instructions; the access runs through the per-core MMU (full
-translation timing) and then the cache hierarchy.
+translation timing) and then the cache hierarchy. The one trace loop
+that does this, for every run, is :func:`repro.sim.fastpath.run_quantum`.
 
 Trace record format (plain tuples for speed)::
 
@@ -20,18 +21,14 @@ segment-relative page, ``line`` the cache line within the page (0..63),
 from repro.analysis.sanitizer import TranslationSanitizer
 from repro.hw.cache import CacheHierarchy
 from repro.hw.dram import DRAMModel
-from repro.hw.types import AccessKind
 from repro.kernel.scheduler import Scheduler
 from repro.obs.tracer import Tracer, resolve_trace_options
-from repro.sim import fastpath
+from repro.sim.fastpath import run_quantum
 from repro.sim.mmu import MMU
 from repro.sim.stats import MMUStats, RunResult
 
 #: Trace record "kind" codes.
 K_IFETCH, K_LOAD, K_STORE = 0, 1, 2
-
-_KIND = {K_IFETCH: AccessKind.IFETCH, K_LOAD: AccessKind.LOAD,
-         K_STORE: AccessKind.STORE}
 
 
 class Simulator:
@@ -52,13 +49,6 @@ class Simulator:
                           if config.sanitize else None)
         trace_options = resolve_trace_options(config.trace)
         self.tracer = Tracer(trace_options) if trace_options else None
-        #: The tight trace loop with the L0 memo and the same-line cache
-        #: memo, unless the config or REPRO_FASTPATH=0 turns the fast
-        #: path off (repro.sim.fastpath). Debug runs (sanitizer or tracer
-        #: wired) take the reference loop, whose per-record hooks those
-        #: memos would skip.
-        self._fast = (fastpath.fastpath_active(config)
-                      and self.sanitizer is None and self.tracer is None)
         self.mmus = [MMU(core, machine, config, self.hierarchy, kernel)
                      for core in range(machine.cores)]
         for mmu in self.mmus:
@@ -116,7 +106,7 @@ class Simulator:
                 if proc is None:
                     continue
                 progressed = True
-                consumed = self._run_quantum(core_id, proc)
+                consumed = run_quantum(self, core_id, proc)
                 if self.progress is not None:
                     self.progress.advance(consumed)
                 if budget is not None:
@@ -126,59 +116,6 @@ class Simulator:
             if not progressed:
                 break
         return self._finish()
-
-    def _run_quantum(self, core_id, proc):
-        if self._fast:
-            return fastpath.run_quantum_fast(self, core_id, proc)
-        mmu = self.mmus[core_id]
-        stats = mmu.stats
-        trace = self._traces.get(proc.pid)
-        quantum = self.scheduler.quantum_instructions
-        hierarchy_access = self.hierarchy.access
-        base_cpi = self.base_cpi
-        tracer = self.tracer
-        quantum_start = self.core_cycles[core_id]
-        cycles = 0
-        insts = 0
-        finished = False
-        if trace is not None:
-            while insts < quantum:
-                rec = next(trace, None)
-                if rec is None:
-                    finished = True
-                    break
-                kind_code, segment, page_off, line, gap, req_id = rec
-                kind = _KIND[kind_code]
-                if tracer is not None:
-                    tracer.tick(core_id, quantum_start + cycles)
-                tr = mmu.translate(proc, segment, page_off, kind,
-                                   is_write=kind_code == K_STORE)
-                paddr = (tr.ppn4k << 12) | (line << 6)
-                mem_cycles, _level = hierarchy_access(core_id, paddr, kind)
-                record_cycles = int(gap * base_cpi) + tr.cycles + mem_cycles
-                cycles += record_cycles
-                insts += gap + 1
-                stats.translation_cycles += tr.cycles
-                stats.memory_cycles += mem_cycles
-                if req_id is not None:
-                    self._request_latency[req_id] = (
-                        self._request_latency.get(req_id, 0) + record_cycles)
-        else:
-            finished = True
-        stats.instructions += insts
-        self.core_cycles[core_id] += cycles
-        if tracer is not None:
-            tracer.quantum(core_id, proc.pid, quantum_start,
-                           self.core_cycles[core_id], insts)
-        self._proc_cycles[proc.pid] = self._proc_cycles.get(proc.pid, 0) + cycles
-        if finished:
-            self._completion[proc.pid] = self.core_cycles[core_id]
-            self._traces.pop(proc.pid, None)
-            self.scheduler.remove(proc)
-        nxt = self.scheduler.rotate(core_id)
-        if nxt is not None and nxt is not proc:
-            self.core_cycles[core_id] += self.switch_cost
-        return insts
 
     def _finish(self):
         result = RunResult(self.config.name)

@@ -113,10 +113,11 @@ def mini_any(request):
 
 @pytest.fixture
 def memo_off(monkeypatch):
-    """Context manager: MMUs built inside it get no L0 translation memo
-    but keep the tight trace loop. A run under it is a third execution
-    leg beside the reference (``linear_structures``) and the full fast
-    path, so a memo bug and a structure bug cannot cancel out."""
+    """Context manager: MMUs built inside it get no L0 translation memo;
+    the production trace loop and structures stay. A run under it is a
+    third execution leg beside the reference (``linear_structures``) and
+    the memo-on run, so a memo bug and a structure or loop bug cannot
+    cancel out."""
     from repro.sim import mmu
 
     @contextlib.contextmanager
@@ -132,13 +133,14 @@ def memo_off(monkeypatch):
 def linear_structures(monkeypatch):
     """Context manager: simulators and MMUs built inside it run on the
     linear-scan TLBs, caches and closure lookups of
-    ``structure_oracle``, with the fast path off (those structures keep
-    no epochs for the L0 memo). A run under it is the reference leg of a
-    differential test against the production structures; ``on=False``
-    swaps nothing, for tests parametrized over both legs."""
+    ``structure_oracle`` and on its reference trace loop, with the L0
+    memo off (those structures keep no epochs for it). A run under it is
+    the reference leg of a differential test against the production
+    structures and loop; ``on=False`` swaps nothing, for tests
+    parametrized over both legs."""
     import structure_oracle as oracle
     from repro.hw import cache
-    from repro.sim import mmu
+    from repro.sim import mmu, simulator
     from repro.sim.fastpath import FASTPATH_ENV
 
     @contextlib.contextmanager
@@ -153,6 +155,8 @@ def linear_structures(monkeypatch):
                           oracle.conventional_lookup)
             patch.setattr(cache, "SetAssociativeCache",
                           oracle.LinearSetAssociativeCache)
+            patch.setattr(simulator, "run_quantum",
+                          oracle.reference_run_quantum)
             patch.setenv(FASTPATH_ENV, "0")
             yield
 

@@ -11,16 +11,23 @@ paper's figures:
   victim found by a ``min()`` over the stamps.
 - :func:`babelfish_lookup` / :func:`conventional_lookup`: Figure 8's and
   Figure 1's lookups as closures handed to ``LinearMultiSizeTLB.lookup``.
+- :func:`reference_run_quantum`: the trace loop with one ``translate``
+  and one ``CacheHierarchy.access`` per record and no memo of either.
 
 Each exposes the interface the simulator uses, so the ``linear_structures``
-fixture in ``conftest.py`` can swap them into ``repro.sim.mmu`` and
-``repro.hw.cache`` and a whole run can serve as the reference leg of a
-differential test. They keep no set epochs, so such a run must leave the
-L0 memo and the tight trace loop off (the fixture sees to it).
+fixture in ``conftest.py`` can swap them into ``repro.sim.mmu``,
+``repro.hw.cache`` and ``repro.sim.simulator`` and a whole run can serve
+as the reference leg of a differential test. They keep no set epochs, so
+such a run must leave the L0 memo off (the fixture sees to it).
 """
 
 from repro.hw.cache import SetAssociativeCache
 from repro.hw.tlb import REPLACE_SAME_PCID, REPLACE_SHARED
+from repro.hw.types import AccessKind
+from repro.sim.simulator import K_IFETCH, K_LOAD, K_STORE
+
+_KIND = {K_IFETCH: AccessKind.IFETCH, K_LOAD: AccessKind.LOAD,
+         K_STORE: AccessKind.STORE}
 
 
 def replaces(rule, old, new):
@@ -264,3 +271,62 @@ def conventional_lookup(multi, vpn4k, pcid, is_write):
 
     entry, size = multi.lookup(vpn4k, match)
     return entry, size, entry is not None and is_write and entry.cow
+
+
+def reference_run_quantum(sim, core_id, proc):
+    """The simulator's trace loop in its plain form: per record one
+    ``mmu.translate`` (a fresh result, no L0 memo), one
+    ``CacheHierarchy.access``, and the stats and tracer hooks applied
+    record by record. The ``linear_structures`` fixture patches it over
+    ``repro.sim.simulator.run_quantum`` (``data_access`` reads the
+    production cache's set layout), so a reference leg shares no trace
+    loop code with the production run it is compared against."""
+    mmu = sim.mmus[core_id]
+    stats = mmu.stats
+    trace = sim._traces.get(proc.pid)
+    quantum = sim.scheduler.quantum_instructions
+    hierarchy_access = sim.hierarchy.access
+    base_cpi = sim.base_cpi
+    tracer = sim.tracer
+    quantum_start = sim.core_cycles[core_id]
+    cycles = 0
+    insts = 0
+    finished = False
+    if trace is not None:
+        while insts < quantum:
+            rec = next(trace, None)
+            if rec is None:
+                finished = True
+                break
+            kind_code, segment, page_off, line, gap, req_id = rec
+            kind = _KIND[kind_code]
+            if tracer is not None:
+                tracer.tick(core_id, quantum_start + cycles)
+            tr = mmu.translate(proc, segment, page_off, kind,
+                               is_write=kind_code == K_STORE)
+            paddr = (tr.ppn4k << 12) | (line << 6)
+            mem_cycles, _level = hierarchy_access(core_id, paddr, kind)
+            record_cycles = int(gap * base_cpi) + tr.cycles + mem_cycles
+            cycles += record_cycles
+            insts += gap + 1
+            stats.translation_cycles += tr.cycles
+            stats.memory_cycles += mem_cycles
+            if req_id is not None:
+                sim._request_latency[req_id] = (
+                    sim._request_latency.get(req_id, 0) + record_cycles)
+    else:
+        finished = True
+    stats.instructions += insts
+    sim.core_cycles[core_id] += cycles
+    if tracer is not None:
+        tracer.quantum(core_id, proc.pid, quantum_start,
+                       sim.core_cycles[core_id], insts)
+    sim._proc_cycles[proc.pid] = sim._proc_cycles.get(proc.pid, 0) + cycles
+    if finished:
+        sim._completion[proc.pid] = sim.core_cycles[core_id]
+        sim._traces.pop(proc.pid, None)
+        sim.scheduler.remove(proc)
+    nxt = sim.scheduler.rotate(core_id)
+    if nxt is not None and nxt is not proc:
+        sim.core_cycles[core_id] += sim.switch_cost
+    return insts

@@ -3,10 +3,10 @@
 The batch engine that once gave this suite its third leg was removed
 (DESIGN §14). The third leg is now the production structures with the
 L0 translation memo off (the ``memo_off`` fixture), beside the
-reference path (the linear-scan oracle structures, ``linear_structures``)
-and the full fast path: all three must produce the same
-``RunResult.as_dict()`` on the hot-locality workload of the perf
-harness and the same summary on a container churn storm.
+reference path (the linear-scan oracle structures and reference trace
+loop, ``linear_structures``) and the full fast path: all three must
+produce the same ``RunResult.as_dict()`` on the hot-locality workload
+of the perf harness and the same summary on a container churn storm.
 """
 
 import pytest

@@ -213,3 +213,35 @@ def test_walk_access_matches_skip_l1_load(linear, linear_structures):
     assert _hierarchy_snapshot(walk) == _hierarchy_snapshot(twin)
     l2 = walk.l2[0]
     assert l2.hits and l2.evictions and l2.writebacks and walk.l3.hits
+
+
+def test_data_access_matches_access():
+    # The trace loop's data_access (kind codes, same-line memo) against
+    # access() on a twin hierarchy: same cycles per access and the same
+    # final state, dirty lines and writebacks included. Half the
+    # accesses repeat the previous line on the same core, so the memo's
+    # replay (recency, dirty mark, hit counter) carries much of the
+    # stream.
+    machine = dataclasses.replace(
+        baseline_machine(cores=2),
+        l1d=CacheParams("L1D", 2048, 2, 64, 4),
+        l2=CacheParams("L2", 4096, 4, 64, 8),
+        l3=CacheParams("L3", 16384, 8, 64, 32, shared=True))
+    fast = CacheHierarchy(machine, DRAMModel(machine.dram))
+    twin = CacheHierarchy(machine, DRAMModel(machine.dram))
+    kinds = (AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE)
+    rng = random.Random(17)
+    last = [0, 0]
+    for _ in range(8000):
+        core = rng.randrange(2)
+        if rng.random() < 0.5:
+            paddr = last[core] | rng.randrange(64)
+        else:
+            paddr = rng.randrange(512) * 64 + rng.randrange(64)
+        last[core] = paddr & ~63
+        code = rng.randrange(3)
+        cycles, _level = twin.access(core, paddr, kinds[code])
+        assert fast.data_access(core, paddr, code) == cycles
+    assert _hierarchy_snapshot(fast) == _hierarchy_snapshot(twin)
+    l1d = fast.l1d[0]
+    assert l1d.writebacks and fast.l2[0].writebacks and fast.l3.hits

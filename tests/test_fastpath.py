@@ -19,19 +19,22 @@ import pytest
 
 from conftest import MiniSystem
 from structure_oracle import (LinearMultiSizeTLB, LinearSetAssocTLB,
-                              LinearSetAssociativeCache, replaces)
+                              LinearSetAssociativeCache, reference_run_quantum,
+                              replaces)
 
 from repro.experiments import perf, runcache
 from repro.experiments.common import (build_environment, config_by_name,
                                       config_cache_key, deploy_app, run_app)
 from repro.experiments.perf import run_hot
-from repro.hw.cache import SetAssociativeCache
+from repro.hw.cache import CacheHierarchy, SetAssociativeCache
 from repro.hw.params import CacheParams, TLBParams, baseline_machine
 from repro.hw.tlb import (REPLACE_SAME_PCID, REPLACE_SHARED, MultiSizeTLB,
                           SetAssocTLB, TLBEntry)
 from repro.hw.types import AccessKind, PageSize
 from repro.kernel.fault import InvalidationScope, TLBInvalidation
 from repro.kernel.vma import SegmentKind
+from repro.obs import events as obs_events
+from repro.sim import simulator
 from repro.sim.fastpath import FASTPATH_ENV, fastpath_active
 from repro.sim.simulator import Simulator
 from repro.workloads.profiles import APP_PROFILES
@@ -75,7 +78,8 @@ def test_stock_configs_triangulate_with_batch(name, memo_off,
     fast, ref = _run_both(linear_structures, name, cores=cores)
     with linear_structures():
         env = build_environment(config_by_name(name), cores=1)
-        assert not env.sim._fast and env.sim.mmus[0]._memo is None
+        assert env.sim.mmus[0]._memo is None
+        assert simulator.run_quantum is reference_run_quantum
         assert type(env.sim.mmus[0].l2) is LinearMultiSizeTLB
         assert type(env.sim.hierarchy.l3) is LinearSetAssociativeCache
     with memo_off():
@@ -88,20 +92,47 @@ def test_stock_configs_triangulate_with_batch(name, memo_off,
 
 
 def test_sanitize_mode_bit_identical(linear_structures):
-    # Sanitized runs on the production structures (memo off, reference
-    # loop) against sanitized runs on the linear-scan structures.
+    # Sanitized runs on the production structures and trace loop (memo
+    # off) against sanitized runs on the linear-scan structures and the
+    # oracle's reference loop.
     fast, ref = _run_both(linear_structures, "BabelFish", scale=0.02,
                           sanitize=True)
     assert fast == ref
 
 
+def _event_stream(run):
+    """A traced run's event ring with pids renumbered by first
+    appearance (pids come from a process-global counter)."""
+    index = {}
+    stream = []
+    for event in run.env.sim.tracer.events:
+        pids = (3, 4, 5) if event[0] == obs_events.SCHED_SWITCH else (3,)
+        stream.append(tuple(index.setdefault(value, len(index))
+                            if slot in pids else value
+                            for slot, value in enumerate(event)))
+    return stream
+
+
 def test_trace_mode_bit_identical(linear_structures):
-    # Traced runs on the production structures against traced runs on
-    # the linear-scan structures: same counters and the same event
-    # stream.
-    fast, ref = _run_both(linear_structures, "BabelFish", scale=0.02,
-                          trace=True)
-    assert fast == ref
+    # Traced runs on the production structures and trace loop against
+    # traced runs on the linear-scan structures and the oracle's
+    # reference loop: same counters and the same event stream, down to
+    # each event's timestamp and position. A short quantum puts several
+    # quantum ends and context switches into the stream.
+    overrides = dict(trace=True, quantum_instructions=1000)
+    fast = run_app("mongodb", config_by_name("BabelFish", **overrides),
+                   cores=1, scale=0.02, use_cache=False)
+    with linear_structures():
+        ref = run_app("mongodb",
+                      config_by_name("BabelFish", fastpath=False,
+                                     **overrides),
+                      cores=1, scale=0.02, use_cache=False)
+    assert fast.result.as_dict() == ref.result.as_dict()
+    stream = _event_stream(fast)
+    assert {e[0] for e in stream} >= {obs_events.QUANTUM,
+                                      obs_events.SCHED_SWITCH,
+                                      obs_events.TLB_MISS}
+    assert stream == _event_stream(ref)
 
 
 def test_churn_stop_restart_stream_bit_identical(linear_structures):
@@ -218,7 +249,6 @@ def test_escape_hatches(monkeypatch):
     monkeypatch.setenv(FASTPATH_ENV, "0")
     assert not fastpath_active(config)
     env = build_environment(config, cores=1)
-    assert env.sim._fast is False
     assert env.sim.mmus[0]._memo is None
 
 
@@ -229,17 +259,39 @@ def test_escape_hatches(monkeypatch):
 def test_debug_modes_bypass_fast_structures(overrides):
     # Debug runs build the same TLBs and caches as production runs, so
     # their hooks check the structures production uses; only the L0
-    # memo and the tight trace loop, which would skip the hooks, are off.
+    # memo, which would skip the hooks, is off.
     config = config_by_name("BabelFish", **overrides)
     assert fastpath_active(config)
     env = build_environment(config, cores=1)
-    assert env.sim._fast is False
     mmu = env.sim.mmus[0]
     assert mmu.fast and mmu._memo is None
     assert type(mmu.l1d) is MultiSizeTLB
     assert type(mmu.l2) is MultiSizeTLB
     assert type(env.sim.hierarchy.l3) is SetAssociativeCache
     assert type(env.sim.hierarchy.l1d[0]) is SetAssociativeCache
+
+
+@pytest.mark.parametrize("overrides", [{"sanitize": True}, {"trace": True}],
+                         ids=["sanitizer-mode", "tracer-mode"])
+def test_debug_modes_run_the_production_loop(overrides, monkeypatch):
+    # Sanitized and traced runs go through the same trace loop as
+    # production runs: every demand access reaches the cache hierarchy
+    # through data_access (the loop's entry point, same-line memo
+    # included), never through the plain access().
+    calls = {"data_access": 0, "access": 0}
+    for name in calls:
+        original = getattr(CacheHierarchy, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CacheHierarchy, name, counted)
+    run = run_app("mongodb", config_by_name("BabelFish", **overrides),
+                  cores=1, scale=0.02, use_cache=False)
+    assert run.result.stats.accesses_d > 0
+    assert calls["data_access"] > 0
+    assert calls["access"] == 0
 
 
 def test_post_hoc_tracer_or_sanitizer_disables_memo():
@@ -462,7 +514,7 @@ def test_cache_backings_pick_same_victims():
 
 def _count_translates(mmu):
     """Wrap ``mmu.translate``; returns the list each call's ``(kind,
-    cycles, ppn4k)`` is appended to. The fast trace loop calls
+    cycles, ppn4k)`` is appended to. The trace loop calls
     ``translate`` only for the accesses the L0 memo does not serve."""
     calls = []
     inner = mmu.translate
