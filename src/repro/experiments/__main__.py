@@ -37,8 +37,7 @@ import json
 import pathlib
 import sys
 
-from repro.experiments.common import (config_by_name, run_app,
-                                      set_disk_cache, simulation_run_count)
+from repro.experiments.common import config_by_name, run_app, set_disk_cache
 from repro.experiments.runcache import DiskRunCache, default_cache_dir
 from repro.experiments.runner import execute, report_matrix
 from repro.obs import (PhaseProfiler, format_summary, summarize,
@@ -87,7 +86,7 @@ def main(argv=None):
                             help="keep results in memory only")
     run_parser.add_argument("--live", action="store_true",
                             help="live progress lines (throughput/ETA), "
-                                 "aggregated across workers under --jobs")
+                                 "one step per finished run under --jobs")
 
     trace_parser = sub.add_parser(
         "trace", help="capture one traced run (JSONL + Chrome trace)")
@@ -163,8 +162,8 @@ def main(argv=None):
     zoo_parser.add_argument("--no-disk-cache", action="store_true",
                             help="keep results in memory only")
     zoo_parser.add_argument("--live", action="store_true",
-                            help="live progress lines, aggregated across "
-                                 "workers under --jobs")
+                            help="live progress lines, one step per "
+                                 "finished run under --jobs")
 
     args = parser.parse_args(argv)
     if args.command == "cache":
@@ -184,7 +183,6 @@ def _run_command(parser, args):
     if args.jobs < 1:
         parser.error("--jobs must be a positive integer (got %d)" % args.jobs)
     cores, scale = resolve_scale_args(parser, args)
-    cache = None
     if not args.no_disk_cache:
         cache = DiskRunCache(args.cache_dir)
         set_disk_cache(cache)
@@ -200,11 +198,10 @@ def _run_command(parser, args):
     with profiler.span("execute") as span:
         runs = execute(matrix, jobs=args.jobs, progress=print,
                        profiler=profiler, monitor=monitor)
-    simulated = (simulation_run_count() if args.jobs <= 1
-                 else len(matrix) - (cache.hits if cache else 0))
+    counters = profiler.counters
     print("done: %d runs (%d simulated, %d cached) in %.1fs"
-          % (len(runs), max(0, simulated), len(runs) - max(0, simulated),
-             span.seconds))
+          % (len(runs), counters.get("cache_miss", 0),
+             counters.get("cache_hit", 0), span.seconds))
     return 0
 
 

@@ -18,11 +18,11 @@ from repro.sim.config import babelfish_config
 
 
 def _measure(config, app, cores, scale):
-    """One measured run through the (correctly keyed) run cache: ablation
-    configs share ``config.name`` with the stock configs but differ in
-    field values, which the full-field cache key now distinguishes."""
-    run = run_app(app, config, cores=cores, scale=scale)
-    return run.result, run.env
+    """The result of one measured run through the (correctly keyed) run
+    cache: ablation configs share ``config.name`` with the stock configs
+    but differ in field values, which the full-field cache key
+    distinguishes."""
+    return run_app(app, config, cores=cores, scale=scale).result
 
 
 def run_aslr_ablation(app="mongodb", cores=4, scale=0.5, jobs=1):
@@ -34,11 +34,11 @@ def run_aslr_ablation(app="mongodb", cores=4, scale=0.5, jobs=1):
                               overrides=request_overrides(aslr_mode=mode),
                               cores=cores, scale=scale)
                    for mode in (ASLRMode.SW, ASLRMode.HW)], jobs=jobs)
-    base, _ = _measure(config_by_name("Baseline"), app, cores, scale)
+    base = _measure(config_by_name("Baseline"), app, cores, scale)
     rows = []
     for mode in (ASLRMode.SW, ASLRMode.HW):
-        result, env = _measure(babelfish_config(aslr_mode=mode), app,
-                               cores, scale)
+        result = _measure(babelfish_config(aslr_mode=mode), app,
+                          cores, scale)
         rows.append({
             "mode": mode.value,
             "mean_reduction_pct": round(pct_reduction(
@@ -58,11 +58,11 @@ def run_orpc_ablation(app="mongodb", cores=4, scale=0.5, jobs=1):
                               overrides=request_overrides(orpc_enabled=orpc),
                               cores=cores, scale=scale)
                    for orpc in (True, False)], jobs=jobs)
-    base, _ = _measure(config_by_name("Baseline"), app, cores, scale)
+    base = _measure(config_by_name("Baseline"), app, cores, scale)
     rows = []
     for orpc in (True, False):
-        result, _env = _measure(babelfish_config(orpc_enabled=orpc), app,
-                                cores, scale)
+        result = _measure(babelfish_config(orpc_enabled=orpc), app,
+                          cores, scale)
         rows.append({
             "orpc_enabled": orpc,
             "mean_reduction_pct": round(pct_reduction(
@@ -193,10 +193,10 @@ def run_quantum_ablation(app="mongodb", cores=4, scale=0.5,
                  for name in ("Baseline", "BabelFish")], jobs=jobs)
     rows = []
     for quantum in quanta:
-        base, _ = _measure(config_by_name(
+        base = _measure(config_by_name(
             "Baseline", quantum_instructions=quantum), app, cores, scale)
-        bf, _ = _measure(babelfish_config(quantum_instructions=quantum),
-                         app, cores, scale)
+        bf = _measure(babelfish_config(quantum_instructions=quantum),
+                      app, cores, scale)
         rows.append({
             "quantum_instructions": quantum,
             "mean_reduction_pct": round(pct_reduction(

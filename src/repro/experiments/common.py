@@ -6,16 +6,19 @@ application per the paper's co-location rules (2 containers per core for
 serving/compute, 3 function containers per core); and runs the two-phase
 "warm up, then measure" methodology of Section VI.
 
-Runs are memoized on (app, full config field tuple, cores, scale)
-because several figures/tables are computed from the same runs
-(Figures 9-11 and Table II all share the serving/compute runs).  The key
-canonicalizes *every* ``SimConfig`` field — not ``config.name`` — so
-configs built via ``config_by_name(name, **overrides)`` (the ablation
-and larger-TLB sweeps) never collide with the stock config of the same
-name.  An optional persistent layer (:mod:`repro.experiments.runcache`,
-installed with :func:`set_disk_cache`) memoizes run *summaries* across
-processes and invocations, keyed additionally by a fingerprint of the
-simulator sources.
+Runs are memoized because several figures/tables are computed from the
+same runs (Figures 9-11 and Table II all share the serving/compute
+runs).  The memo key is the key data the persistent layer
+(:mod:`repro.experiments.runcache`, installed with
+:func:`set_disk_cache`) hashes: the run kind and parameters plus *every*
+``SimConfig`` field — not ``config.name`` — so configs built via
+``config_by_name(name, **overrides)`` (the ablation and larger-TLB
+sweeps) never collide with the stock config of the same name.  The disk
+layer memoizes run *summaries* (:func:`summarize_run`) across processes
+and invocations, keyed additionally by a fingerprint of the simulator
+sources.  Every run carries its kernel accounting as a plain dict
+(``kernel_snapshot``), so a run rehydrated from a summary answers the
+same questions as a live one.
 """
 
 import dataclasses
@@ -81,6 +84,8 @@ class AppRun:
     env: Environment
     deployment: Deployment
     result: object  # RunResult of the measured phase
+    #: kernel accounting at the end of the run (runcache.kernel_snapshot)
+    kernel_snapshot: dict
 
 
 def experiment_machine(cores=8):
@@ -246,11 +251,6 @@ def simulation_run_count():
     return _SIMULATION_RUNS
 
 
-def _count_simulation():
-    global _SIMULATION_RUNS
-    _SIMULATION_RUNS += 1
-
-
 def clear_run_cache():
     """Clear the in-memory memo (the disk layer, if any, is untouched)."""
     _RUN_CACHE.clear()
@@ -269,16 +269,6 @@ def disk_cache():
     return _DISK_CACHE
 
 
-def config_cache_key(config):
-    """The full field tuple of a config — the memoization key component.
-
-    ``dataclasses.astuple`` recurses into ``costs``, so *any* field
-    difference (an ablation override, a costs tweak) yields a distinct
-    key even when ``config.name`` matches the stock config's.
-    """
-    return dataclasses.astuple(config)
-
-
 def config_by_name(name, **overrides):
     builders = {
         "Baseline": baseline_config,
@@ -292,38 +282,66 @@ def config_by_name(name, **overrides):
     return builders[name](**overrides)
 
 
-def summarize_app_run(run, cores, scale, containers_per_core):
-    """The JSON-ready summary artifacts of an :class:`AppRun` (what the
-    disk cache stores and pool workers ship back to the parent)."""
-    return {
-        "kind": "app",
-        "app": run.app,
-        "config": runcache.config_field_dict(run.config),
-        "cores": cores,
-        "scale": scale,
-        "containers_per_core": containers_per_core,
-        "result": runcache.result_to_dict(run.result),
-        "kernel": runcache.kernel_snapshot(run.env.kernel),
-    }
+def summarize_run(key_data, run):
+    """The JSON-ready summary of a finished run (what the disk cache
+    stores and pool workers ship back to the parent): ``key_data`` plus
+    the result and kernel accounting, and for functions runs the
+    bring-up and per-function execution means."""
+    summary = dict(key_data)
+    if key_data["kind"] == "functions":
+        summary["bringup_cycles"] = run.bringup_cycles
+        summary["exec_cycles"] = dict(run.exec_cycles)
+    summary["result"] = runcache.result_to_dict(run.result)
+    summary["kernel"] = run.kernel_snapshot
+    return summary
 
 
-def rehydrate_app_run(summary):
-    """An :class:`AppRun` carrying the summarized result and a
-    :class:`~repro.experiments.runcache.CachedKernel` snapshot (no live
-    deployment; use ``use_cache=False`` for page-table introspection)."""
+def remember_run(key_data, summary):
+    """Seed the in-memory memo with the run a summary describes (one
+    loaded from disk or shipped back by a pool worker) and return it.
+
+    The rehydrated run carries no live environment (``env`` is None);
+    use ``use_cache=False`` for page-table introspection.
+    """
     config = runcache.config_from_fields(summary["config"])
-    env = Environment(config, None, runcache.CachedKernel(summary["kernel"]),
-                      None, None, None)
-    return AppRun(summary["app"], config, env, None,
-                  runcache.result_from_dict(summary["result"]))
+    result = runcache.result_from_dict(summary["result"])
+    if summary["kind"] == "functions":
+        run = FunctionsRun(config, summary["dense"], None, None,
+                           summary["bringup_cycles"],
+                           dict(summary["exec_cycles"]), result,
+                           summary["kernel"])
+    else:
+        run = AppRun(summary["app"], config, None, None, result,
+                     summary["kernel"])
+    _RUN_CACHE[runcache.canonical_json(key_data)] = run
+    return run
 
 
-def remember_app_run(run, cores, scale, containers_per_core=None):
-    """Seed the in-memory memo with an externally produced run (e.g. one
-    rehydrated from a pool worker's summary)."""
-    key = ("app", run.app, config_cache_key(run.config), cores, scale,
-           containers_per_core)
-    _RUN_CACHE[key] = run
+def cached_run(key_data):
+    """The memoized or disk-cached run for ``key_data``, or None."""
+    run = _RUN_CACHE.get(runcache.canonical_json(key_data))
+    if run is not None or _DISK_CACHE is None:
+        return run
+    payload = _DISK_CACHE.load(key_data)
+    if payload is None:
+        return None
+    return remember_run(key_data, payload)
+
+
+def _run_cached(key_data, simulate, use_cache):
+    """Memory, then disk, then ``simulate()``; a simulated run is
+    memoized and, when it is coherent, stored on disk."""
+    global _SIMULATION_RUNS
+    if use_cache:
+        run = cached_run(key_data)
+        if run is not None:
+            return run
+    _SIMULATION_RUNS += 1
+    run = simulate()
+    if use_cache:
+        _RUN_CACHE[runcache.canonical_json(key_data)] = run
+        if _DISK_CACHE is not None and not run.result.coherence_violations:
+            _DISK_CACHE.store(key_data, summarize_run(key_data, run))
     return run
 
 
@@ -335,33 +353,24 @@ def run_app(app_name, config, cores=8, scale=1.0, containers_per_core=None,
     to the simulator's per-quantum progress hook for the duration of the
     run; cache hits never advance it (nothing simulates).
     """
-    key = ("app", app_name, config_cache_key(config), cores, scale,
-           containers_per_core)
-    if use_cache and key in _RUN_CACHE:
-        return _RUN_CACHE[key]
-    key_data = None
-    if use_cache and _DISK_CACHE is not None:
-        key_data = runcache.app_key_data(app_name, config, cores, scale,
-                                         containers_per_core)
-        payload = _DISK_CACHE.load(key_data)
-        if payload is not None:
-            run = rehydrate_app_run(payload)
-            _RUN_CACHE[key] = run
-            return run
-    _count_simulation()
-    profile = APP_PROFILES[app_name]
+    key_data = runcache.app_key_data(app_name, config, cores, scale,
+                                     containers_per_core)
+    return _run_cached(
+        key_data,
+        lambda: _simulate_app(app_name, config, cores, scale,
+                              containers_per_core, monitor),
+        use_cache)
+
+
+def _simulate_app(app_name, config, cores, scale, containers_per_core,
+                  monitor):
     env = build_environment(config, cores=cores)
     if monitor is not None:
         env.sim.progress = monitor
-    deployment = deploy_app(env, profile, containers_per_core)
+    deployment = deploy_app(env, APP_PROFILES[app_name], containers_per_core)
     result = measure_app(env, deployment, scale=scale)
-    run = AppRun(app_name, config, env, deployment, result)
-    if use_cache:
-        _RUN_CACHE[key] = run
-        if _DISK_CACHE is not None and not result.coherence_violations:
-            _DISK_CACHE.store(key_data, summarize_app_run(
-                run, cores, scale, containers_per_core))
-    return run
+    return AppRun(app_name, config, env, deployment, result,
+                  runcache.kernel_snapshot(env.kernel))
 
 
 # -- functions (FaaS) -------------------------------------------------------------
@@ -379,38 +388,8 @@ class FunctionsRun:
     #: mean execution cycles per function name
     exec_cycles: dict
     result: object
-
-
-def summarize_functions_run(run, cores, scale):
-    """JSON-ready summary artifacts of a :class:`FunctionsRun`."""
-    return {
-        "kind": "functions",
-        "config": runcache.config_field_dict(run.config),
-        "dense": run.dense,
-        "cores": cores,
-        "scale": scale,
-        "bringup_cycles": run.bringup_cycles,
-        "exec_cycles": dict(run.exec_cycles),
-        "result": runcache.result_to_dict(run.result),
-        "kernel": runcache.kernel_snapshot(run.env.kernel),
-    }
-
-
-def rehydrate_functions_run(summary):
-    config = runcache.config_from_fields(summary["config"])
-    env = Environment(config, None, runcache.CachedKernel(summary["kernel"]),
-                      None, None, None)
-    return FunctionsRun(config, summary["dense"], env, None,
-                        summary["bringup_cycles"],
-                        dict(summary["exec_cycles"]),
-                        runcache.result_from_dict(summary["result"]))
-
-
-def remember_functions_run(run, cores, scale):
-    key = ("functions", config_cache_key(run.config), run.dense, cores,
-           scale)
-    _RUN_CACHE[key] = run
-    return run
+    #: kernel accounting at the end of the run (runcache.kernel_snapshot)
+    kernel_snapshot: dict
 
 
 def run_functions(config, dense=True, cores=8, scale=1.0, use_cache=True,
@@ -422,18 +401,14 @@ def run_functions(config, dense=True, cores=8, scale=1.0, use_cache=True,
     ``monitor`` rides the simulator's per-quantum hook as in
     :func:`run_app`.
     """
-    key = ("functions", config_cache_key(config), dense, cores, scale)
-    if use_cache and key in _RUN_CACHE:
-        return _RUN_CACHE[key]
-    key_data = None
-    if use_cache and _DISK_CACHE is not None:
-        key_data = runcache.functions_key_data(config, dense, cores, scale)
-        payload = _DISK_CACHE.load(key_data)
-        if payload is not None:
-            run = rehydrate_functions_run(payload)
-            _RUN_CACHE[key] = run
-            return run
-    _count_simulation()
+    key_data = runcache.functions_key_data(config, dense, cores, scale)
+    return _run_cached(
+        key_data,
+        lambda: _simulate_functions(config, dense, cores, scale, monitor),
+        use_cache)
+
+
+def _simulate_functions(config, dense, cores, scale, monitor):
     env = build_environment(config, cores=cores)
     if monitor is not None:
         env.sim.progress = monitor
@@ -493,14 +468,9 @@ def run_functions(config, dense=True, cores=8, scale=1.0, use_cache=True,
         bringups.append(fn.bringup_cycles)
     exec_mean = {name: sum(vals) / len(vals)
                  for name, vals in exec_cycles.items()}
-    run = FunctionsRun(config, dense, env, containers,
-                       sum(bringups) / len(bringups), exec_mean, result)
-    if use_cache:
-        _RUN_CACHE[key] = run
-        if _DISK_CACHE is not None and not result.coherence_violations:
-            _DISK_CACHE.store(key_data, summarize_functions_run(
-                run, cores, scale))
-    return run
+    return FunctionsRun(config, dense, env, containers,
+                        sum(bringups) / len(bringups), exec_mean, result,
+                        runcache.kernel_snapshot(env.kernel))
 
 
 # -- formatting helpers -----------------------------------------------------------

@@ -11,7 +11,6 @@ tables, while BabelFish keeps a single copy.
 
 from repro.experiments.common import config_by_name, pct_reduction, run_app
 from repro.experiments.runner import density_matrix, execute
-from repro.kernel.frames import FrameKind
 
 
 def run_density_sweep(app="mongodb", cores=2, scale=0.35,
@@ -33,9 +32,9 @@ def run_density_sweep(app="mongodb", cores=2, scale=0.35,
             "mpki_d_reduction_pct": round(pct_reduction(
                 rb.stats.mpki("d"), rf.stats.mpki("d")), 1),
             "shared_hits": round(rf.stats.shared_hit_fraction(), 3),
-            "baseline_table_pages": base.env.kernel.allocator.count(
-                FrameKind.PAGE_TABLE),
-            "babelfish_table_pages": bf.env.kernel.allocator.count(
-                FrameKind.PAGE_TABLE),
+            "baseline_table_pages":
+                base.kernel_snapshot["frame_counts"]["PAGE_TABLE"],
+            "babelfish_table_pages":
+                bf.kernel_snapshot["frame_counts"]["PAGE_TABLE"],
         })
     return rows

@@ -11,7 +11,6 @@
 
 from repro.hw.cacti import core_area_overhead_pct
 from repro.hw.types import ENTRIES_PER_TABLE, PAGE_SIZE
-from repro.kernel.frames import FrameKind
 from repro.experiments.common import config_by_name
 
 
@@ -31,18 +30,17 @@ def measured_space_overhead(cores=2, scale=0.4):
     actually allocated vs page-table pages in use. Uses the FaaS run,
     whose bring-up CoW writes exercise the MaskPage machinery.
 
-    Reads only the kernel accounting preserved by the run cache's
-    summaries (frame counts, policy registry size), so a disk-cached run
-    answers it without re-simulating."""
+    Reads only the run's kernel accounting dict (frame counts, policy
+    registry size), which the run cache's summaries preserve, so a
+    disk-cached run answers it without re-simulating."""
     from repro.experiments.common import run_functions
     run = run_functions(config_by_name("BabelFish"), dense=True,
                         cores=cores, scale=scale)
-    kernel = run.env.kernel
-    policy = kernel.policy
-    pt_pages = kernel.allocator.count(FrameKind.PAGE_TABLE)
-    mask_pages = kernel.allocator.count(FrameKind.MASK_PAGE)
+    frames = run.kernel_snapshot["frame_counts"]
+    pt_pages = frames["PAGE_TABLE"]
+    mask_pages = frames["MASK_PAGE"]
     # One 16-bit counter per shared table (Section IV-B).
-    counter_bytes = 2 * len(policy.registry)
+    counter_bytes = 2 * run.kernel_snapshot["policy_registry_len"]
     return {
         "page_table_pages": pt_pages,
         "mask_pages": mask_pages,

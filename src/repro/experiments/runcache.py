@@ -15,7 +15,9 @@ Live ``Environment`` objects (kernel, page tables, TLBs) are deliberately
 *not* stored: experiments that introspect live kernel state (Figure 9's
 page-table walk) bypass the cache with ``use_cache=False``.  Experiments
 that only need coarse kernel accounting (page-table page counts, fault
-totals) read it from a :class:`CachedKernel` snapshot instead.
+totals) read the run's :func:`kernel_snapshot` dict, which live and
+rehydrated runs both carry.  The same key data this module hashes is
+also the in-memory memo key (:mod:`repro.experiments.common`).
 
 Cache layout: one ``<sha256>.json`` file per run, containing the key
 data (for debuggability) alongside the payload.  Writes go through a
@@ -95,8 +97,7 @@ def config_from_fields(fields):
     fields["aslr_mode"] = ASLRMode(fields["aslr_mode"])
     fields["costs"] = KernelCosts(**fields["costs"])
     # ``dataclasses.asdict`` flattened any TraceOptions into a plain dict;
-    # rebuild the dataclass so rehydrated configs stay hashable (the
-    # in-memory run-cache key is ``dataclasses.astuple(config)``).
+    # rebuild the dataclass so rehydrated configs stay hashable.
     if isinstance(fields.get("trace"), dict):
         fields["trace"] = TraceOptions(**fields["trace"])
     return SimConfig(**fields)
@@ -169,47 +170,6 @@ def kernel_snapshot(kernel):
         "major_faults": kernel.total_major_faults,
         "cow_faults": kernel.total_cow_faults,
     }
-
-
-class CachedAllocator:
-    """Frame-count view of a cached run's allocator."""
-
-    def __init__(self, counts):
-        self._counts = counts
-
-    def count(self, kind):
-        return self._counts.get(kind.name, 0)
-
-
-class _CachedRegistry:
-    def __init__(self, length):
-        self._length = length
-
-    def __len__(self):
-        return self._length
-
-
-class CachedPolicy:
-    def __init__(self, registry_len):
-        self.registry = _CachedRegistry(registry_len)
-
-
-class CachedKernel:
-    """Summary stand-in for a live :class:`~repro.kernel.kernel.Kernel`.
-
-    Exposes exactly the accounting recorded by :func:`kernel_snapshot`;
-    anything deeper (page tables, LRU) requires a live run
-    (``use_cache=False``).
-    """
-
-    def __init__(self, snapshot):
-        self.allocator = CachedAllocator(snapshot["frame_counts"])
-        registry_len = snapshot["policy_registry_len"]
-        self.policy = (CachedPolicy(registry_len)
-                       if registry_len is not None else None)
-        self.total_minor_faults = snapshot["minor_faults"]
-        self.total_major_faults = snapshot["major_faults"]
-        self.total_cow_faults = snapshot["cow_faults"]
 
 
 # -- the disk store -----------------------------------------------------------------

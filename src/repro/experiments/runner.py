@@ -18,16 +18,18 @@ rows, mixed-colocation scenarios).
 
 Worker processes install the parent's disk cache (same directory, same
 code fingerprint) before running, so a parallel sweep persists its
-results exactly like a sequential one.
+results exactly like a sequential one.  What a run's cache key is and
+what its summary holds is :mod:`repro.experiments.common`'s business;
+this module only maps a :class:`RunRequest` to that key data
+(:func:`request_key_data`).  Live progress under ``--jobs N`` is counted
+here in the parent, one step per completed future.
 """
 
 import concurrent.futures
 import dataclasses
-import multiprocessing
 
 from repro.experiments import common, runcache
 from repro.experiments.runcache import DiskRunCache
-from repro.obs import live
 from repro.obs.profile import PhaseProfiler
 from repro.workloads.profiles import COMPUTE_APPS, SERVING_APPS
 
@@ -142,33 +144,6 @@ def request_key_data(request, config=None):
                                  request.scale, request.containers_per_core)
 
 
-def _cached_run(request):
-    """Memory- or disk-cached run for ``request``, or None."""
-    config = request.config()
-    if request.kind == "functions":
-        key = ("functions", common.config_cache_key(config), request.dense,
-               request.cores, request.scale)
-    else:
-        key = ("app", request.app, common.config_cache_key(config),
-               request.cores, request.scale, request.containers_per_core)
-    run = common._RUN_CACHE.get(key)
-    if run is not None:
-        return run
-    cache = common.disk_cache()
-    if cache is None:
-        return None
-    payload = cache.load(request_key_data(request, config))
-    if payload is None:
-        return None
-    if request.kind == "functions":
-        return common.remember_functions_run(
-            common.rehydrate_functions_run(payload), request.cores,
-            request.scale)
-    return common.remember_app_run(
-        common.rehydrate_app_run(payload), request.cores, request.scale,
-        request.containers_per_core)
-
-
 def run_request(request, monitor=None, use_cache=True):
     """Execute one request in this process (through both cache layers).
 
@@ -191,67 +166,30 @@ def run_request(request, monitor=None, use_cache=True):
 def request_summary(request, run):
     """The picklable summary artifacts of a finished request (the shape
     pool workers ship to the parent and the daemon serves to clients)."""
-    if request.kind == "functions":
-        return common.summarize_functions_run(run, request.cores,
-                                              request.scale)
-    return common.summarize_app_run(run, request.cores, request.scale,
-                                    request.containers_per_core)
+    return common.summarize_run(request_key_data(request), run)
 
 
-def _init_worker(cache_root, fingerprint, progress_queue=None):
+def _init_worker(cache_root, fingerprint):
     """Pool initializer: give the worker the parent's disk cache (workers
     must not inherit in-memory state assumptions; with the ``spawn``
-    start method they inherit nothing at all) and, when the parent wants
-    live progress, the shard-progress queue."""
+    start method they inherit nothing at all)."""
     if cache_root is not None:
         common.set_disk_cache(DiskRunCache(cache_root,
                                            fingerprint=fingerprint))
-    if progress_queue is not None:
-        live.bind_worker_queue(progress_queue)
 
 
 def _worker_execute(request):
     """Run a request in a worker and return its picklable summary."""
-    run = run_request(request)
-    live.post_shard(request.label(), done=1)
-    return request_summary(request, run)
+    return request_summary(request, run_request(request))
 
 
-def _install_summary(request, summary):
-    if request.kind == "functions":
-        return common.remember_functions_run(
-            common.rehydrate_functions_run(summary), request.cores,
-            request.scale)
-    return common.remember_app_run(
-        common.rehydrate_app_run(summary), request.cores, request.scale,
-        request.containers_per_core)
-
-
-def _pool(jobs, progress_queue=None):
+def _pool(jobs):
     cache = common.disk_cache()
     root = str(cache.root) if cache is not None else None
     fingerprint = cache.fingerprint if cache is not None else None
     return concurrent.futures.ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker,
-        initargs=(root, fingerprint, progress_queue))
-
-
-def _progress_channel(monitor, jobs, total):
-    """``(manager, queue, aggregator)`` for a parallel leg, or Nones.
-
-    Worker shards post per-item payloads onto a managed queue; the
-    parent drains it as futures complete and feeds the deterministic
-    merge (:meth:`~repro.obs.live.ProgressAggregator.merged` sums over
-    sorted shard labels, so the monitor's totals never depend on
-    completion order) into ``monitor``.  The caller must keep the
-    returned manager alive for as long as the queue is in use.
-    """
-    if monitor is None or jobs <= 1:
-        return None, None, None
-    if monitor.total is None:
-        monitor.total = total
-    manager = multiprocessing.Manager()
-    return manager, manager.Queue(), live.ProgressAggregator()
+        initargs=(root, fingerprint))
 
 
 def execute(requests, jobs=1, progress=None, profiler=None, monitor=None):
@@ -269,19 +207,20 @@ def execute(requests, jobs=1, progress=None, profiler=None, monitor=None):
     ``cache_hit``/``cache_miss`` counters give ``--jobs N`` runs the
     same summary shape as sequential ones.
 
-    ``monitor`` (a :class:`repro.obs.live.ProgressMonitor`) tracks
-    simulated requests: sequential legs advance it directly; parallel
-    legs aggregate per-shard payloads posted by the workers over a
-    managed queue and feed the deterministic merge after every
-    completed future.
+    ``monitor`` (a :class:`repro.obs.live.ProgressMonitor`) counts
+    cache hits under ``cached`` and advances by one per simulated
+    request — as each finishes in this process, or as each parallel
+    future completes.
     """
     profiler = PhaseProfiler() if profiler is None else profiler
     unique = list(dict.fromkeys(requests))
+    keys = {}
     runs = {}
     pending = []
     with profiler.span("resolve"):
         for request in unique:
-            run = _cached_run(request)
+            keys[request] = request_key_data(request)
+            run = common.cached_run(keys[request])
             if run is not None:
                 runs[request] = run
                 profiler.count("cache_hit")
@@ -294,9 +233,9 @@ def execute(requests, jobs=1, progress=None, profiler=None, monitor=None):
     profiler.count("cache_miss", len(pending))
 
     total = len(pending)
+    if total and monitor is not None and monitor.total is None:
+        monitor.total = total
     if total and (jobs <= 1 or total == 1):
-        if monitor is not None and monitor.total is None:
-            monitor.total = total
         for index, request in enumerate(pending):
             with profiler.span("simulate") as span:
                 runs[request] = run_request(request)
@@ -306,20 +245,18 @@ def execute(requests, jobs=1, progress=None, profiler=None, monitor=None):
                 progress("[%d/%d] %s  %.1fs"
                          % (index + 1, total, request.label(), span.seconds))
     elif total:
-        manager, queue, aggregator = _progress_channel(monitor, jobs, total)
-        with profiler.span("simulate:parallel"), _pool(jobs, queue) as pool:
+        with profiler.span("simulate:parallel"), _pool(jobs) as pool:
             submitted = profiler.clock()
             futures = {pool.submit(_worker_execute, request): request
                        for request in pending}
-            done = 0
-            for future in concurrent.futures.as_completed(futures):
+            completed = concurrent.futures.as_completed(futures)
+            for done, future in enumerate(completed, 1):
                 request = futures[future]
                 with profiler.span("install"):
-                    runs[request] = _install_summary(request, future.result())
-                done += 1
-                if aggregator is not None:
-                    aggregator.drain(queue)
-                    aggregator.feed(monitor)
+                    runs[request] = common.remember_run(keys[request],
+                                                        future.result())
+                if monitor is not None:
+                    monitor.advance(1)
                 # Submit-to-completion wall time for this request (the
                 # pool submits everything up front, so this is how long
                 # the request took to come back, queueing included).
@@ -328,8 +265,6 @@ def execute(requests, jobs=1, progress=None, profiler=None, monitor=None):
                 if progress:
                     progress("[%d/%d] %s  %.1fs"
                              % (done, total, request.label(), waited))
-        if manager is not None:
-            manager.shutdown()
     if monitor is not None:
         monitor.finish()
     if progress:
@@ -337,62 +272,15 @@ def execute(requests, jobs=1, progress=None, profiler=None, monitor=None):
     return [runs[request] for request in requests]
 
 
-def _map_worker(fn, index, item):
-    """Worker-side wrapper for :func:`parallel_map` items: runs the
-    mapped function and posts one shard-progress payload (shard label =
-    item index, so the parent's merge is deterministic)."""
-    result = fn(item)
-    live.post_shard("map:%06d" % index, done=1)
-    return result
-
-
-def parallel_map(fn, items, jobs=1, progress=None, profiler=None,
-                 monitor=None):
+def parallel_map(fn, items, jobs=1):
     """Order-preserving map over pure, picklable work items.
 
     ``fn`` must be a module-level function.  With ``jobs <= 1`` this is a
     plain loop; otherwise items run across a process pool whose workers
-    share the parent's disk cache.  ``monitor`` (a
-    :class:`repro.obs.live.ProgressMonitor`) is advanced per completed
-    item; parallel legs route per-shard payloads through the managed
-    queue exactly like :func:`execute`.
+    share the parent's disk cache.
     """
-    profiler = PhaseProfiler() if profiler is None else profiler
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        if monitor is not None and monitor.total is None:
-            monitor.total = len(items)
-        results = []
-        for index, item in enumerate(items):
-            with profiler.span("map") as span:
-                results.append(fn(item))
-            if monitor is not None:
-                monitor.advance(1)
-            if progress:
-                progress("[%d/%d] done  %.1fs"
-                         % (index + 1, len(items), span.seconds))
-        if monitor is not None:
-            monitor.finish()
-        return results
-    results = [None] * len(items)
-    manager, queue, aggregator = _progress_channel(monitor, jobs, len(items))
-    with profiler.span("map:parallel"), _pool(jobs, queue) as pool:
-        submitted = profiler.clock()
-        futures = {pool.submit(_map_worker, fn, index, item): index
-                   for index, item in enumerate(items)}
-        done = 0
-        for future in concurrent.futures.as_completed(futures):
-            results[futures[future]] = future.result()
-            done += 1
-            if aggregator is not None:
-                aggregator.drain(queue)
-                aggregator.feed(monitor)
-            if progress:
-                progress("[%d/%d] done  %.1fs"
-                         % (done, len(items),
-                            profiler.clock() - submitted))
-    if manager is not None:
-        manager.shutdown()
-    if monitor is not None:
-        monitor.finish()
-    return results
+        return [fn(item) for item in items]
+    with _pool(jobs) as pool:
+        return list(pool.map(fn, items))

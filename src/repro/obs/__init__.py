@@ -18,8 +18,8 @@ BF101 layering DAG):
 - **live telemetry** (:mod:`repro.obs.live`, :mod:`repro.obs.perfwatch`):
   streaming event sinks (JSONL/gzip/optional-zstd, atomic tmp+rename
   finalize) the tracer drains at ring-wrap, a ProgressMonitor with
-  throughput/ETA snapshot lines, deterministic per-shard progress
-  aggregation for the process-pool fan-out, and the perf-regression
+  throughput/ETA snapshot lines (advanced in the parent, per completed
+  future, under the process-pool fan-out), and the perf-regression
   watchdog over BENCH_hotpath.json trajectories.
 """
 
@@ -27,7 +27,6 @@ from repro.obs.events import event_from_dict, event_to_dict
 from repro.obs.live import (
     GzipSink,
     JsonlSink,
-    ProgressAggregator,
     ProgressMonitor,
     StreamingSink,
     ZstdSink,
@@ -58,11 +57,10 @@ from repro.obs.summary import diff, flatten, format_summary, summarize
 
 __all__ = [
     "Counter", "Gauge", "GzipSink", "Histogram", "JsonlSink",
-    "MetricsRegistry", "PhaseProfiler", "ProgressAggregator",
-    "ProgressMonitor", "StreamingSink", "TraceOptions", "Tracer",
-    "ZstdSink", "chrome_trace", "diff", "event_from_dict",
-    "event_to_dict", "flatten", "format_summary", "map_label",
-    "merge_snapshots", "open_sink", "open_text", "replay_events",
-    "resolve_trace_options", "summarize", "write_chrome_trace",
-    "write_jsonl",
+    "MetricsRegistry", "PhaseProfiler", "ProgressMonitor",
+    "StreamingSink", "TraceOptions", "Tracer", "ZstdSink",
+    "chrome_trace", "diff", "event_from_dict", "event_to_dict",
+    "flatten", "format_summary", "map_label", "merge_snapshots",
+    "open_sink", "open_text", "replay_events", "resolve_trace_options",
+    "summarize", "write_chrome_trace", "write_jsonl",
 ]

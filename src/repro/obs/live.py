@@ -1,6 +1,6 @@
-"""Live telemetry: streaming sinks, progress monitoring, shard merge.
+"""Live telemetry: streaming sinks and progress monitoring.
 
-Three pieces, all usable independently of the simulator:
+Two pieces, both usable independently of the simulator:
 
 - **Streaming sinks** (:class:`StreamingSink` and its codec subclasses):
   a newline-delimited-JSON event stream the tracer drains to in chunks
@@ -12,17 +12,13 @@ Three pieces, all usable independently of the simulator:
   lines, built on an injectable clock so tests can drive it
   deterministically. The simulation packages never read wall time
   (BF202); they only call :meth:`ProgressMonitor.advance`, and the
-  clock read happens here, inside ``obs``.
-- **Shard progress** (:func:`bind_worker_queue`, :func:`post_shard`,
-  :class:`ProgressAggregator`): workers in the ``ProcessPoolExecutor``
-  fan-out post per-shard payloads to a multiprocessing queue; the
-  parent drains the queue and merges with a deterministic
-  (shard-sorted, order-independent) fold before feeding the monitor.
+  clock read happens here, inside ``obs``. Under a process-pool
+  fan-out the parent advances its monitor once per completed future
+  (:func:`repro.experiments.runner.execute`); workers report nothing.
 """
 
 import json
 import os
-import queue as _queue
 import sys
 import time
 
@@ -179,7 +175,7 @@ class ProgressMonitor:
             self._emit_line(now)
 
     def advance_to(self, done_total):
-        """Absolute form of :meth:`advance` (aggregated shard totals)."""
+        """Absolute form of :meth:`advance` (never moves backwards)."""
         self.advance(max(0, done_total - self.done))
 
     def count(self, name, amount=1):
@@ -287,75 +283,3 @@ def _human_seconds(seconds):
     if seconds >= 60:
         return "%dm%02ds" % (seconds // 60, seconds % 60)
     return "%.1fs" % seconds
-
-
-# -- per-shard progress across the process pool --------------------------------
-
-#: Worker-side queue handle; written exactly once per worker, from the
-#: pool initializer (runner._init_worker), which is the BF601-sanctioned
-#: place for worker-global setup.
-_WORKER_QUEUE = None
-
-
-def bind_worker_queue(q):
-    """Install the shard-progress queue in a pool worker (call from the
-    pool initializer only)."""
-    global _WORKER_QUEUE
-    _WORKER_QUEUE = q
-
-
-def post_shard(shard, **payload):
-    """Post a per-shard progress payload (integer deltas) from a worker;
-    a no-op when no queue is bound (sequential runs, plain workers)."""
-    q = _WORKER_QUEUE
-    if q is not None:
-        q.put((shard, payload))
-
-
-class ProgressAggregator:
-    """Order-independent merge of per-shard progress payloads.
-
-    Payload values are summed per shard, then shards are folded in
-    sorted order — so the merged totals are identical no matter how the
-    queue interleaved deliveries from concurrent workers.
-    """
-
-    def __init__(self):
-        self.shards = {}
-
-    def apply(self, shard, payload):
-        slot = self.shards.setdefault(shard, {})
-        for key, value in payload.items():
-            slot[key] = slot.get(key, 0) + value
-
-    def drain(self, q):
-        """Consume everything currently queued; returns the number of
-        payloads applied."""
-        applied = 0
-        while True:
-            try:
-                shard, payload = q.get_nowait()
-            except _queue.Empty:
-                break
-            self.apply(shard, payload)
-            applied += 1
-        return applied
-
-    def merged(self):
-        """Deterministic aggregate: payload keys summed across shards in
-        sorted shard order."""
-        totals = {}
-        for shard in sorted(self.shards, key=str):
-            for key, value in self.shards[shard].items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def feed(self, monitor):
-        """Advance ``monitor`` to the merged totals (key ``done`` is
-        primary, anything else a named counter)."""
-        totals = self.merged()
-        for key, value in totals.items():
-            if key != "done":
-                monitor.counters[key] = value
-        monitor.advance_to(totals.get("done", 0))
-        return totals

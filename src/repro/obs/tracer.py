@@ -46,8 +46,8 @@ class TraceOptions:
     sched: bool = True
     invalidations: bool = True
     lifecycle: bool = True
-    #: Streaming sink path (a plain string keeps this dataclass hashable
-    #: for the run-cache key); ``.gz``/``.zst`` suffixes select the
+    #: Streaming sink path (a plain string keeps the run-cache key JSON-
+    #: serializable); ``.gz``/``.zst`` suffixes select the
     #: compressed codecs. None keeps the classic drop-oldest ring.
     sink: str = None
 

@@ -24,8 +24,8 @@ class SimConfig:
     #: mapping from the flags above — ``babelfish`` when
     #: ``babelfish_tlb`` is set, else ``conventional`` — so existing
     #: configs keep meaning what they meant. The normalized name is a
-    #: real field: it flows into ``dataclasses.astuple``/``asdict`` and
-    #: therefore into every run-cache key and serve wire request.
+    #: real field: it flows into ``dataclasses.asdict`` and therefore
+    #: into every run-cache key and serve wire request.
     policy: str = ""
     aslr_mode: ASLRMode = ASLRMode.INHERITED
     thp_enabled: bool = True

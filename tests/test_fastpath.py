@@ -24,7 +24,7 @@ from structure_oracle import (LinearMultiSizeTLB, LinearSetAssocTLB,
 
 from repro.experiments import perf, runcache
 from repro.experiments.common import (build_environment, config_by_name,
-                                      config_cache_key, deploy_app, run_app)
+                                      deploy_app, run_app)
 from repro.experiments.perf import run_hot
 from repro.hw.cache import CacheHierarchy, SetAssociativeCache
 from repro.hw.params import CacheParams, TLBParams, baseline_machine
@@ -321,7 +321,8 @@ def test_batch_is_not_a_config_field():
 def test_run_cache_key_includes_fastpath():
     fast = config_by_name("BabelFish")
     ref = config_by_name("BabelFish", fastpath=False)
-    assert config_cache_key(fast) != config_cache_key(ref)
+    assert (runcache.functions_key_data(fast, True, 1, 0.1)
+            != runcache.functions_key_data(ref, True, 1, 0.1))
     assert (runcache.app_key_data("mongodb", fast, 1, 0.1, None)
             != runcache.app_key_data("mongodb", ref, 1, 0.1, None))
     assert runcache.config_field_dict(fast)["fastpath"] is True

@@ -1,11 +1,9 @@
 """Streaming telemetry (repro.obs.live + friends): sink/ring
 equivalence, constant-memory streaming, progress monitoring under a
-fake clock, deterministic shard aggregation, and the perf-regression
-watchdog."""
+fake clock, and the perf-regression watchdog."""
 
 import gzip
 import json
-import queue
 
 import pytest
 
@@ -226,7 +224,7 @@ class TestProgressMonitor:
     def test_advance_to_is_monotonic(self):
         monitor, _, _ = self._monitor()
         monitor.advance_to(40)
-        monitor.advance_to(25)  # stale shard totals never move it back
+        monitor.advance_to(25)  # a smaller total never moves it back
         assert monitor.done == 40
 
     def test_snapshot_line_and_finish(self):
@@ -243,42 +241,6 @@ class TestProgressMonitor:
         data = monitor.as_dict()
         assert data["done"] == 100
         assert data["counters"] == {"kills": 3}
-
-
-# -- shard aggregation ----------------------------------------------------------
-
-
-class TestShardAggregation:
-    PAYLOADS = [("shard-b", {"done": 2, "hits": 5}),
-                ("shard-a", {"done": 1}),
-                ("shard-b", {"done": 3, "kills": 1}),
-                ("shard-c", {"done": 4, "hits": 2})]
-
-    def test_merge_is_delivery_order_independent(self):
-        forward, backward = live.ProgressAggregator(), live.ProgressAggregator()
-        for shard, payload in self.PAYLOADS:
-            forward.apply(shard, payload)
-        for shard, payload in reversed(self.PAYLOADS):
-            backward.apply(shard, payload)
-        assert forward.merged() == backward.merged() == {
-            "done": 10, "hits": 7, "kills": 1}
-
-    def test_queue_drain_and_feed(self):
-        q = queue.Queue()
-        live.bind_worker_queue(q)
-        try:
-            for shard, payload in self.PAYLOADS:
-                live.post_shard(shard, **payload)
-        finally:
-            live.bind_worker_queue(None)
-        live.post_shard("unbound", done=99)  # no queue: silently dropped
-        aggregator = live.ProgressAggregator()
-        assert aggregator.drain(q) == len(self.PAYLOADS)
-        monitor = live.ProgressMonitor(clock=lambda: 1.0, emit=lambda _: None)
-        aggregator.feed(monitor)
-        assert monitor.done == 10
-        assert monitor.counters["hits"] == 7
-        assert monitor.counters["kills"] == 1
 
 
 # -- perf-regression watchdog ---------------------------------------------------

@@ -9,7 +9,6 @@ quarantine, and the BF701 lint rule that keeps raw policy-flag
 dispatch out of the tree.
 """
 
-import dataclasses
 import json
 import textwrap
 
@@ -131,8 +130,12 @@ class TestCacheKeys:
         # would serve a conventional run as a Victima result.
         a = baseline_config()
         b = baseline_config(policy="victima")
-        assert dataclasses.astuple(a) != dataclasses.astuple(b)
         assert runcache.config_field_dict(a) != runcache.config_field_dict(b)
+        # The in-memory memo keys on the canonical JSON of the key data.
+        assert (runcache.canonical_json(app_key_data("mongodb", a, 2, 0.05,
+                                                     None))
+                != runcache.canonical_json(app_key_data("mongodb", b, 2,
+                                                        0.05, None)))
         cache = DiskRunCache(tmp_path / "rc")
         key_a = cache.key_hash(app_key_data("mongodb", a, 2, 0.05, None))
         key_b = cache.key_hash(app_key_data("mongodb", b, 2, 0.05, None))

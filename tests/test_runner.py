@@ -16,7 +16,6 @@ from repro.experiments.common import (
     build_environment,
     clear_run_cache,
     config_by_name,
-    config_cache_key,
     deploy_app,
     run_app,
     run_functions,
@@ -25,8 +24,11 @@ from repro.experiments.common import (
 )
 from repro.experiments.runcache import (
     DiskRunCache,
+    app_key_data,
+    canonical_json,
     config_field_dict,
     config_from_fields,
+    functions_key_data,
 )
 from repro.experiments.runner import (
     RunRequest,
@@ -36,9 +38,16 @@ from repro.experiments.runner import (
     report_matrix,
     request_overrides,
 )
+from repro.obs.live import ProgressMonitor
 from repro.workloads.profiles import APP_PROFILES
 
 SMALL = dict(cores=1, scale=0.08)
+
+
+def _app_key(config):
+    """The memo key of an httpd run under ``config`` (the same key data
+    the disk cache hashes)."""
+    return canonical_json(app_key_data("httpd", config, 1, 0.08, None))
 
 
 @pytest.fixture(autouse=True)
@@ -56,14 +65,14 @@ class TestConfigKeying:
         stock = config_by_name("Baseline")
         tweaked = config_by_name("Baseline", thp_enabled=False)
         assert stock.name == tweaked.name
-        assert config_cache_key(stock) != config_cache_key(tweaked)
+        assert _app_key(stock) != _app_key(tweaked)
 
     def test_costs_fields_participate(self):
         from repro.kernel.costs import KernelCosts
         stock = config_by_name("Baseline")
         tweaked = config_by_name("Baseline",
                                  costs=KernelCosts(minor_fault=9999))
-        assert config_cache_key(stock) != config_cache_key(tweaked)
+        assert _app_key(stock) != _app_key(tweaked)
 
     def test_same_name_configs_do_not_share_runs(self):
         """Regression: the old key used config.name only, so the second
@@ -86,16 +95,16 @@ class TestConfigKeying:
     def test_functions_keyed_on_fields(self):
         stock = config_by_name("BabelFish")
         tweaked = config_by_name("BabelFish", orpc_enabled=False)
-        key = ("functions", config_cache_key(stock), True, 1, 0.08)
-        other = ("functions", config_cache_key(tweaked), True, 1, 0.08)
-        assert key != other
+        key = functions_key_data(stock, True, 1, 0.08)
+        other = functions_key_data(tweaked, True, 1, 0.08)
+        assert canonical_json(key) != canonical_json(other)
 
     def test_config_roundtrip_through_field_dict(self):
         config = config_by_name("BabelFish", orpc_enabled=False,
                                 pc_bitmask_bits=8)
         rebuilt = config_from_fields(config_field_dict(config))
         assert rebuilt == config
-        assert config_cache_key(rebuilt) == config_cache_key(config)
+        assert _app_key(rebuilt) == _app_key(config)
 
 
 class TestReportArgs:
@@ -166,12 +175,16 @@ class TestDiskCache:
     def test_kernel_snapshot_survives(self, tmp_path):
         from repro.kernel.frames import FrameKind
         set_disk_cache(DiskRunCache(tmp_path, fingerprint="fp-a"))
-        live = run_app("httpd", config_by_name("Baseline"), **SMALL)
-        live_tables = live.env.kernel.allocator.count(FrameKind.PAGE_TABLE)
+        live = run_app("httpd", config_by_name("BabelFish"), **SMALL)
+        kernel = live.env.kernel
+        assert live.kernel_snapshot["frame_counts"]["PAGE_TABLE"] \
+            == kernel.allocator.count(FrameKind.PAGE_TABLE)
+        assert live.kernel_snapshot["policy_registry_len"] \
+            == len(kernel.policy.registry) > 0
         clear_run_cache()
-        cached = run_app("httpd", config_by_name("Baseline"), **SMALL)
-        assert (cached.env.kernel.allocator.count(FrameKind.PAGE_TABLE)
-                == live_tables)
+        cached = run_app("httpd", config_by_name("BabelFish"), **SMALL)
+        assert cached.env is None
+        assert cached.kernel_snapshot == live.kernel_snapshot
 
     def test_functions_roundtrip(self, tmp_path):
         set_disk_cache(DiskRunCache(tmp_path, fingerprint="fp-a"))
@@ -351,6 +364,34 @@ class TestParallelRunner:
 
     def test_parallel_map_preserves_order(self):
         assert parallel_map(_square, [3, 1, 2], jobs=2) == [9, 1, 4]
+
+    def test_parallel_progress_counts_completed_futures(self):
+        """Under ``jobs > 1`` the parent advances the monitor once per
+        completed future; cache hits only bump the ``cached`` counter."""
+        execute(self.MATRIX[:1], jobs=1)
+        lines = []
+        monitor = ProgressMonitor(unit="runs", label="matrix",
+                                  clock=lambda: 0.0, emit=lines.append)
+        execute(self.MATRIX[:3], jobs=2, monitor=monitor)
+        assert monitor.total == 2
+        assert monitor.done == 2
+        assert monitor.counters == {"cached": 1}
+        assert lines[-1].startswith("[matrix] done:")
+
+
+class TestReportMemo:
+    def test_report_simulates_each_run_once(self, capsys):
+        """The report reads Figures 10/11, bring-up and resources off one
+        run matrix: each of its 14 runs simulates once (bring-up reuses
+        Figure 11's functions runs from memory), plus Figure 9's uncached
+        functions run."""
+        from repro import report
+        before = simulation_run_count()
+        assert report.main(["--cores", "1", "--scale", "0.05",
+                            "--no-disk-cache"]) == 0
+        assert len(set(report_matrix(cores=1, scale=0.05))) == 14
+        assert simulation_run_count() == before + 15
+        assert "Bring-up" in capsys.readouterr().out
 
 
 def _square(value):
