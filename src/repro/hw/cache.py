@@ -6,6 +6,15 @@ propagate to every level on the way back (non-inclusive, fill-on-miss).
 This is the level of fidelity the paper's translation study needs: what
 matters is *which level* a page-walk request or data access hits in, which
 is determined by sharing of physical lines across containers.
+
+Each set is one recency-ordered dict mapping ``tag -> dirty`` (a bool),
+so the dirty bit lives with the line. :meth:`CacheHierarchy.access`,
+built from :meth:`SetAssociativeCache.lookup` and
+:meth:`~SetAssociativeCache.insert`, is the reference formulation of an
+access. The simulator's hot paths inline the same state changes:
+:meth:`CacheHierarchy.walk_access` is the one L2 -> L3 -> DRAM probe and
+fill (Figure 7's walk path), and :meth:`CacheHierarchy.data_access`
+probes L1 and calls it on a miss.
 """
 
 from repro.hw.types import AccessKind, MemoryLevel
@@ -25,10 +34,9 @@ class SetAssociativeCache:
         self._tag_shift = self.num_sets.bit_length() - 1
         self.access_cycles = params.access_cycles
         self.ways = params.ways
-        # One recency-ordered dict per set (tag -> None, oldest first;
+        # One recency-ordered dict per set (tag -> dirty, oldest first;
         # hits delete + reinsert), so the LRU victim is the first key.
         self._sets = [dict() for _ in range(self.num_sets)]
-        self._dirty = set()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -50,10 +58,9 @@ class SetAssociativeCache:
         tag = line >> self._tag_shift
         cset = self._sets[index]
         if tag in cset:
+            dirty = cset[tag]
             del cset[tag]
-            cset[tag] = None
-            if is_write:
-                self._dirty.add((index, tag))
+            cset[tag] = dirty or is_write
             self.hits += 1
             return True
         self.misses += 1
@@ -66,34 +73,27 @@ class SetAssociativeCache:
         tag = line >> self._tag_shift
         cset = self._sets[index]
         if tag in cset:
-            del cset[tag]
+            is_write = cset.pop(tag) or is_write
         elif len(cset) >= self.ways:
-            victim = next(iter(cset))
-            del cset[victim]
             self.evictions += 1
-            if (index, victim) in self._dirty:
-                self._dirty.discard((index, victim))
+            if cset.pop(next(iter(cset))):
                 self.writebacks += 1
-        cset[tag] = None
-        if is_write:
-            self._dirty.add((index, tag))
+        cset[tag] = is_write
         self.epoch += 1
 
     def invalidate(self, paddr):
         index, tag = self._index_tag(paddr)
         cset = self._sets[index]
-        # Membership, not pop-default: a set stores None as the per-tag
-        # value, which a pop-is-None test would misread as "absent" and
-        # skip the epoch bump.
+        # Membership, not pop-default: a set stores the dirty bit as the
+        # per-tag value, which a falsy-pop test would misread as
+        # "absent" for a clean line and skip the epoch bump.
         if tag in cset:
             del cset[tag]
             self.epoch += 1
-        self._dirty.discard((index, tag))
 
     def flush(self):
         for cset in self._sets:
             cset.clear()
-        self._dirty.clear()
         self.epoch += 1
 
     @property
@@ -111,6 +111,15 @@ class CacheHierarchy:
     def __init__(self, machine, dram):
         self.machine = machine
         self.dram = dram
+        levels = (machine.l1i, machine.l1d, machine.l2, machine.l3)
+        line_sizes = {params.line_size for params in levels}
+        if len(line_sizes) != 1:
+            raise ValueError(
+                "cache levels must share one line size: %s" % ", ".join(
+                    "%s %dB" % (params.name, params.line_size)
+                    for params in levels))
+        #: Shared by every level, so the hot paths compute ``line`` once.
+        self.line_bits = machine.l1d.line_size.bit_length() - 1
         cores = range(machine.cores)
         self.l1i = [SetAssociativeCache(machine.l1i) for _ in cores]
         self.l1d = [SetAssociativeCache(machine.l1d) for _ in cores]
@@ -164,72 +173,94 @@ class CacheHierarchy:
             l1.insert(paddr, is_write)
         return cycles, level
 
-    def walk_access(self, core_id, paddr):
-        """:meth:`access` for a page-walker reference (a ``skip_l1``
-        LOAD): the same state changes, the cycles alone returned."""
+    def walk_access(self, core_id, paddr, is_write=False):
+        """:meth:`access` below L1 (``skip_l1``), with the cycles alone
+        returned: the one inlined L2 -> L3 -> DRAM probe and fill. The
+        page walker calls it for each memory reference (a load), and
+        :meth:`data_access` for each L1 miss. State changes are
+        identical to :meth:`access`."""
+        line = paddr >> self.line_bits
         l2 = self.l2[core_id]
-        if l2.lookup(paddr):
+        tag = line >> l2._tag_shift
+        cset = l2._sets[line & l2.set_mask]
+        if tag in cset:
+            dirty = cset[tag]
+            del cset[tag]
+            cset[tag] = dirty or is_write
+            l2.hits += 1
             return l2.access_cycles
+        l2.misses += 1
         l3 = self.l3
         cycles = l2.access_cycles + l3.access_cycles
-        if not l3.lookup(paddr):
+        tag3 = line >> l3._tag_shift
+        cset3 = l3._sets[line & l3.set_mask]
+        if tag3 in cset3:
+            dirty = cset3[tag3]
+            del cset3[tag3]
+            cset3[tag3] = dirty or is_write
+            l3.hits += 1
+        else:
+            l3.misses += 1
             cycles += self.dram.access(paddr)
-            l3.insert(paddr)
-        l2.insert(paddr)
+            # SetAssociativeCache.insert of an absent tag.
+            if len(cset3) >= l3.ways:
+                l3.evictions += 1
+                if cset3.pop(next(iter(cset3))):
+                    l3.writebacks += 1
+            cset3[tag3] = is_write
+            l3.epoch += 1
+        # The tag missed in this core's private L2 above, so it is still
+        # absent: the fill only has to make room.
+        if len(cset) >= l2.ways:
+            l2.evictions += 1
+            if cset.pop(next(iter(cset))):
+                l2.writebacks += 1
+        cset[tag] = is_write
+        l2.epoch += 1
         return cycles
 
     def data_access(self, core_id, paddr, kind_code):
         """:meth:`access` specialized for the trace loop: demand
         accesses only (never ``skip_l1``), trace-record kind codes
         (0=ifetch, 1=load, 2=store) instead of :class:`AccessKind`, the
-        L1 probe and same-line memo inlined, and a plain cycle count
-        returned instead of a ``(cycles, level)`` tuple. State changes
-        are identical to :meth:`access`; the only user of the line
-        memo."""
+        L1 probe, L1 fill and same-line memo inlined, :meth:`walk_access`
+        below L1, and a plain cycle count returned instead of a
+        ``(cycles, level)`` tuple. State changes are identical to
+        :meth:`access`; the only user of the line memo."""
         is_write = kind_code == 2
         ifetch = kind_code == 0
         l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
-        line = paddr >> l1.line_bits
-        index = line & l1.set_mask
+        line = paddr >> self.line_bits
         tag = line >> l1._tag_shift
-        cset = l1._sets[index]
+        cset = l1._sets[line & l1.set_mask]
         slot = self._line_memo[core_id]
         way = 0 if ifetch else 1
         cached = slot[way]
         if cached is not None and cached[0] == line \
                 and cached[1] == l1.epoch:
+            dirty = cset[tag]
             del cset[tag]
-            cset[tag] = None
-            if is_write:
-                l1._dirty.add((index, tag))
+            cset[tag] = dirty or is_write
             l1.hits += 1
             return l1.access_cycles
-        cycles = l1.access_cycles
         if tag in cset:
             # Inline SetAssociativeCache.lookup hit.
+            dirty = cset[tag]
             del cset[tag]
-            cset[tag] = None
-            if is_write:
-                l1._dirty.add((index, tag))
+            cset[tag] = dirty or is_write
             l1.hits += 1
             slot[way] = (line, l1.epoch)
-            return cycles
+            return l1.access_cycles
         l1.misses += 1
-
-        l2 = self.l2[core_id]
-        cycles += l2.access_cycles
-        if l2.lookup(paddr, is_write):
-            l1.insert(paddr, is_write)
-            slot[way] = (line, l1.epoch)
-            return cycles
-
-        cycles += self.l3.access_cycles
-        if not self.l3.lookup(paddr, is_write):
-            cycles += self.dram.access(paddr)
-            self.l3.insert(paddr, is_write)
-
-        l2.insert(paddr, is_write)
-        l1.insert(paddr, is_write)
+        cycles = l1.access_cycles + self.walk_access(core_id, paddr, is_write)
+        # SetAssociativeCache.insert of the absent tag, after the levels
+        # below have filled (the order access() fills in).
+        if len(cset) >= l1.ways:
+            l1.evictions += 1
+            if cset.pop(next(iter(cset))):
+                l1.writebacks += 1
+        cset[tag] = is_write
+        l1.epoch += 1
         slot[way] = (line, l1.epoch)
         return cycles
 

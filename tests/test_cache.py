@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from structure_oracle import LinearSetAssociativeCache
+from structure_oracle import (LinearCacheHierarchy,
+                              LinearSetAssociativeCache, dirty_lines)
 
 from repro.hw.cache import CacheHierarchy, SetAssociativeCache
 from repro.hw.dram import DRAMModel
 from repro.hw.params import CacheParams, baseline_machine
 from repro.hw.types import AccessKind, MemoryLevel
+from repro.sim import simulator
 
 
 def small_cache(size=1024, ways=2, line=64, cycles=2, name="T"):
@@ -168,51 +170,94 @@ class TestCacheHierarchy:
 def _cache_snapshot(cache):
     """Counters, dirty lines, epoch and per-set LRU order (oldest first)
     of either backing."""
-    order = [list(cset) if not cset or next(iter(cset.values())) is None
-             else sorted(cset, key=cset.get) for cset in cache._sets]
+    if isinstance(cache, LinearSetAssociativeCache):
+        order = [sorted(cset, key=cset.get) for cset in cache._sets]
+    else:
+        order = [list(cset) for cset in cache._sets]
     return (cache.hits, cache.misses, cache.evictions, cache.writebacks,
-            sorted(cache._dirty), cache.epoch, order)
+            dirty_lines(cache), cache.epoch, order)
+
+
+def _caches(hierarchy):
+    return hierarchy.l1i + hierarchy.l1d + hierarchy.l2 + [hierarchy.l3]
 
 
 def _hierarchy_snapshot(hierarchy):
-    caches = hierarchy.l1i + hierarchy.l1d + hierarchy.l2 + [hierarchy.l3]
-    return ([_cache_snapshot(c) for c in caches],
+    return ([_cache_snapshot(c) for c in _caches(hierarchy)],
             hierarchy.dram.row_hits, hierarchy.dram.row_misses)
 
 
 @pytest.mark.parametrize("linear", [True, False],
                          ids=["reference", "fast"])
 def test_walk_access_matches_skip_l1_load(linear, linear_structures):
-    # Twin hierarchies with small L2/L3s so the stream sees L2 hits, L3
-    # hits, DRAM fills, evictions and dirty writebacks. Demand accesses
-    # go to both twins; walker references go to one through
-    # walk_access and to the other through access(..., skip_l1=True).
-    # Both twins are built on the linear-scan oracle caches, or both on
-    # the production ones.
+    # The production walk_access and data_access against a twin driven
+    # through access(): walker references (skip_l1 loads, and stores
+    # for the is_write path data_access takes), demand ifetches, loads
+    # and stores, with invalidate_line and whole-hierarchy flushes
+    # mid-stream. Small L1D/L2/L3s so the stream sees hits at every
+    # level, DRAM fills, evictions and dirty writebacks. The reference
+    # twin is the oracle hierarchy on the linear-scan caches, which
+    # keeps its dirty lines apart; the fast twin is a production one.
     machine = dataclasses.replace(
         baseline_machine(cores=2),
+        l1d=CacheParams("L1D", 2048, 2, 64, 4),
         l2=CacheParams("L2", 4096, 4, 64, 8),
         l3=CacheParams("L3", 16384, 8, 64, 32, shared=True))
+    prod = CacheHierarchy(machine, DRAMModel(machine.dram))
     with linear_structures(linear):
-        walk = CacheHierarchy(machine, DRAMModel(machine.dram))
-        twin = CacheHierarchy(machine, DRAMModel(machine.dram))
-    assert (type(walk.l3) is LinearSetAssociativeCache) == linear
+        twin = simulator.CacheHierarchy(machine, DRAMModel(machine.dram))
+    assert (type(twin) is LinearCacheHierarchy) == linear
+    assert (type(twin.l3) is LinearSetAssociativeCache) == linear
     rng = random.Random(9)
     kinds = (AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE)
-    for _ in range(6000):
+    last = [0, 0]
+    invalidations = flushes = 0
+    for _ in range(8000):
         core = rng.randrange(2)
-        paddr = rng.randrange(1024) * 64 + rng.randrange(64)
-        if rng.random() < 0.4:
-            kind = rng.choice(kinds)
-            assert walk.access(core, paddr, kind) == \
-                twin.access(core, paddr, kind)
+        if rng.random() < 0.3:
+            paddr = last[core] | rng.randrange(64)
         else:
+            paddr = rng.randrange(1024) * 64 + rng.randrange(64)
+        last[core] = paddr & ~63
+        op = rng.random()
+        if op < 0.45:
+            code = rng.randrange(3)
+            cycles, _level = twin.access(core, paddr, kinds[code])
+            assert prod.data_access(core, paddr, code) == cycles
+        elif op < 0.85:
             cycles, _level = twin.access(core, paddr, AccessKind.LOAD,
                                          skip_l1=True)
-            assert walk.walk_access(core, paddr) == cycles
-    assert _hierarchy_snapshot(walk) == _hierarchy_snapshot(twin)
-    l2 = walk.l2[0]
-    assert l2.hits and l2.evictions and l2.writebacks and walk.l3.hits
+            assert prod.walk_access(core, paddr) == cycles
+        elif op < 0.95:
+            cycles, _level = twin.access(core, paddr, AccessKind.STORE,
+                                         skip_l1=True)
+            assert prod.walk_access(core, paddr, is_write=True) == cycles
+        elif op < 0.999:
+            assert _hierarchy_snapshot(prod) == _hierarchy_snapshot(twin)
+            prod.invalidate_line(paddr)
+            twin.invalidate_line(paddr)
+            invalidations += 1
+        else:
+            assert _hierarchy_snapshot(prod) == _hierarchy_snapshot(twin)
+            for cache in _caches(prod) + _caches(twin):
+                cache.flush()
+            flushes += 1
+    assert _hierarchy_snapshot(prod) == _hierarchy_snapshot(twin)
+    assert invalidations and flushes
+    l1d, l2, l3 = prod.l1d[0], prod.l2[0], prod.l3
+    assert l1d.hits and l1d.writebacks
+    assert l2.hits and l2.evictions and l2.writebacks
+    assert l3.hits and l3.writebacks
+    assert dirty_lines(l3)
+
+
+def test_unequal_line_sizes_rejected():
+    # walk_access and data_access compute the line once for every
+    # level, so the hierarchy refuses levels with different line sizes.
+    machine = dataclasses.replace(
+        baseline_machine(cores=1), l2=CacheParams("L2", 4096, 4, 128, 8))
+    with pytest.raises(ValueError, match="one line size"):
+        CacheHierarchy(machine, DRAMModel(machine.dram))
 
 
 def test_data_access_matches_access():

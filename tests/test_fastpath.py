@@ -18,9 +18,9 @@ import random
 import pytest
 
 from conftest import MiniSystem
-from structure_oracle import (LinearMultiSizeTLB, LinearSetAssocTLB,
-                              LinearSetAssociativeCache, reference_run_quantum,
-                              replaces)
+from structure_oracle import (LinearCacheHierarchy, LinearMultiSizeTLB,
+                              LinearSetAssocTLB, LinearSetAssociativeCache,
+                              dirty_lines, reference_run_quantum, replaces)
 
 from repro.experiments import perf, runcache
 from repro.experiments.common import (build_environment, config_by_name,
@@ -81,6 +81,7 @@ def test_stock_configs_triangulate_with_batch(name, memo_off,
         assert env.sim.mmus[0]._memo is None
         assert simulator.run_quantum is reference_run_quantum
         assert type(env.sim.mmus[0].l2) is LinearMultiSizeTLB
+        assert type(env.sim.hierarchy) is LinearCacheHierarchy
         assert type(env.sim.hierarchy.l3) is LinearSetAssociativeCache
     with memo_off():
         env = build_environment(config_by_name(name), cores=1)
@@ -465,7 +466,7 @@ def test_no_invalid_entry_survives_in_a_set(cls):
 
 
 def _cache_state(cache):
-    return ([set(cset) for cset in cache._sets], set(cache._dirty),
+    return ([set(cset) for cset in cache._sets], dirty_lines(cache),
             cache.hits, cache.misses, cache.evictions, cache.writebacks,
             cache.epoch, cache.occupancy)
 
