@@ -30,16 +30,13 @@ class WalkResult:
     """One walk's outcome. ``pte`` is None on a fault; ``leaf_table`` is
     the table holding the leaf (None when the walk ran off the tables)."""
 
-    __slots__ = ("pte", "leaf_table", "leaf_level", "cycles",
-                 "memory_accesses", "fault")
+    __slots__ = ("pte", "leaf_table", "leaf_level", "cycles", "fault")
 
-    def __init__(self, pte, leaf_table, leaf_level, cycles, memory_accesses,
-                 fault):
+    def __init__(self, pte, leaf_table, leaf_level, cycles, fault):
         self.pte = pte
         self.leaf_table = leaf_table
         self.leaf_level = leaf_level
         self.cycles = cycles
-        self.memory_accesses = memory_accesses
         self.fault = fault
 
     @property
@@ -104,14 +101,14 @@ class PageWalker:
                     outcomes.append("m")
             entry = table.entries.get(index)
             if entry is None:
-                result = WalkResult(None, None, level, cycles, 0, True)
+                result = WalkResult(None, None, level, cycles, True)
                 break
             if entry.__class__ is PTE:
                 if not entry.present:
-                    result = WalkResult(None, table, level, cycles, 0, True)
+                    result = WalkResult(None, table, level, cycles, True)
                 else:
                     entry.accessed = True
-                    result = WalkResult(entry, table, level, cycles, 0, False)
+                    result = WalkResult(entry, table, level, cycles, False)
                 break
             if entry.__class__ is not TableRef:
                 raise TypeError("level-%d entry at vpn %#x is neither PTE "
