@@ -10,6 +10,7 @@ from repro.hw.types import AccessKind
 from repro.kernel import SimulationError, TranslationDidNotConverge
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.vma import SegmentKind
+from repro.sim import simulator
 from repro.sim.config import babelfish_config, baseline_config, bigtlb_config
 from repro.sim.mmu import _MAX_FAULT_RETRIES, MMU
 from repro.sim.simulator import K_LOAD, Simulator
@@ -17,13 +18,16 @@ from repro.sim.stats import MMUStats, percentile
 from repro.sim.walker import PageWalker
 
 from conftest import MiniSystem
+from structure_oracle import LinearCacheHierarchy
 
 HEAP, MMAP, LIBS = SegmentKind.HEAP, SegmentKind.MMAP, SegmentKind.LIBS
 
 
 def make_mmu(sys, config, cores=1):
+    # Through the simulator module, so that under ``linear_structures``
+    # the MMU sits on the oracle hierarchy, as a Simulator's would.
     machine = baseline_machine(cores=cores)
-    hierarchy = CacheHierarchy(machine, DRAMModel(machine.dram))
+    hierarchy = simulator.CacheHierarchy(machine, DRAMModel(machine.dram))
     return MMU(0, machine, config, hierarchy, sys.kernel), hierarchy
 
 
@@ -132,7 +136,8 @@ class TestMMU:
             self, mini_baseline, fastpath, linear_structures):
         sys = mini_baseline
         with linear_structures(not fastpath):
-            mmu, _ = make_mmu(sys, baseline_config(fastpath=fastpath))
+            mmu, hierarchy = make_mmu(sys, baseline_config(fastpath=fastpath))
+        assert (type(hierarchy) is LinearCacheHierarchy) == (not fastpath)
         calls = []
 
         def service_nothing(proc, vpn_group, is_write):
