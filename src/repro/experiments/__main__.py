@@ -36,12 +36,14 @@ import argparse
 import json
 import pathlib
 import sys
+import time
 
 from repro.experiments.common import config_by_name, run_app, set_disk_cache
 from repro.experiments.runcache import DiskRunCache, default_cache_dir
 from repro.experiments.runner import execute, report_matrix
-from repro.obs import (PhaseProfiler, format_summary, summarize,
-                       write_chrome_trace, write_jsonl)
+from repro.obs import (event_from_dict, format_summary, replay_events,
+                       summarize, write_chrome_trace, write_jsonl)
+from repro.obs.export import codec_of, read_jsonl
 
 
 def _add_scale_args(parser):
@@ -103,7 +105,7 @@ def main(argv=None):
     trace_parser.add_argument("--sink", default=None, metavar="NAME",
                               help="stream events to NAME in the capture "
                                    "directory instead of keeping the ring "
-                                   "(.jsonl/.jsonl.gz/.jsonl.zst; the "
+                                   "(.jsonl or .jsonl.gz; the "
                                    "stream replaces trace.jsonl and is "
                                    "replay-verified against the live run)")
 
@@ -194,14 +196,9 @@ def _run_command(parser, args):
     if args.live:
         from repro.obs.live import ProgressMonitor
         monitor = ProgressMonitor(unit="runs", label="matrix", interval=1.0)
-    profiler = PhaseProfiler()
-    with profiler.span("execute") as span:
-        runs = execute(matrix, jobs=args.jobs, progress=print,
-                       profiler=profiler, monitor=monitor)
-    counters = profiler.counters
-    print("done: %d runs (%d simulated, %d cached) in %.1fs"
-          % (len(runs), counters.get("cache_miss", 0),
-             counters.get("cache_hit", 0), span.seconds))
+    start = time.perf_counter()
+    runs = execute(matrix, jobs=args.jobs, progress=print, monitor=monitor)
+    print("done: %d runs in %.1fs" % (len(runs), time.perf_counter() - start))
     return 0
 
 
@@ -210,66 +207,63 @@ def _trace_command(parser, args):
     out = pathlib.Path(args.out) if args.out else (
         default_cache_dir().parent / "trace"
         / ("%s-%s" % (args.app, args.config)))
-    profiler = PhaseProfiler()
     sink_path = None
     if args.sink:
         sink_path = out / args.sink
+        try:
+            codec_of(sink_path)
+        except ValueError as exc:
+            parser.error(str(exc))
         config = config_by_name(args.config,
                                 trace={"sink": str(sink_path)})
     else:
         config = config_by_name(args.config, trace=True)
     print("tracing %s under %s (cores=%d scale=%.2f) -> %s"
           % (args.app, args.config, cores, scale, out))
-    with profiler.span("simulate"):
-        # The cache stores only aggregate snapshots; the event ring lives
-        # on the live simulator, so a capture always runs fresh.
-        run = run_app(args.app, config, cores=cores, scale=scale,
-                      use_cache=False)
+    # The cache stores only aggregate snapshots; the event ring lives on
+    # the live simulator, so a capture always runs fresh.
+    run = run_app(args.app, config, cores=cores, scale=scale,
+                  use_cache=False)
     snapshot = run.result.obs
     tracer = run.env.sim.tracer
     if sink_path is not None:
-        with profiler.span("finalize"):
-            tracer.finalize()
-            # Self-verify the stream: replaying the published file
-            # through fresh emitters must rebuild the live run's
-            # metrics exactly (the ring-equivalence property, checked
-            # on every capture because it is cheap relative to the run).
-            from repro.obs import replay_events
-            from repro.obs.export import read_jsonl
-            event_dicts = list(read_jsonl(sink_path))
-            replayed = replay_events(event_dicts)
-            if replayed.registry.snapshot() != tracer.registry.snapshot():
-                print("stream replay DIVERGED from the live run: %s"
-                      % sink_path, file=sys.stderr)
-                return 1
-        from repro.obs import event_from_dict
+        tracer.finalize()
+        # Self-verify the stream: replaying the published file through
+        # fresh emitters must rebuild the live run's metrics exactly
+        # (the ring-equivalence property, checked on every capture
+        # because it is cheap relative to the run).
+        event_dicts = read_jsonl(sink_path)
+        replayed = replay_events(event_dicts)
+        if replayed.registry.snapshot() != tracer.registry.snapshot():
+            print("stream replay DIVERGED from the live run: %s"
+                  % sink_path, file=sys.stderr)
+            return 1
         events = [event_from_dict(d) for d in event_dicts]
     else:
         events = list(tracer.events)
-    with profiler.span("export"):
-        out.mkdir(parents=True, exist_ok=True)
-        if sink_path is None:
-            kept = write_jsonl(events, out / "trace.jsonl")
-        else:
-            kept = len(events)
-        write_chrome_trace(events, out / "trace.chrome.json",
-                           metadata={"app": args.app, "config": args.config,
-                                     "cores": cores, "scale": scale})
-        # The summary carries the *dense-pid* snapshot (as_dict remaps
-        # raw pids to creation-order indices) so ``python -m repro.obs
-        # diff`` between two captures compares like with like; the raw
-        # pids survive in trace.jsonl, next to the events that carry them.
-        result_dict = run.result.as_dict()
-        capture = {
-            "app": args.app,
-            "config": args.config,
-            "cores": cores,
-            "scale": scale,
-            "obs": result_dict.pop("obs"),
-            "result": result_dict,
-        }
-        (out / "summary.json").write_text(
-            json.dumps(capture, indent=2, sort_keys=True) + "\n")
+    out.mkdir(parents=True, exist_ok=True)
+    if sink_path is None:
+        kept = write_jsonl(events, out / "trace.jsonl")
+    else:
+        kept = len(events)
+    write_chrome_trace(events, out / "trace.chrome.json",
+                       metadata={"app": args.app, "config": args.config,
+                                 "cores": cores, "scale": scale})
+    # The summary carries the *dense-pid* snapshot (as_dict remaps
+    # raw pids to creation-order indices) so ``python -m repro.obs
+    # diff`` between two captures compares like with like; the raw
+    # pids survive in trace.jsonl, next to the events that carry them.
+    result_dict = run.result.as_dict()
+    capture = {
+        "app": args.app,
+        "config": args.config,
+        "cores": cores,
+        "scale": scale,
+        "obs": result_dict.pop("obs"),
+        "result": result_dict,
+    }
+    (out / "summary.json").write_text(
+        json.dumps(capture, indent=2, sort_keys=True) + "\n")
     print(format_summary(summarize(snapshot, top=args.top)))
     print("captured %d events (%d emitted, %d dropped) -> %s"
           % (kept, snapshot["events_emitted"], snapshot["events_dropped"],
@@ -277,7 +271,6 @@ def _trace_command(parser, args):
     if sink_path is not None:
         print("streamed %d events -> %s (replay verified)"
               % (kept, sink_path))
-    print(profiler.summary_line())
     return 0
 
 

@@ -27,10 +27,10 @@ here in the parent, one step per completed future.
 
 import concurrent.futures
 import dataclasses
+import time
 
 from repro.experiments import common, runcache
 from repro.experiments.runcache import DiskRunCache
-from repro.obs.profile import PhaseProfiler
 from repro.workloads.profiles import COMPUTE_APPS, SERVING_APPS
 
 
@@ -192,7 +192,7 @@ def _pool(jobs):
         initargs=(root, fingerprint))
 
 
-def execute(requests, jobs=1, progress=None, profiler=None, monitor=None):
+def execute(requests, jobs=1, progress=None, monitor=None):
     """Resolve ``requests`` through the caches, simulating each distinct
     miss once with ``jobs`` workers.
 
@@ -201,74 +201,67 @@ def execute(requests, jobs=1, progress=None, profiler=None, monitor=None):
     memo (and, when a disk cache is installed, persisted) so subsequent
     ``run_app`` / ``run_functions`` calls are hits.
 
-    All wall-clock accounting goes through ``profiler`` (a
-    :class:`repro.obs.PhaseProfiler`, one is created when omitted):
-    per-request simulate spans drive the progress lines, and the
-    ``cache_hit``/``cache_miss`` counters give ``--jobs N`` runs the
-    same summary shape as sequential ones.
+    ``progress`` (a line callback) gets one line per cache hit, one per
+    simulated request with its wall time, and a last line with the
+    simulated and cached counts.
 
     ``monitor`` (a :class:`repro.obs.live.ProgressMonitor`) counts
     cache hits under ``cached`` and advances by one per simulated
     request — as each finishes in this process, or as each parallel
     future completes.
     """
-    profiler = PhaseProfiler() if profiler is None else profiler
     unique = list(dict.fromkeys(requests))
     keys = {}
     runs = {}
     pending = []
-    with profiler.span("resolve"):
-        for request in unique:
-            keys[request] = request_key_data(request)
-            run = common.cached_run(keys[request])
-            if run is not None:
-                runs[request] = run
-                profiler.count("cache_hit")
-                if monitor is not None:
-                    monitor.count("cached")
-                if progress:
-                    progress("[cached] %s" % request.label())
-            else:
-                pending.append(request)
-    profiler.count("cache_miss", len(pending))
+    for request in unique:
+        keys[request] = request_key_data(request)
+        run = common.cached_run(keys[request])
+        if run is not None:
+            runs[request] = run
+            if monitor is not None:
+                monitor.count("cached")
+            if progress:
+                progress("[cached] %s" % request.label())
+        else:
+            pending.append(request)
 
     total = len(pending)
     if total and monitor is not None and monitor.total is None:
         monitor.total = total
     if total and (jobs <= 1 or total == 1):
         for index, request in enumerate(pending):
-            with profiler.span("simulate") as span:
-                runs[request] = run_request(request)
+            start = time.perf_counter()
+            runs[request] = run_request(request)
             if monitor is not None:
                 monitor.advance(1)
             if progress:
                 progress("[%d/%d] %s  %.1fs"
-                         % (index + 1, total, request.label(), span.seconds))
+                         % (index + 1, total, request.label(),
+                            time.perf_counter() - start))
     elif total:
-        with profiler.span("simulate:parallel"), _pool(jobs) as pool:
-            submitted = profiler.clock()
+        with _pool(jobs) as pool:
+            submitted = time.perf_counter()
             futures = {pool.submit(_worker_execute, request): request
                        for request in pending}
             completed = concurrent.futures.as_completed(futures)
             for done, future in enumerate(completed, 1):
                 request = futures[future]
-                with profiler.span("install"):
-                    runs[request] = common.remember_run(keys[request],
-                                                        future.result())
+                runs[request] = common.remember_run(keys[request],
+                                                    future.result())
                 if monitor is not None:
                     monitor.advance(1)
-                # Submit-to-completion wall time for this request (the
-                # pool submits everything up front, so this is how long
-                # the request took to come back, queueing included).
-                waited = profiler.clock() - submitted
-                profiler.add("request_wall", waited)
                 if progress:
+                    # Submit-to-completion wall time (the pool submits
+                    # everything up front, so queueing is included).
                     progress("[%d/%d] %s  %.1fs"
-                             % (done, total, request.label(), waited))
+                             % (done, total, request.label(),
+                                time.perf_counter() - submitted))
     if monitor is not None:
         monitor.finish()
     if progress:
-        progress(profiler.summary_line())
+        progress("runs: %d simulated, %d cached"
+                 % (total, len(unique) - total))
     return [runs[request] for request in requests]
 
 

@@ -140,9 +140,6 @@ class PageTable:
     def is_shared(self):
         return self.sharers > 1
 
-    def live_entries(self):
-        return len(self.entries)
-
     def __repr__(self):
         return "<PageTable L%d frame=%#x entries=%d sharers=%d%s>" % (
             self.level, self.frame, len(self.entries), self.sharers,

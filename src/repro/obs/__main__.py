@@ -3,8 +3,8 @@
 Works on the artifacts ``python -m repro.experiments trace`` writes (a
 capture directory with ``summary.json``, ``trace.jsonl`` and
 ``trace.chrome.json``), directly on a summary/snapshot JSON file, or on
-a raw event stream (``trace.jsonl``, or the ``.gz``/``.zst`` files the
-streaming sinks produce) — event streams are replayed through the
+a raw event stream (``trace.jsonl``, or the ``.gz`` files the streaming
+sink produces) — event streams are replayed through the
 tracer's fold, so their summary is exactly the live run's registry.
 
     python -m repro.experiments trace --quick --out /tmp/obs-bf
@@ -49,18 +49,27 @@ def _looks_like_event_stream(path):
 
 def load_snapshot(path):
     """An obs snapshot from a capture dir, a capture summary.json, a
-    bare snapshot JSON file, or a (possibly compressed) event stream."""
+    bare snapshot JSON file, or a (possibly compressed) event stream.
+
+    Unreadable input — a missing file, a corrupt ``.gz``, malformed JSON,
+    an event line that is not an object, lacks a field or names an
+    unknown event — exits with a one-line message naming the path."""
     path = pathlib.Path(path)
     if path.is_dir():
         path = path / "summary.json"
-    if _looks_like_event_stream(path):
-        return replay_events(export.read_jsonl(path)).snapshot()
-    with export.open_text(path) as source:
-        data = json.load(source)
-    if "metrics" in data:
-        return data
-    if isinstance(data.get("obs"), dict):
-        return data["obs"]
+    try:
+        if _looks_like_event_stream(path):
+            return replay_events(export.read_jsonl(path)).snapshot()
+        with export.open_text(path) as source:
+            data = json.load(source)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SystemExit("%s holds no obs snapshot (%s: %s)"
+                         % (path, type(exc).__name__, exc))
+    if isinstance(data, dict):
+        if "metrics" in data:
+            return data
+        if isinstance(data.get("obs"), dict):
+            return data["obs"]
     raise SystemExit("%s holds no obs snapshot (expected a 'metrics' or "
                      "'obs' key)" % path)
 
@@ -85,7 +94,7 @@ def main(argv=None):
     sum_parser = sub.add_parser(
         "summarize", help="triage summary of one captured run")
     sum_parser.add_argument("run", help="capture dir, summary JSON file, "
-                            "or event stream (.jsonl/.gz/.zst)")
+                            "or event stream (.jsonl/.gz)")
     sum_parser.add_argument("--top", type=int, default=10,
                             help="hottest VPNs to list (default 10)")
     sum_parser.add_argument("--json", action="store_true",

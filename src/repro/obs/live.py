@@ -1,141 +1,15 @@
-"""Live telemetry: streaming sinks and progress monitoring.
+"""Live progress monitoring: throughput/ETA with periodic snapshot lines.
 
-Two pieces, both usable independently of the simulator:
-
-- **Streaming sinks** (:class:`StreamingSink` and its codec subclasses):
-  a newline-delimited-JSON event stream the tracer drains to in chunks
-  at ring-wrap, so long runs keep O(1) memory instead of dropping the
-  oldest events. Writes go to a ``<path>.tmp`` staging file; ``close()``
-  atomically renames it into place (the BENCH_hotpath.json idiom), so a
-  killed run never leaves a truncated trace behind.
-- **ProgressMonitor**: throughput/ETA tracking with periodic snapshot
-  lines, built on an injectable clock so tests can drive it
-  deterministically. The simulation packages never read wall time
-  (BF202); they only call :meth:`ProgressMonitor.advance`, and the
-  clock read happens here, inside ``obs``. Under a process-pool
-  fan-out the parent advances its monitor once per completed future
-  (:func:`repro.experiments.runner.execute`); workers report nothing.
+:class:`ProgressMonitor` is built on an injectable clock so tests can
+drive it deterministically. The simulation packages never read wall
+time (BF202); they only call :meth:`ProgressMonitor.advance`, and the
+clock read happens here, inside ``obs``. Under a process-pool fan-out
+the parent advances its monitor once per completed future
+(:func:`repro.experiments.runner.execute`); workers report nothing.
 """
 
-import json
-import os
 import sys
 import time
-
-from repro.obs import events as ev
-from repro.obs import export
-
-
-# -- streaming sinks -----------------------------------------------------------
-
-
-class StreamingSink:
-    """Plain-JSONL streaming event sink (and the sink protocol).
-
-    The protocol the tracer relies on: ``write_events(iterable) -> n``
-    (durable once returned), ``reset()`` (discard everything written so
-    far — measurement reset), ``close() -> path`` (atomic finalize,
-    idempotent), ``abort()`` (drop the staging file), ``snapshot()``
-    (JSON-ready accounting dict).
-    """
-
-    codec = "jsonl"
-
-    def __init__(self, path):
-        self.path = str(path)
-        self.tmp_path = self.path + ".tmp"
-        self.events_written = 0
-        self.flushes = 0
-        self.finalized = False
-        self._handle = self._open()
-
-    def _open(self):
-        return export.open_text(self.tmp_path, "w", codec=self._codec_name())
-
-    def _codec_name(self):
-        return {"jsonl": "plain", "gzip": "gzip", "zstd": "zstd"}[self.codec]
-
-    def write_events(self, events):
-        """Append a chunk of event tuples as JSONL; returns the count.
-
-        The handle is flushed before returning so everything written is
-        durable even if the process dies before ``close()`` (the staging
-        file is then a complete prefix of the stream, just not yet
-        renamed into place).
-        """
-        handle = self._handle
-        dumps = json.dumps
-        to_dict = ev.event_to_dict
-        count = 0
-        for event in events:
-            handle.write(dumps(to_dict(event), sort_keys=True))
-            handle.write("\n")
-            count += 1
-        handle.flush()
-        self.events_written += count
-        self.flushes += 1
-        return count
-
-    def reset(self):
-        """Truncate the stream (warm-up events discarded at
-        ``reset_measurement``, exactly like the in-memory ring)."""
-        self._handle.close()
-        self._handle = self._open()
-        self.events_written = 0
-        self.flushes = 0
-
-    def close(self):
-        """Finalize: flush, close, and atomically rename the staging
-        file to the real path. Idempotent; returns the final path."""
-        if not self.finalized:
-            self._handle.close()
-            os.replace(self.tmp_path, self.path)
-            self.finalized = True
-        return self.path
-
-    def abort(self):
-        """Close and remove the staging file without finalizing."""
-        if not self.finalized:
-            self._handle.close()
-            try:
-                os.remove(self.tmp_path)
-            except OSError:
-                pass
-
-    def snapshot(self):
-        return {"path": self.path, "codec": self.codec,
-                "events_written": self.events_written,
-                "flushes": self.flushes, "finalized": self.finalized}
-
-
-class JsonlSink(StreamingSink):
-    codec = "jsonl"
-
-
-class GzipSink(StreamingSink):
-    codec = "gzip"
-
-
-class ZstdSink(StreamingSink):
-    """Optional: requires stdlib ``compression.zstd`` (3.14+) or the
-    ``zstandard`` package; :meth:`_open` raises RuntimeError otherwise."""
-
-    codec = "zstd"
-
-
-_SINK_BY_CODEC = {"plain": JsonlSink, "gzip": GzipSink, "zstd": ZstdSink}
-
-
-def open_sink(path):
-    """A streaming sink for ``path``, codec chosen by suffix
-    (``.jsonl`` plain, ``.gz`` gzip, ``.zst`` zstd)."""
-    parent = os.path.dirname(str(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return _SINK_BY_CODEC[export.codec_of(path)](path)
-
-
-# -- progress monitoring -------------------------------------------------------
 
 
 def _stderr_emit(line):
@@ -173,10 +47,6 @@ class ProgressMonitor:
         now = self.clock()
         if now - self._last_time >= self.interval:
             self._emit_line(now)
-
-    def advance_to(self, done_total):
-        """Absolute form of :meth:`advance` (never moves backwards)."""
-        self.advance(max(0, done_total - self.done))
 
     def count(self, name, amount=1):
         """A named auxiliary counter (launches, kills, cache hits...)."""

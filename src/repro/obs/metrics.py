@@ -1,12 +1,11 @@
-"""Metrics registry: labelled counters, gauges, and log2 histograms.
+"""Metrics registry: labelled counters and log2 histograms.
 
 The registry is the aggregation side of the observability stack: the
 :class:`~repro.obs.tracer.Tracer` folds every event into it online, so
 summaries survive the bounded event ring. Snapshots are plain JSON-ready
-dicts with deterministic ordering, which makes them safe to ship across
-the ``ProcessPoolExecutor`` fan-out (workers serialize snapshots, the
-parent merges) and to store in the disk run cache alongside the
-:class:`~repro.sim.stats.RunResult` summary.
+dicts with deterministic ordering, so a worker process can return one
+inside its :class:`~repro.sim.stats.RunResult` summary and the disk run
+cache can store it.
 
 Histograms use fixed log2 buckets — bucket ``b`` counts values in
 ``[2**(b-1), 2**b)`` (bucket 0 counts zeros) — so cycle-count
@@ -27,18 +26,6 @@ class Counter:
 
     def inc(self, amount=1):
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (last write wins; merges take the max)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def set(self, value):
-        self.value = value
 
 
 def bucket_of(value):
@@ -99,7 +86,7 @@ class Histogram:
         return float(self.max)
 
 
-_KINDS = {"counters": Counter, "gauges": Gauge, "histograms": Histogram}
+_KINDS = {"counters": Counter, "histograms": Histogram}
 
 
 class MetricsRegistry:
@@ -123,14 +110,14 @@ class MetricsRegistry:
     def counter(self, name, **labels):
         return self._get("counters", name, labels)
 
-    def gauge(self, name, **labels):
-        return self._get("gauges", name, labels)
-
     def histogram(self, name, **labels):
         return self._get("histograms", name, labels)
 
     def snapshot(self):
-        """JSON-ready dict of every metric, deterministically ordered."""
+        """JSON-ready dict of every metric, deterministically ordered.
+
+        The ``gauges`` list is always empty: it keeps the snapshot schema
+        that existing ``summary.json`` captures carry."""
         out = {"counters": [], "gauges": [], "histograms": []}
         for (kind, name, labels) in sorted(self._metrics,
                                            key=_key_sort_key):
@@ -157,51 +144,6 @@ def _key_sort_key(key):
 def _entry_sort_key(entry):
     return (entry["name"],
             [(k, repr(v)) for k, v in sorted(entry["labels"].items())])
-
-
-def _entry_key(entry):
-    return (entry["name"], tuple(sorted(entry["labels"].items())))
-
-
-def merge_snapshots(snapshots):
-    """Merge registry snapshots: counters and histograms add, gauges
-    keep the maximum. The result is order-independent, so the parent of
-    a worker fan-out can merge in completion order."""
-    merged = {"counters": {}, "gauges": {}, "histograms": {}}
-    for snapshot in snapshots:
-        for entry in snapshot.get("counters", []):
-            slot = merged["counters"].setdefault(
-                _entry_key(entry), dict(entry, value=0))
-            slot["value"] += entry["value"]
-        for entry in snapshot.get("gauges", []):
-            slot = merged["gauges"].setdefault(
-                _entry_key(entry), dict(entry))
-            slot["value"] = max(slot["value"], entry["value"])
-        for entry in snapshot.get("histograms", []):
-            slot = merged["histograms"].get(_entry_key(entry))
-            if slot is None:
-                merged["histograms"][_entry_key(entry)] = {
-                    "name": entry["name"], "labels": dict(entry["labels"]),
-                    "buckets": dict(entry["buckets"]), "count": entry["count"],
-                    "sum": entry["sum"], "min": entry["min"],
-                    "max": entry["max"]}
-                continue
-            for bucket, n in entry["buckets"].items():
-                slot["buckets"][bucket] = slot["buckets"].get(bucket, 0) + n
-            slot["count"] += entry["count"]
-            slot["sum"] += entry["sum"]
-            slot["min"] = _opt(min, slot["min"], entry["min"])
-            slot["max"] = _opt(max, slot["max"], entry["max"])
-    return {kind: sorted(entries.values(), key=_entry_sort_key)
-            for kind, entries in merged.items()}
-
-
-def _opt(fn, a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return fn(a, b)
 
 
 def map_label(snapshot, label, mapping, default=-1):

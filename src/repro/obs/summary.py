@@ -99,7 +99,7 @@ def format_summary(summary):
 
     lines.append("\nhottest VPNs (accesses)")
     if not summary["hot_vpns"]:
-        lines.append("  (tlb events disabled)")
+        lines.append("  (none)")
     for vpn, count in summary["hot_vpns"]:
         lines.append("  %#014x  %d" % (vpn, count))
     return "\n".join(lines)
@@ -111,15 +111,14 @@ def format_summary(summary):
 def flatten(snapshot):
     """Snapshot -> {metric key: scalar} for per-metric diffing.
 
-    Counters and gauges flatten directly; histograms contribute their
-    ``.count`` and ``.sum`` (enough to localize both "how often" and
-    "how expensive" regressions).
+    Counters flatten directly; histograms contribute their ``.count``
+    and ``.sum`` (enough to localize both "how often" and "how
+    expensive" regressions).
     """
     flat = {}
     metrics = snapshot["metrics"]
-    for kind in ("counters", "gauges"):
-        for entry in metrics.get(kind, []):
-            flat[_metric_key(entry)] = entry["value"]
+    for entry in metrics.get("counters", []):
+        flat[_metric_key(entry)] = entry["value"]
     for entry in metrics.get("histograms", []):
         key = _metric_key(entry)
         flat[key + ".count"] = entry["count"]

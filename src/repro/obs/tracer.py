@@ -5,8 +5,8 @@ translation sanitizer: ``None``/``False`` (the default) disables it and
 the simulator leaves every ``tracer`` attribute ``None``, so the hot
 path pays only an ``is not None`` test — no calls, no allocations. Any
 truthy value enables it: ``True`` for defaults, a :class:`TraceOptions`
-(or its field dict, as rehydrated from a cache entry) to tune the ring
-size or mute event families.
+(or its field dict, as rehydrated from a cache entry) to set the ring
+size or stream to a sink. Every event family is always recorded.
 
 The ring is a ``deque(maxlen=...)``: long runs keep the freshest events
 (the interesting tail) while the registry — which every event is folded
@@ -16,8 +16,8 @@ counters even when the ring has wrapped.
 
 With ``TraceOptions(sink=...)`` the ring becomes a write-behind buffer
 instead of a lossy window: when it fills, the whole chunk is drained to
-a :class:`~repro.obs.live.StreamingSink` (JSONL, ``.gz``, or ``.zst``
-by suffix) and cleared, so nothing is ever dropped and memory stays
+a :class:`~repro.obs.export.StreamingSink` (plain JSONL, or gzip for a
+``.gz`` suffix) and cleared, so nothing is ever dropped and memory stays
 O(buffer_size) no matter how long the run is. :func:`replay_events`
 closes the loop — folding a streamed file back through the same
 emitters reproduces the exact registry the live run built, which is how
@@ -28,27 +28,21 @@ import collections
 import dataclasses
 
 from repro.obs import events as ev
-from repro.obs import live
+from repro.obs import export
 from repro.obs.metrics import MetricsRegistry
 
 
 @dataclasses.dataclass(frozen=True)
 class TraceOptions:
-    """What to record; all families default on."""
+    """How much of the event stream to keep, and where to stream it."""
 
     #: Ring capacity in events; older events are dropped (the registry
     #: still aggregates them) — unless ``sink`` is set, in which case a
     #: full ring is drained to the sink and nothing is lost.
     buffer_size: int = 1 << 16
-    tlb: bool = True
-    walks: bool = True
-    faults: bool = True
-    sched: bool = True
-    invalidations: bool = True
-    lifecycle: bool = True
     #: Streaming sink path (a plain string keeps the run-cache key JSON-
-    #: serializable); ``.gz``/``.zst`` suffixes select the
-    #: compressed codecs. None keeps the classic drop-oldest ring.
+    #: serializable); a ``.gz`` suffix selects gzip. None keeps the
+    #: classic drop-oldest ring.
     sink: str = None
 
 
@@ -80,7 +74,7 @@ class Tracer:
         self.registry = MetricsRegistry()
         self.emitted = 0
         self.streamed = 0
-        self.sink = (live.open_sink(self.options.sink)
+        self.sink = (export.StreamingSink(self.options.sink)
                      if self.options.sink else None)
         self._clock = {}
 
@@ -144,8 +138,6 @@ class Tracer:
     # -- emitters ----------------------------------------------------------
 
     def tlb_hit(self, core, pid, level, vpn, shared):
-        if not self.options.tlb:
-            return
         provenance = ev.PROVENANCE_SHARED if shared else ev.PROVENANCE_PRIVATE
         self._emit((ev.TLB_HIT, core, self._clock.get(core, 0), pid,
                     level, vpn, provenance))
@@ -157,8 +149,6 @@ class Tracer:
             self.registry.counter("vpn_accesses", vpn=vpn).inc()
 
     def tlb_miss(self, core, pid, level, vpn, instr):
-        if not self.options.tlb:
-            return
         self._emit((ev.TLB_MISS, core, self._clock.get(core, 0), pid,
                     level, vpn, instr))
         self.registry.counter("tlb_misses", level=level, pid=pid).inc()
@@ -166,8 +156,6 @@ class Tracer:
             self.registry.counter("vpn_accesses", vpn=vpn).inc()
 
     def page_walk(self, core, pid, vpn, cycles, fault, levels):
-        if not self.options.walks:
-            return
         self._emit((ev.PAGE_WALK, core, self._clock.get(core, 0), pid,
                     vpn, cycles, fault, levels))
         self.registry.counter("walks", pid=pid).inc()
@@ -179,8 +167,6 @@ class Tracer:
 
     def fault(self, core, pid, vpn, kind, cycles, pte_page_copied,
               invalidations):
-        if not self.options.faults:
-            return
         self._emit((ev.FAULT, core, self._clock.get(core, 0), pid,
                     vpn, kind, cycles, pte_page_copied, invalidations))
         self.registry.counter("faults", kind=kind, pid=pid).inc()
@@ -192,22 +178,16 @@ class Tracer:
                 invalidations)
 
     def sched_switch(self, core, prev_pid, next_pid):
-        if not self.options.sched:
-            return
         self._emit((ev.SCHED_SWITCH, core, self._clock.get(core, 0),
                     prev_pid, prev_pid, next_pid))
         self.registry.counter("sched_switches", core=core).inc()
 
     def invalidation(self, core, pid, vpn, scope):
-        if not self.options.invalidations:
-            return
         self._emit((ev.INVALIDATION, core, self._clock.get(core, 0), pid,
                     vpn, scope))
         self.registry.counter("invalidations", scope=scope).inc()
 
     def process_spawn(self, core, pid, pcid, ccid, recycled):
-        if not self.options.lifecycle:
-            return
         self._emit((ev.PROCESS_SPAWN, core, self._clock.get(core, 0), pid,
                     pcid, ccid, recycled))
         self.registry.counter("process_spawns").inc()
@@ -215,8 +195,6 @@ class Tracer:
             self.registry.counter("pcid_recycles").inc()
 
     def process_exit(self, core, pid, pcid, ccid, invalidations):
-        if not self.options.lifecycle:
-            return
         self._emit((ev.PROCESS_EXIT, core, self._clock.get(core, 0), pid,
                     pcid, ccid, invalidations))
         self.registry.counter("process_exits").inc()
@@ -224,8 +202,6 @@ class Tracer:
             self.registry.counter("exit_invalidations").inc(invalidations)
 
     def quantum(self, core, pid, start_cycle, end_cycle, instructions):
-        if not self.options.sched:
-            return
         self._emit((ev.QUANTUM, core, start_cycle, pid, end_cycle,
                     instructions))
         self.registry.histogram("quantum_instructions").observe(instructions)
@@ -253,10 +229,10 @@ def replay_events(event_dicts, options=None):
     """Fold a streamed/exported event sequence back through a fresh
     tracer; returns that tracer (ring + registry populated).
 
-    Replaying a sink file produced by a run with all event families on
-    rebuilds the *exact* registry the live run had — the equivalence
-    ``python -m repro.obs summarize`` relies on when pointed at a
-    ``.jsonl``/``.gz``/``.zst`` event stream instead of a summary.
+    Replaying a sink file rebuilds the *exact* registry the live run
+    had — the equivalence ``python -m repro.obs summarize`` relies on
+    when pointed at a ``.jsonl``/``.gz`` event stream instead of a
+    summary.
     """
     tracer = Tracer(options)
     for data in event_dicts:

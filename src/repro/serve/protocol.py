@@ -118,9 +118,6 @@ class FrameDecoder:
     def at_boundary(self):
         return not self._buffer
 
-    def pending_bytes(self):
-        return len(self._buffer)
-
     def frames(self):
         """Yield every frame completed so far (consumes the buffer)."""
         while True:

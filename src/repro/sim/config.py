@@ -63,10 +63,10 @@ class SimConfig:
     #: Enable event tracing (:mod:`repro.obs`): ``None`` (default) keeps
     #: every hook a no-op ``is not None`` test; ``True`` traces with
     #: default options; a :class:`repro.obs.TraceOptions` (or its field
-    #: dict) tunes ring size, event families, and the streaming ``sink``
-    #: — a ``.jsonl``/``.jsonl.gz``/``.jsonl.zst`` path the ring drains
-    #: to at every wrap (flight-recorder mode: constant memory, no
-    #: drop-oldest; published atomically by ``Tracer.finalize()``). The
+    #: dict) sets the ring size and the streaming ``sink`` — a
+    #: ``.jsonl``/``.jsonl.gz`` path the ring drains to at every wrap
+    #: (flight-recorder mode: constant memory, no drop-oldest;
+    #: published atomically by ``Tracer.finalize()``). The
     #: measured-phase snapshot lands on ``RunResult.obs``.
     trace: object = None
     costs: KernelCosts = dataclasses.field(default_factory=KernelCosts)

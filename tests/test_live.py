@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.common import config_by_name, run_app
 from repro.obs import export
 from repro.obs import live
@@ -91,18 +92,18 @@ class TestStreamingSink:
         assert replay_events(events).registry.snapshot() \
             == tracer.registry.snapshot()
 
-    def test_zstd_sink_gated_on_availability(self, tmp_path):
-        path = tmp_path / "trace.jsonl.zst"
-        if not export.zstd_available():
-            with pytest.raises(RuntimeError, match="zstd"):
-                live.open_sink(path)
-            return
-        tracer = Tracer(TraceOptions(buffer_size=8, sink=str(path)))
-        for i in range(20):
-            tracer.tick(0, i)
-            tracer.tlb_hit(0, 1, "L1D", i, True)
-        tracer.finalize()
-        assert len(list(export.read_jsonl(path))) == 20
+    def test_zst_sink_path_raises(self, tmp_path):
+        """No zstd codec: a ``.zst`` sink is refused instead of silently
+        written as plain JSONL, and ``trace --sink`` refuses it before
+        simulating anything."""
+        with pytest.raises(ValueError, match="zst"):
+            Tracer(TraceOptions(sink=str(tmp_path / "trace.jsonl.zst")))
+        out = tmp_path / "capture"
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main(["trace", "--cores", "1", "--scale", "0.08",
+                              "--out", str(out), "--sink", "x.jsonl.zst"])
+        assert excinfo.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_finalize_is_atomic_and_idempotent(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -220,12 +221,6 @@ class TestProgressMonitor:
         clock.now = 4.0
         monitor.advance(50)
         assert monitor.eta_seconds() == 0.0
-
-    def test_advance_to_is_monotonic(self):
-        monitor, _, _ = self._monitor()
-        monitor.advance_to(40)
-        monitor.advance_to(25)  # a smaller total never moves it back
-        assert monitor.done == 40
 
     def test_snapshot_line_and_finish(self):
         monitor, clock, lines = self._monitor(total=200, unit="runs",

@@ -1,6 +1,6 @@
-"""The observability stack: metrics registry, tracer, profiler, exports,
-CLIs — and the cross-validation guarantee that trace-derived aggregates
-exactly match the simulator's own ``MMUStats`` counters."""
+"""The observability stack: metrics registry, tracer, exports, CLIs —
+and the cross-validation guarantee that trace-derived aggregates exactly
+match the simulator's own ``MMUStats`` counters."""
 
 import json
 
@@ -13,25 +13,20 @@ from repro.experiments.common import (
     run_app,
     run_functions,
     set_disk_cache,
+    simulation_run_count,
 )
 from repro.experiments.runner import RunRequest, execute
 from repro.kernel.costs import KernelCosts
 from repro.obs import events as ev_mod
 from repro.obs.__main__ import main as obs_main
 from repro.obs.events import event_to_dict
-from repro.obs.metrics import (
-    MetricsRegistry,
-    bucket_of,
-    map_label,
-    merge_snapshots,
-)
+from repro.obs.metrics import MetricsRegistry, bucket_of, map_label
 from repro.obs.export import (
     chrome_trace,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.profile import PhaseProfiler
 from repro.obs.summary import diff, flatten, format_summary, summarize
 from repro.obs.tracer import TraceOptions, Tracer, resolve_trace_options
 
@@ -84,31 +79,6 @@ class TestMetrics:
         assert hist.percentile(50) == 1.0
         assert hist.percentile(100) == 127.0  # bucket upper bound
 
-    def test_gauge_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth").set(4)
-        registry.gauge("depth").set(2)
-        assert registry.snapshot()["gauges"][0]["value"] == 2
-
-    def test_merge_snapshots_is_order_independent(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c", pid=1).inc(2)
-        b.counter("c", pid=1).inc(3)
-        b.counter("c", pid=2).inc(1)
-        a.gauge("g").set(5)
-        b.gauge("g").set(7)
-        a.histogram("h").observe(3)
-        b.histogram("h").observe(40)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged == merge_snapshots([b.snapshot(), a.snapshot()])
-        counters = {tuple(sorted(e["labels"].items())): e["value"]
-                    for e in merged["counters"]}
-        assert counters == {(("pid", 1),): 5, (("pid", 2),): 1}
-        assert merged["gauges"][0]["value"] == 7
-        hist = merged["histograms"][0]
-        assert (hist["count"], hist["sum"]) == (2, 43)
-        assert (hist["min"], hist["max"]) == (3, 40)
-
     def test_map_label_remaps_and_defaults(self):
         registry = MetricsRegistry()
         registry.counter("faults", pid=203).inc()
@@ -149,19 +119,6 @@ class TestTracer:
                     if e["name"] == "tlb_hits")
         assert total == 10
 
-    def test_muted_families_emit_nothing(self):
-        tracer = Tracer(TraceOptions(tlb=False, walks=False, faults=False,
-                                     sched=False, invalidations=False))
-        tracer.tlb_hit(0, 1, "L2", 5, shared=True)
-        tracer.tlb_miss(0, 1, "L1I", 5, instr=True)
-        tracer.page_walk(0, 1, 5, 40, False, "pm")
-        tracer.fault(0, 1, 5, "minor", 2400, False, 0)
-        tracer.sched_switch(0, 1, 2)
-        tracer.invalidation(0, 1, 5, "shared")
-        tracer.quantum(0, 1, 0, 100, 50)
-        assert tracer.emitted == 0
-        assert tracer.snapshot()["metrics"] == MetricsRegistry().snapshot()
-
     def test_clock_stamps_events(self):
         tracer = Tracer()
         tracer.tick(0, 1234)
@@ -190,43 +147,6 @@ class TestTracer:
                     for e in tracer.snapshot()["metrics"]["counters"]
                     if e["name"] == "walk_level_reads"}
         assert counters == {"pwc": 2, "memory": 4}
-
-
-# -- phase profiler ----------------------------------------------------------
-
-
-class TestPhaseProfiler:
-    def test_span_and_counters(self):
-        ticks = iter([0.0, 1.5, 2.0, 2.25])
-        profiler = PhaseProfiler(clock=lambda: next(ticks))
-        with profiler.span("simulate") as span:
-            pass
-        assert span.seconds == 1.5
-        with profiler.span("simulate"):
-            pass
-        profiler.count("cache_hit")
-        profiler.count("cache_hit", 2)
-        data = profiler.as_dict()
-        assert data["phases"]["simulate"] == {
-            "count": 2, "seconds": 1.75, "min": 0.25, "max": 1.5}
-        assert data["counters"] == {"cache_hit": 3}
-        line = profiler.summary_line()
-        assert "simulate" in line and "cache_hit=3" in line
-
-    def test_span_records_on_exception(self):
-        profiler = PhaseProfiler()
-        with pytest.raises(ValueError):
-            with profiler.span("boom"):
-                raise ValueError()
-        assert profiler.phases["boom"][0] == 1
-
-    def test_format_summary(self):
-        profiler = PhaseProfiler()
-        profiler.add("simulate", 2.0)
-        profiler.count("requests", 4)
-        text = profiler.format_summary("runner profile")
-        assert text.startswith("runner profile")
-        assert "simulate" in text and "requests=4" in text
 
 
 # -- exporters ---------------------------------------------------------------
@@ -394,23 +314,22 @@ class TestDiffLocalizesChanges:
 # -- runner integration ------------------------------------------------------
 
 
-class TestRunnerProfiler:
-    def test_execute_routes_timing_through_profiler(self):
+class TestRunnerProgress:
+    def test_execute_counts_simulated_and_cached(self):
         request = RunRequest(kind="app", app="mongodb",
                              config_name="Baseline", **SMALL)
-        profiler = PhaseProfiler()
         lines = []
-        execute([request], progress=lines.append, profiler=profiler)
-        assert profiler.counters == {"cache_miss": 1}
-        assert profiler.phases["simulate"][0] == 1
-        assert lines[-1].startswith("phases:")
-        assert any("cache_miss=1" in line for line in lines)
+        execute([request], progress=lines.append)
+        assert lines[0].startswith("[1/1] ")
+        assert lines[-1] == "runs: 1 simulated, 0 cached"
 
         # Second execute over the same request: pure cache hit.
-        profiler2 = PhaseProfiler()
-        execute([request], profiler=profiler2)
-        assert profiler2.counters == {"cache_hit": 1, "cache_miss": 0}
-        assert "simulate" not in profiler2.phases
+        before = simulation_run_count()
+        lines = []
+        execute([request], progress=lines.append)
+        assert simulation_run_count() == before
+        assert lines == ["[cached] %s" % request.label(),
+                         "runs: 0 simulated, 1 cached"]
 
 
 # -- the CLIs ----------------------------------------------------------------
@@ -462,3 +381,30 @@ class TestCaptureAndCLIs:
         path.write_text("{}")
         with pytest.raises(SystemExit):
             obs_main(["summarize", str(path)])
+
+
+_UNREADABLE = [
+    ("bad.jsonl.gz", "not gzip at all"),
+    ("no_cycle.jsonl", '{"event": "TLB_HIT", "core": 0, "pid": 1, '
+                       '"level": "L1D", "vpn": 5, "provenance": "private"}'),
+    ("unknown.jsonl", '{"event": "NOPE", "core": 0, "cycle": 1, "pid": 1}'),
+    ("list_line.jsonl", '{"event": "SCHED_SWITCH", "core": 0, "cycle": 1, '
+                        '"pid": 1, "prev_pid": 1, "next_pid": 2}\n[1]\n'),
+    ("multi.json", '{"metrics": {}}\n{"metrics": {}}\n'),
+    ("no_summary_dir", None),
+]
+
+
+@pytest.mark.parametrize("name, text", _UNREADABLE,
+                         ids=[name for name, _text in _UNREADABLE])
+def test_obs_cli_unreadable_input_exits_naming_path(tmp_path, name, text):
+    path = tmp_path / name
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as excinfo:
+        obs_main(["summarize", str(path)])
+    message = str(excinfo.value.code)
+    assert "\n" not in message
+    assert str(path) in message
