@@ -1,8 +1,14 @@
-"""Experiment harnesses: one module per table/figure of Section VII.
+"""Experiment harnesses: one module per table/figure of Section VII,
+plus the extension studies (ablations, density, churn, policy zoo).
 
-Every module exposes a ``run_*`` function returning plain dict rows and a
-``format_*`` helper that renders the paper-vs-measured comparison. The
-benchmarks under ``benchmarks/`` are thin wrappers over these.
+Every harness exposes a ``run_*`` function returning plain dict rows;
+Figures 9-11 and Table II add a ``summarize`` that reduces them to the
+figures :mod:`repro.experiments.paper_values` holds. A harness that reads
+stock simulation runs declares them once, as a
+:class:`~repro.experiments.runner.RunRequest` list, and computes its rows
+from the runs one :func:`~repro.experiments.runner.execute` call returns.
+The benchmarks under ``benchmarks/`` are thin wrappers over these that
+render the rows with :func:`repro.experiments.common.format_table`.
 """
 
 from repro.experiments.common import (
@@ -21,7 +27,6 @@ from repro.experiments.runner import (
     RunRequest,
     execute,
     parallel_map,
-    report_matrix,
 )
 
 __all__ = [
@@ -36,7 +41,6 @@ __all__ = [
     "disk_cache",
     "execute",
     "parallel_map",
-    "report_matrix",
     "set_disk_cache",
     "simulation_run_count",
 ]

@@ -38,9 +38,10 @@ import pathlib
 import sys
 import time
 
+from repro.experiments import fig11
 from repro.experiments.common import config_by_name, run_app, set_disk_cache
 from repro.experiments.runcache import DiskRunCache, default_cache_dir
-from repro.experiments.runner import execute, report_matrix
+from repro.experiments.runner import execute
 from repro.obs import (event_from_dict, format_summary, replay_events,
                        summarize, write_chrome_trace, write_jsonl)
 from repro.obs.export import codec_of, read_jsonl
@@ -189,7 +190,7 @@ def _run_command(parser, args):
         cache = DiskRunCache(args.cache_dir)
         set_disk_cache(cache)
         print("run cache: %s" % cache.root)
-    matrix = report_matrix(cores=cores, scale=scale)
+    matrix = fig11.requests(cores=cores, scale=scale)
     print("executing %d runs (cores=%d scale=%.2f jobs=%d)"
           % (len(matrix), cores, scale, args.jobs))
     monitor = None

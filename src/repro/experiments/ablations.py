@@ -8,41 +8,27 @@ huge-page PMD-table merging (Section IV-C).
 
 from repro.core.aslr import ASLRMode
 from repro.kernel.frames import FrameKind
-from repro.experiments.common import (
-    config_by_name,
-    pct_reduction,
-    run_app,
-)
+from repro.experiments.common import pct_reduction
 from repro.experiments.runner import RunRequest, execute, request_overrides
-from repro.sim.config import babelfish_config
-
-
-def _measure(config, app, cores, scale):
-    """The result of one measured run through the (correctly keyed) run
-    cache: ablation configs share ``config.name`` with the stock configs
-    but differ in field values, which the full-field cache key
-    distinguishes."""
-    return run_app(app, config, cores=cores, scale=scale).result
 
 
 def run_aslr_ablation(app="mongodb", cores=4, scale=0.5, jobs=1):
     """ASLR-SW avoids the 2-cycle transform and shares at the L1 TLB too;
     ASLR-HW (paper default) gives per-process layouts."""
-    if jobs > 1:
-        execute([RunRequest(kind="app", app=app, cores=cores, scale=scale)]
-                + [RunRequest(kind="app", app=app, config_name="BabelFish",
-                              overrides=request_overrides(aslr_mode=mode),
-                              cores=cores, scale=scale)
-                   for mode in (ASLRMode.SW, ASLRMode.HW)], jobs=jobs)
-    base = _measure(config_by_name("Baseline"), app, cores, scale)
+    modes = (ASLRMode.SW, ASLRMode.HW)
+    base, *runs = execute(
+        [RunRequest(kind="app", app=app, cores=cores, scale=scale)]
+        + [RunRequest(kind="app", app=app, config_name="BabelFish",
+                      overrides=request_overrides(aslr_mode=mode),
+                      cores=cores, scale=scale)
+           for mode in modes], jobs=jobs)
     rows = []
-    for mode in (ASLRMode.SW, ASLRMode.HW):
-        result = _measure(babelfish_config(aslr_mode=mode), app,
-                          cores, scale)
+    for mode, run in zip(modes, runs):
+        result = run.result
         rows.append({
             "mode": mode.value,
             "mean_reduction_pct": round(pct_reduction(
-                base.mean_latency, result.mean_latency), 2),
+                base.result.mean_latency, result.mean_latency), 2),
             "aslr_transforms": result.stats.aslr_transforms,
             "l1_shared": mode.shares_l1,
         })
@@ -52,21 +38,20 @@ def run_aslr_ablation(app="mongodb", cores=4, scale=0.5, jobs=1):
 def run_orpc_ablation(app="mongodb", cores=4, scale=0.5, jobs=1):
     """Without ORPC, every shared-entry L2 TLB access pays the long
     (PC-bitmask) access time."""
-    if jobs > 1:
-        execute([RunRequest(kind="app", app=app, cores=cores, scale=scale)]
-                + [RunRequest(kind="app", app=app, config_name="BabelFish",
-                              overrides=request_overrides(orpc_enabled=orpc),
-                              cores=cores, scale=scale)
-                   for orpc in (True, False)], jobs=jobs)
-    base = _measure(config_by_name("Baseline"), app, cores, scale)
+    settings = (True, False)
+    base, *runs = execute(
+        [RunRequest(kind="app", app=app, cores=cores, scale=scale)]
+        + [RunRequest(kind="app", app=app, config_name="BabelFish",
+                      overrides=request_overrides(orpc_enabled=orpc),
+                      cores=cores, scale=scale)
+           for orpc in settings], jobs=jobs)
     rows = []
-    for orpc in (True, False):
-        result = _measure(babelfish_config(orpc_enabled=orpc), app,
-                          cores, scale)
+    for orpc, run in zip(settings, runs):
+        result = run.result
         rows.append({
             "orpc_enabled": orpc,
             "mean_reduction_pct": round(pct_reduction(
-                base.mean_latency, result.mean_latency), 2),
+                base.result.mean_latency, result.mean_latency), 2),
             "l2_long_accesses": result.stats.l2_long_accesses,
         })
     return rows
@@ -184,22 +169,17 @@ def run_quantum_ablation(app="mongodb", cores=4, scale=0.5,
     """Scheduler quantum sensitivity: shorter quanta mean more
     cross-container TLB interleaving, which sharing turns from interference
     into prefetching."""
-    if jobs > 1:
-        execute([RunRequest(kind="app", app=app, config_name=name,
-                            overrides=request_overrides(
-                                quantum_instructions=quantum),
-                            cores=cores, scale=scale)
-                 for quantum in quanta
-                 for name in ("Baseline", "BabelFish")], jobs=jobs)
+    runs = execute([RunRequest(kind="app", app=app, config_name=name,
+                               overrides=request_overrides(
+                                   quantum_instructions=quantum),
+                               cores=cores, scale=scale)
+                    for quantum in quanta
+                    for name in ("Baseline", "BabelFish")], jobs=jobs)
     rows = []
-    for quantum in quanta:
-        base = _measure(config_by_name(
-            "Baseline", quantum_instructions=quantum), app, cores, scale)
-        bf = _measure(babelfish_config(quantum_instructions=quantum),
-                      app, cores, scale)
+    for quantum, base, bf in zip(quanta, runs[::2], runs[1::2]):
         rows.append({
             "quantum_instructions": quantum,
             "mean_reduction_pct": round(pct_reduction(
-                base.mean_latency, bf.mean_latency), 2),
+                base.result.mean_latency, bf.result.mean_latency), 2),
         })
     return rows

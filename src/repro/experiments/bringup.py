@@ -7,17 +7,14 @@ touches (redundant minor faults under Baseline; mostly resolved
 translations under BabelFish). The paper reports an 8% reduction.
 """
 
-from repro.experiments.common import config_by_name, pct_reduction, run_functions
-from repro.experiments.runner import bringup_matrix, execute
+from repro.experiments.common import pct_reduction
+from repro.experiments.runner import execute, grid_requests
 
 
 def run_bringup(cores=8, scale=1.0, jobs=1):
-    if jobs > 1:
-        execute(bringup_matrix(cores=cores, scale=scale), jobs=jobs)
-    base = run_functions(config_by_name("Baseline"), dense=True,
-                         cores=cores, scale=scale)
-    bf = run_functions(config_by_name("BabelFish"), dense=True,
-                       cores=cores, scale=scale)
+    base, bf = execute(grid_requests(("functions-dense",),
+                                     ("Baseline", "BabelFish"), cores, scale),
+                       jobs=jobs)
     return {
         "baseline_cycles": base.bringup_cycles,
         "babelfish_cycles": bf.bringup_cycles,

@@ -9,21 +9,18 @@ container multiplies the baseline's replicated TLB entries and page
 tables, while BabelFish keeps a single copy.
 """
 
-from repro.experiments.common import config_by_name, pct_reduction, run_app
-from repro.experiments.runner import density_matrix, execute
+from repro.experiments.common import pct_reduction
+from repro.experiments.runner import execute, grid_requests
 
 
 def run_density_sweep(app="mongodb", cores=2, scale=0.35,
                       densities=(2, 4, 6), jobs=1):
-    if jobs > 1:
-        execute(density_matrix(app=app, cores=cores, scale=scale,
-                               densities=densities), jobs=jobs)
+    runs = execute([request for per_core in densities
+                    for request in grid_requests(
+                        (app,), ("Baseline", "BabelFish"), cores, scale,
+                        containers_per_core=per_core)], jobs=jobs)
     rows = []
-    for per_core in densities:
-        base = run_app(app, config_by_name("Baseline"), cores=cores,
-                       scale=scale, containers_per_core=per_core)
-        bf = run_app(app, config_by_name("BabelFish"), cores=cores,
-                     scale=scale, containers_per_core=per_core)
+    for per_core, base, bf in zip(densities, runs[::2], runs[1::2]):
         rb, rf = base.result, bf.result
         rows.append({
             "containers_per_core": per_core,

@@ -5,8 +5,7 @@ data entries separately; (b) Shared Hits — hits on L2 TLB entries brought
 in by a different process — as a fraction of all L2 TLB hits.
 """
 
-from repro.experiments.common import config_by_name, run_app, run_functions
-from repro.experiments.runner import execute, fig11_matrix
+from repro.experiments.runner import FUNCTION_WORKLOADS, grid_requests, run_grid
 from repro.workloads.profiles import COMPUTE_APPS, SERVING_APPS
 
 
@@ -30,26 +29,12 @@ def _mpki_row(app, base_stats, bf_stats):
 
 def run_fig10(cores=8, scale=1.0, apps=None, jobs=1):
     """Rows for Figures 10a and 10b (one row per workload)."""
-    apps = apps or (SERVING_APPS + COMPUTE_APPS)
-    if jobs > 1:
-        # Figure 10 reads the same Baseline/BabelFish runs as Figure 11;
-        # prefetch them in parallel, then assemble rows from the cache.
-        execute(fig11_matrix(cores=cores, scale=scale), jobs=jobs)
-    rows = []
-    for app in apps:
-        base = run_app(app, config_by_name("Baseline"), cores=cores,
-                       scale=scale)
-        bf = run_app(app, config_by_name("BabelFish"), cores=cores,
-                     scale=scale)
-        rows.append(_mpki_row(app, base.result.stats, bf.result.stats))
-    for dense in (True, False):
-        base = run_functions(config_by_name("Baseline"), dense=dense,
-                             cores=cores, scale=scale)
-        bf = run_functions(config_by_name("BabelFish"), dense=dense,
-                           cores=cores, scale=scale)
-        label = "functions-%s" % ("dense" if dense else "sparse")
-        rows.append(_mpki_row(label, base.result.stats, bf.result.stats))
-    return rows
+    workloads = tuple(apps or SERVING_APPS + COMPUTE_APPS) + FUNCTION_WORKLOADS
+    runs = run_grid(grid_requests(workloads, ("Baseline", "BabelFish"),
+                                  cores, scale), jobs)
+    return [_mpki_row(workload, runs[workload, "Baseline"].result.stats,
+                      runs[workload, "BabelFish"].result.stats)
+            for workload in workloads]
 
 
 def summarize(rows):

@@ -6,74 +6,51 @@
   dense and sparse inputs.
 """
 
-from repro.experiments.common import (
-    config_by_name,
-    pct_reduction,
-    run_app,
-    run_functions,
-)
-from repro.experiments.runner import execute, fig11_matrix
+from repro.experiments.common import pct_reduction
+from repro.experiments.runner import FUNCTION_WORKLOADS, grid_requests, run_grid
 from repro.workloads.profiles import COMPUTE_APPS, FUNCTION_NAMES, SERVING_APPS
 
 
-def serving_rows(cores=8, scale=1.0, config_name="BabelFish"):
-    rows = []
+def requests(cores=8, scale=1.0, config_name="BabelFish"):
+    """Baseline + ``config_name`` for every workload: the run set behind
+    Figures 10/11, bring-up and ``python -m repro.report``."""
+    return grid_requests(SERVING_APPS + COMPUTE_APPS + FUNCTION_WORKLOADS,
+                         ("Baseline", config_name), cores, scale)
+
+
+def run_fig11(cores=8, scale=1.0, config_name="BabelFish", jobs=1):
+    runs = run_grid(requests(cores, scale, config_name), jobs)
+    serving, compute, functions = [], [], []
     for app in SERVING_APPS:
-        base = run_app(app, config_by_name("Baseline"), cores=cores,
-                       scale=scale).result
-        other = run_app(app, config_by_name(config_name), cores=cores,
-                        scale=scale).result
-        rows.append({
+        base = runs[app, "Baseline"].result
+        other = runs[app, config_name].result
+        serving.append({
             "app": app,
             "mean_reduction_pct": round(pct_reduction(
                 base.mean_latency, other.mean_latency), 1),
             "tail_reduction_pct": round(pct_reduction(
                 base.tail_latency(), other.tail_latency()), 1),
         })
-    return rows
-
-
-def compute_rows(cores=8, scale=1.0, config_name="BabelFish"):
-    rows = []
     for app in COMPUTE_APPS:
-        base = run_app(app, config_by_name("Baseline"), cores=cores,
-                       scale=scale).result
-        other = run_app(app, config_by_name(config_name), cores=cores,
-                        scale=scale).result
-        rows.append({
+        base = runs[app, "Baseline"].result
+        other = runs[app, config_name].result
+        compute.append({
             "app": app,
             "exec_reduction_pct": round(pct_reduction(
                 sum(base.process_cycles.values()),
                 sum(other.process_cycles.values())), 1),
         })
-    return rows
-
-
-def function_rows(cores=8, scale=1.0, config_name="BabelFish"):
-    rows = []
-    for dense in (True, False):
-        base = run_functions(config_by_name("Baseline"), dense=dense,
-                             cores=cores, scale=scale)
-        other = run_functions(config_by_name(config_name), dense=dense,
-                              cores=cores, scale=scale)
+    for workload in FUNCTION_WORKLOADS:
+        base = runs[workload, "Baseline"]
+        other = runs[workload, config_name]
+        density = workload.partition("-")[2]
         for name in FUNCTION_NAMES:
-            rows.append({
-                "app": "%s-%s" % (name, "dense" if dense else "sparse"),
+            functions.append({
+                "app": "%s-%s" % (name, density),
                 "exec_reduction_pct": round(pct_reduction(
                     base.exec_cycles[name], other.exec_cycles[name]), 1),
             })
-    return rows
-
-
-def run_fig11(cores=8, scale=1.0, config_name="BabelFish", jobs=1):
-    if jobs > 1:
-        execute(fig11_matrix(cores=cores, scale=scale,
-                             config_name=config_name), jobs=jobs)
-    return {
-        "serving": serving_rows(cores, scale, config_name),
-        "compute": compute_rows(cores, scale, config_name),
-        "functions": function_rows(cores, scale, config_name),
-    }
+    return {"serving": serving, "compute": compute, "functions": functions}
 
 
 def summarize(results):

@@ -7,35 +7,15 @@ it neither shares page-table state nor lets one process prefetch
 translations for another.
 """
 
-from repro.experiments.fig11 import (
-    compute_rows,
-    function_rows,
-    serving_rows,
-    summarize,
-)
-from repro.experiments.runner import execute, fig11_matrix
-
-
-def run_larger_tlb(cores=8, scale=1.0, jobs=1):
-    """Figure-11-style reductions for the BigTLB configuration."""
-    if jobs > 1:
-        execute(fig11_matrix(cores=cores, scale=scale,
-                             config_name="BigTLB"), jobs=jobs)
-    return {
-        "serving": serving_rows(cores, scale, config_name="BigTLB"),
-        "compute": compute_rows(cores, scale, config_name="BigTLB"),
-        "functions": function_rows(cores, scale, config_name="BigTLB"),
-    }
+from repro.experiments.fig11 import run_fig11, summarize
 
 
 def run_comparison(cores=8, scale=1.0, jobs=1):
-    """Side-by-side: BigTLB vs full BabelFish (both vs Baseline)."""
-    from repro.experiments.fig11 import run_fig11
-    if jobs > 1:
-        execute(fig11_matrix(cores=cores, scale=scale, config_name="BigTLB")
-                + fig11_matrix(cores=cores, scale=scale), jobs=jobs)
-    bigtlb = summarize(run_larger_tlb(cores, scale))
-    babelfish = summarize(run_fig11(cores, scale))
+    """Side-by-side Figure-11 reductions: BigTLB vs full BabelFish (both
+    vs Baseline)."""
+    bigtlb = summarize(run_fig11(cores, scale, config_name="BigTLB",
+                                 jobs=jobs))
+    babelfish = summarize(run_fig11(cores, scale, jobs=jobs))
     rows = []
     for key in ("serving_mean_pct", "compute_exec_pct",
                 "functions_dense_pct", "functions_sparse_pct"):

@@ -10,11 +10,13 @@ sequentially, in any order.
 
 ``execute(requests, jobs=N)`` resolves each request against the
 in-memory memo and the persistent disk cache first, ships only the
-misses to workers, and seeds both caches with the returned summaries so
-the experiment harnesses (which call ``run_app`` afterwards) hit warm
-caches.  ``parallel_map`` is the same machinery for experiment helpers
-that are not ``run_app``-shaped but still pure and picklable (Figure 9
-rows, mixed-colocation scenarios).
+misses to workers, seeds both caches with the returned summaries and
+returns the runs in request order.  Every experiment harness declares
+its run set once as a request list and reads its rows from that one
+call (at ``jobs=1`` it is a plain in-process loop).  ``parallel_map``
+is the same machinery for experiment helpers that are not
+``run_app``-shaped but still pure and picklable (Figure 9 rows,
+mixed-colocation scenarios).
 
 Worker processes install the parent's disk cache (same directory, same
 code fingerprint) before running, so a parallel sweep persists its
@@ -31,7 +33,6 @@ import time
 
 from repro.experiments import common, runcache
 from repro.experiments.runcache import DiskRunCache
-from repro.workloads.profiles import COMPUTE_APPS, SERVING_APPS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,6 +53,13 @@ class RunRequest:
     scale: float = 1.0
     containers_per_core: int = None
     dense: bool = True
+
+    @property
+    def workload(self):
+        """The app name, or ``functions-dense``/``functions-sparse``."""
+        if self.kind == "functions":
+            return "functions-dense" if self.dense else "functions-sparse"
+        return self.app
 
     def config(self):
         return common.config_by_name(self.config_name,
@@ -77,53 +85,39 @@ def request_overrides(**overrides):
     return tuple(sorted(overrides.items()))
 
 
-# -- run matrices -------------------------------------------------------------------
+# -- run grids ----------------------------------------------------------------------
 
 
-def fig11_matrix(cores=8, scale=1.0, config_name="BabelFish"):
-    """Baseline + ``config_name`` for every workload — the run set behind
-    Figures 10/11, Table II's two-config slice, and bring-up."""
+#: The FaaS experiment's two workloads, as :attr:`RunRequest.workload`
+#: names them.
+FUNCTION_WORKLOADS = ("functions-dense", "functions-sparse")
+
+
+def grid_requests(workloads, config_names, cores, scale,
+                  containers_per_core=None):
+    """One request per workload x config, workload-major.
+
+    ``workloads`` are app names or entries of :data:`FUNCTION_WORKLOADS`.
+    """
     requests = []
-    for app in SERVING_APPS + COMPUTE_APPS:
-        for name in ("Baseline", config_name):
-            requests.append(RunRequest(kind="app", app=app, config_name=name,
-                                       cores=cores, scale=scale))
-    for dense in (True, False):
-        for name in ("Baseline", config_name):
-            requests.append(RunRequest(kind="functions", config_name=name,
-                                       dense=dense, cores=cores, scale=scale))
+    for workload in workloads:
+        for name in config_names:
+            if workload in FUNCTION_WORKLOADS:
+                requests.append(RunRequest(
+                    kind="functions", config_name=name,
+                    dense=workload == "functions-dense", cores=cores,
+                    scale=scale))
+            else:
+                requests.append(RunRequest(
+                    kind="app", app=workload, config_name=name, cores=cores,
+                    scale=scale, containers_per_core=containers_per_core))
     return requests
 
 
-def table2_matrix(cores=8, scale=1.0):
-    requests = []
-    for app in SERVING_APPS + COMPUTE_APPS:
-        for name in ("Baseline", "BabelFish-PT", "BabelFish"):
-            requests.append(RunRequest(kind="app", app=app, config_name=name,
-                                       cores=cores, scale=scale))
-    for dense in (True, False):
-        for name in ("Baseline", "BabelFish-PT", "BabelFish"):
-            requests.append(RunRequest(kind="functions", config_name=name,
-                                       dense=dense, cores=cores, scale=scale))
-    return requests
-
-
-def bringup_matrix(cores=8, scale=1.0):
-    return [RunRequest(kind="functions", config_name=name, dense=True,
-                       cores=cores, scale=scale)
-            for name in ("Baseline", "BabelFish")]
-
-
-def density_matrix(app="mongodb", cores=2, scale=0.35, densities=(2, 4, 6)):
-    return [RunRequest(kind="app", app=app, config_name=name, cores=cores,
-                       scale=scale, containers_per_core=per_core)
-            for per_core in densities
-            for name in ("Baseline", "BabelFish")]
-
-
-def report_matrix(cores=8, scale=1.0):
-    """Every cacheable run ``python -m repro.report`` needs."""
-    return fig11_matrix(cores=cores, scale=scale)
+def run_grid(requests, jobs=1):
+    """Execute ``requests``; returns ``{(workload, config_name): run}``."""
+    return {(request.workload, request.config_name): run
+            for request, run in zip(requests, execute(requests, jobs=jobs))}
 
 
 # -- execution ----------------------------------------------------------------------
@@ -198,8 +192,8 @@ def execute(requests, jobs=1, progress=None, monitor=None):
 
     Returns the list of runs aligned with ``requests`` (duplicates get
     the same run object), and leaves every run seeded in the in-memory
-    memo (and, when a disk cache is installed, persisted) so subsequent
-    ``run_app`` / ``run_functions`` calls are hits.
+    memo (and, when a disk cache is installed, persisted), so a later
+    harness that declares the same runs finds them cached.
 
     ``progress`` (a line callback) gets one line per cache hit, one per
     simulated request with its wall time, and a last line with the

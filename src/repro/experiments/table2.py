@@ -14,9 +14,10 @@ ArangoDB/FIO lower, GraphChi and sparse functions near zero) is the
 reproduced shape.
 """
 
-from repro.experiments.common import config_by_name, run_app, run_functions
-from repro.experiments.runner import execute, table2_matrix
+from repro.experiments.runner import FUNCTION_WORKLOADS, grid_requests, run_grid
 from repro.workloads.profiles import COMPUTE_APPS, FUNCTION_NAMES, SERVING_APPS
+
+CONFIGS = ("Baseline", "BabelFish-PT", "BabelFish")
 
 
 def _fraction(base, pt_only, full):
@@ -27,35 +28,32 @@ def _fraction(base, pt_only, full):
 
 
 def run_table2(cores=8, scale=1.0, jobs=1):
-    if jobs > 1:
-        execute(table2_matrix(cores=cores, scale=scale), jobs=jobs)
+    runs = run_grid(grid_requests(
+        SERVING_APPS + COMPUTE_APPS + FUNCTION_WORKLOADS, CONFIGS, cores,
+        scale), jobs)
     rows = []
     for app in SERVING_APPS + COMPUTE_APPS:
-        runs = {name: run_app(app, config_by_name(name), cores=cores,
-                              scale=scale).result
-                for name in ("Baseline", "BabelFish-PT", "BabelFish")}
+        results = {name: runs[app, name].result for name in CONFIGS}
         if app in SERVING_APPS:
-            metric = {k: r.mean_latency for k, r in runs.items()}
+            metric = {k: r.mean_latency for k, r in results.items()}
         else:
             metric = {k: sum(r.process_cycles.values())
-                      for k, r in runs.items()}
+                      for k, r in results.items()}
         rows.append({
             "app": app,
             "tlb_fraction": round(_fraction(metric["Baseline"],
                                             metric["BabelFish-PT"],
                                             metric["BabelFish"]), 3),
         })
-    for dense in (True, False):
-        runs = {name: run_functions(config_by_name(name), dense=dense,
-                                    cores=cores, scale=scale)
-                for name in ("Baseline", "BabelFish-PT", "BabelFish")}
+    for workload in FUNCTION_WORKLOADS:
+        cycles = {name: runs[workload, name].exec_cycles for name in CONFIGS}
+        density = workload.partition("-")[2]
         for fn in FUNCTION_NAMES:
             rows.append({
-                "app": "%s-%s" % (fn, "dense" if dense else "sparse"),
+                "app": "%s-%s" % (fn, density),
                 "tlb_fraction": round(_fraction(
-                    runs["Baseline"].exec_cycles[fn],
-                    runs["BabelFish-PT"].exec_cycles[fn],
-                    runs["BabelFish"].exec_cycles[fn]), 3),
+                    cycles["Baseline"][fn], cycles["BabelFish-PT"][fn],
+                    cycles["BabelFish"][fn]), 3),
             })
     return rows
 

@@ -97,22 +97,18 @@ def _gain(grid, apps, config, metric):
 
 def measure_tier(apps, cores, scale, jobs=1, progress=None, monitor=None):
     """Run the grid at one scale; returns the BENCH tier entry."""
-    requests = zoo_matrix(apps, cores, scale)
-    runs = execute(requests, jobs=jobs, progress=progress, monitor=monitor)
-    by_request = dict(zip(requests, runs))
+    runs = execute(zoo_matrix(apps, cores, scale), jobs=jobs,
+                   progress=progress, monitor=monitor)
+    # zoo_matrix is app-major, then config, then execution tier.
+    results = iter(run.result.as_dict() for run in runs)
 
     grid = {}
     divergent = []
     for app in apps:
         grid[app] = {}
         for name in ZOO_CONFIGS:
-            dicts = {}
-            for tier, overrides in TIER_OVERRIDES:
-                request = RunRequest(
-                    kind="app", app=app, config_name=name,
-                    overrides=request_overrides(**overrides),
-                    cores=cores, scale=scale)
-                dicts[tier] = by_request[request].result.as_dict()
+            dicts = {tier: next(results)
+                     for tier, _overrides in TIER_OVERRIDES}
             identical = dicts["reference"] == dicts["fastpath"]
             if not identical:
                 divergent.append("%s/%s" % (app, name))

@@ -52,8 +52,9 @@ def load_snapshot(path):
     bare snapshot JSON file, or a (possibly compressed) event stream.
 
     Unreadable input — a missing file, a corrupt ``.gz``, malformed JSON,
-    an event line that is not an object, lacks a field or names an
-    unknown event — exits with a one-line message naming the path."""
+    a snapshot whose ``metrics`` is not an object, an event line that is
+    not an object, lacks a field or names an unknown event — exits with a
+    one-line message naming the path."""
     path = pathlib.Path(path)
     if path.is_dir():
         path = path / "summary.json"
@@ -66,12 +67,12 @@ def load_snapshot(path):
         raise SystemExit("%s holds no obs snapshot (%s: %s)"
                          % (path, type(exc).__name__, exc))
     if isinstance(data, dict):
-        if "metrics" in data:
-            return data
-        if isinstance(data.get("obs"), dict):
-            return data["obs"]
-    raise SystemExit("%s holds no obs snapshot (expected a 'metrics' or "
-                     "'obs' key)" % path)
+        snapshot = data if "metrics" in data else data.get("obs")
+        if (isinstance(snapshot, dict)
+                and isinstance(snapshot.get("metrics"), dict)):
+            return snapshot
+    raise SystemExit("%s holds no obs snapshot (expected a 'metrics' "
+                     "object, or an 'obs' object holding one)" % path)
 
 
 def _parse_tolerance(spec):

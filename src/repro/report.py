@@ -5,10 +5,12 @@ paper-vs-measured summary. ``--quick`` shrinks cores and scale for a
 ~1-minute pass; the default takes a few minutes (the full benchmark
 harness under ``benchmarks/`` remains the canonical reproduction).
 
-``--jobs N`` fans the independent runs out across N worker processes
-(results are bit-identical to ``--jobs 1``); runs are memoized on disk
-under ``benchmarks/out/runcache/`` so a repeated invocation at the same
-cores/scale reuses every measurement (``--no-disk-cache`` opts out).
+``--jobs N`` fans each section's independent runs out across N worker
+processes: Figure 9's rows, and Figure 11's run set, which bring-up then
+reads back from the memo (the output is byte-identical to ``--jobs 1``).
+Runs are memoized on disk under ``benchmarks/out/runcache/`` so a
+repeated invocation at the same cores/scale reuses every measurement
+(``--no-disk-cache`` opts out).
 """
 
 import argparse
@@ -24,7 +26,6 @@ from repro.experiments.fig11 import run_fig11, summarize as fig11_summary
 from repro.experiments.paper_values import FIG9, FIG11, HEADLINE, RESOURCES
 from repro.experiments.resources import run_resources
 from repro.experiments.runcache import DiskRunCache
-from repro.experiments.runner import execute, report_matrix
 from repro.experiments.table3 import run_table3
 
 
@@ -81,10 +82,6 @@ def main(argv=None):
 
 
 def _report(args, cores, scale, started):
-    if args.jobs > 1:
-        # Prefetch the full run matrix in parallel; the sections below
-        # then read everything out of the warm cache.
-        execute(report_matrix(cores=cores, scale=scale), jobs=args.jobs)
     print("BabelFish reproduction report (cores=%d, scale=%.2f)"
           % (cores, scale))
     if scale < 1.0:
@@ -103,7 +100,8 @@ def _report(args, cores, scale, started):
                100 * fig9["functions_shareable_fraction"]))
 
     print("\nFigure 11 — performance")
-    fig11 = fig11_summary(run_fig11(cores=cores, scale=scale))
+    fig11 = fig11_summary(run_fig11(cores=cores, scale=scale,
+                                     jobs=args.jobs))
     print(_row("serving mean latency reduction",
                FIG11["serving_mean_pct"], fig11["serving_mean_pct"]))
     print(_row("serving tail latency reduction",

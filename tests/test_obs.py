@@ -391,6 +391,8 @@ _UNREADABLE = [
     ("list_line.jsonl", '{"event": "SCHED_SWITCH", "core": 0, "cycle": 1, '
                         '"pid": 1, "prev_pid": 1, "next_pid": 2}\n[1]\n'),
     ("multi.json", '{"metrics": {}}\n{"metrics": {}}\n'),
+    ("metrics_list.json", '{"metrics": []}'),
+    ("obs_metrics_list.json", '{"obs": {"metrics": []}}'),
     ("no_summary_dir", None),
 ]
 

@@ -30,14 +30,18 @@ from repro.experiments.runcache import (
     config_from_fields,
     functions_key_data,
 )
+from repro.experiments import ablations, fig11
+from repro.experiments.bringup import run_bringup
+from repro.experiments.density import run_density_sweep
+from repro.experiments.fig10 import run_fig10
+from repro.experiments.larger_tlb import run_comparison
 from repro.experiments.runner import (
     RunRequest,
     execute,
-    fig11_matrix,
     parallel_map,
-    report_matrix,
     request_overrides,
 )
+from repro.experiments.table2 import run_table2
 from repro.obs.live import ProgressMonitor
 from repro.workloads.profiles import APP_PROFILES
 
@@ -356,8 +360,7 @@ class TestParallelRunner:
         assert request.config().thp_enabled is False
 
     def test_matrices_cover_report(self):
-        matrix = report_matrix(cores=2, scale=0.25)
-        assert matrix == fig11_matrix(cores=2, scale=0.25)
+        matrix = fig11.requests(cores=2, scale=0.25)
         apps = {r.app for r in matrix if r.kind == "app"}
         assert len(apps) == 5
         assert len(matrix) == len(set(matrix))
@@ -379,6 +382,43 @@ class TestParallelRunner:
         assert lines[-1].startswith("[matrix] done:")
 
 
+HARNESSES = {
+    "fig10": (run_fig10, {}),
+    "fig11": (fig11.run_fig11, {}),
+    "table2": (run_table2, {}),
+    "bringup": (run_bringup, {}),
+    "comparison": (run_comparison, {}),
+    "density": (run_density_sweep, {"densities": (2, 3)}),
+    "aslr": (ablations.run_aslr_ablation, {}),
+    "orpc": (ablations.run_orpc_ablation, {}),
+    "quantum": (ablations.run_quantum_ablation, {}),
+}
+
+
+class TestHarnessJobs:
+    @pytest.mark.parametrize("name", sorted(HARNESSES))
+    def test_parallel_rows_equal_sequential(self, name):
+        """Each harness runs its one request list through ``execute``;
+        the worker-pool path must give the rows the in-process loop
+        gives."""
+        harness, kwargs = HARNESSES[name]
+        sequential = harness(cores=1, scale=0.05, jobs=1, **kwargs)
+        clear_run_cache()
+        before = simulation_run_count()
+        parallel = harness(cores=1, scale=0.05, jobs=2, **kwargs)
+        assert simulation_run_count() == before
+        assert parallel == sequential
+
+    def test_fig10_runs_only_its_rows(self, tmp_path):
+        """Figure 10 for one app stores its six runs (the app and both
+        functions workloads, Baseline and BabelFish), not Figure 11's
+        whole run set."""
+        cache = DiskRunCache(tmp_path)
+        set_disk_cache(cache)
+        run_fig10(apps=("httpd",), cores=1, scale=0.05, jobs=2)
+        assert len(cache.entries()) == 6
+
+
 class TestReportMemo:
     def test_report_simulates_each_run_once(self, capsys):
         """The report reads Figures 10/11, bring-up and resources off one
@@ -389,7 +429,7 @@ class TestReportMemo:
         before = simulation_run_count()
         assert report.main(["--cores", "1", "--scale", "0.05",
                             "--no-disk-cache"]) == 0
-        assert len(set(report_matrix(cores=1, scale=0.05))) == 14
+        assert len(set(fig11.requests(cores=1, scale=0.05))) == 14
         assert simulation_run_count() == before + 15
         assert "Bring-up" in capsys.readouterr().out
 
