@@ -18,7 +18,9 @@ layer memoizes run *summaries* (:func:`summarize_run`) across processes
 and invocations, keyed additionally by a fingerprint of the simulator
 sources.  Every run carries its kernel accounting as a plain dict
 (``kernel_snapshot``), so a run rehydrated from a summary answers the
-same questions as a live one.
+same questions as a live one.  The memo holds only such summary-shaped
+runs (``env`` is None): a cached run's environment is dropped as soon as
+it is summarized, and reference counting frees it there.
 """
 
 import dataclasses
@@ -298,10 +300,12 @@ def summarize_run(key_data, run):
 
 def remember_run(key_data, summary):
     """Seed the in-memory memo with the run a summary describes (one
-    loaded from disk or shipped back by a pool worker) and return it.
+    just simulated here, loaded from disk or shipped back by a pool
+    worker) and return it.
 
-    The rehydrated run carries no live environment (``env`` is None);
-    use ``use_cache=False`` for page-table introspection.
+    The run carries no live environment (``env``, ``deployment`` and
+    ``containers`` are None); use ``use_cache=False`` for page-table
+    introspection.
     """
     config = runcache.config_from_fields(summary["config"])
     result = runcache.result_from_dict(summary["result"])
@@ -329,8 +333,16 @@ def cached_run(key_data):
 
 
 def _run_cached(key_data, simulate, use_cache):
-    """Memory, then disk, then ``simulate()``; a simulated run is
-    memoized and, when it is coherent, stored on disk."""
+    """Memory, then disk, then ``simulate()``.
+
+    With ``use_cache`` a simulated run is summarized once, stored on
+    disk when it is coherent, and memoized and returned in the summary
+    shape of :func:`remember_run`, so nothing keeps its live
+    environment.
+    Its sanitizer violations ride along on the memoized result (the
+    summary keeps only their count).  Without ``use_cache`` the live run
+    is returned.
+    """
     global _SIMULATION_RUNS
     if use_cache:
         run = cached_run(key_data)
@@ -338,16 +350,25 @@ def _run_cached(key_data, simulate, use_cache):
             return run
     _SIMULATION_RUNS += 1
     run = simulate()
-    if use_cache:
-        _RUN_CACHE[runcache.canonical_json(key_data)] = run
-        if _DISK_CACHE is not None and not run.result.coherence_violations:
-            _DISK_CACHE.store(key_data, summarize_run(key_data, run))
+    if not use_cache:
+        return run
+    summary = summarize_run(key_data, run)
+    violations = run.result.coherence_violations
+    if _DISK_CACHE is not None and not violations:
+        _DISK_CACHE.store(key_data, summary)
+    run = remember_run(key_data, summary)
+    run.result.coherence_violations = violations
     return run
 
 
 def run_app(app_name, config, cores=8, scale=1.0, containers_per_core=None,
             use_cache=True, monitor=None):
     """Deploy + warm + measure one application under one configuration.
+
+    With ``use_cache`` (the default) the run comes from, or goes into,
+    the memo and the disk cache in summary form: ``env`` and
+    ``deployment`` are None.  ``use_cache=False`` simulates afresh and
+    returns the live run.
 
     ``monitor`` (a :class:`repro.obs.live.ProgressMonitor`) is attached
     to the simulator's per-quantum progress hook for the duration of the
@@ -398,7 +419,9 @@ def run_functions(config, dense=True, cores=8, scale=1.0, use_cache=True,
 
     Two waves per core: the leading wave takes the cold-start costs the
     paper excludes; the second wave is measured (bring-up and execution).
-    ``monitor`` rides the simulator's per-quantum hook as in
+    As in :func:`run_app`, a cached run (``use_cache=True``) has ``env``
+    and ``containers`` set to None; ``use_cache=False`` returns the live
+    run.  ``monitor`` rides the simulator's per-quantum hook as in
     :func:`run_app`.
     """
     key_data = runcache.functions_key_data(config, dense, cores, scale)

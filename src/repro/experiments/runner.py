@@ -191,9 +191,12 @@ def execute(requests, jobs=1, progress=None, monitor=None):
     miss once with ``jobs`` workers.
 
     Returns the list of runs aligned with ``requests`` (duplicates get
-    the same run object), and leaves every run seeded in the in-memory
-    memo (and, when a disk cache is installed, persisted), so a later
-    harness that declares the same runs finds them cached.
+    the same run object).  Every run is in the summary shape of
+    :func:`repro.experiments.common.remember_run` (``env`` is None), so
+    the returned list holds no live environment.  Every summary is left
+    seeded in the in-memory memo (and, when a disk cache is installed,
+    persisted), so a later harness that declares the same runs finds
+    them cached.
 
     ``progress`` (a line callback) gets one line per cache hit, one per
     simulated request with its wall time, and a last line with the

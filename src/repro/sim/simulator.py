@@ -18,6 +18,8 @@ segment-relative page, ``line`` the cache line within the page (0..63),
 ``request_id`` an optional request tag for latency accounting.
 """
 
+import weakref
+
 from repro.analysis.sanitizer import TranslationSanitizer
 from repro.hw.cache import CacheHierarchy
 from repro.hw.dram import DRAMModel
@@ -29,6 +31,19 @@ from repro.sim.stats import MMUStats, RunResult
 
 #: Trace record "kind" codes.
 K_IFETCH, K_LOAD, K_STORE = 0, 1, 2
+
+
+def _weak_sink(method):
+    """An invalidation sink calling ``method`` through a weak reference;
+    once its simulator is gone no MMU is left to invalidate, so it is a
+    no-op."""
+    ref = weakref.WeakMethod(method)
+
+    def sink(proc, invalidations):
+        broadcast = ref()
+        if broadcast is not None:
+            broadcast(proc, invalidations)
+    return sink
 
 
 class Simulator:
@@ -51,15 +66,20 @@ class Simulator:
         self.tracer = Tracer(trace_options) if trace_options else None
         self.mmus = [MMU(core, machine, config, self.hierarchy, kernel)
                      for core in range(machine.cores)]
+        # The kernel and the MMUs hold the broadcast weakly: a strong
+        # bound method would close a cycle through this simulator, and a
+        # finished environment would then wait for a full GC instead of
+        # dying with its last reference.
+        broadcast = _weak_sink(self._broadcast_invalidations)
         for mmu in self.mmus:
-            mmu.invalidation_sink = self._broadcast_invalidations
+            mmu.invalidation_sink = broadcast
             mmu.sanitizer = self.sanitizer
             mmu.tracer = self.tracer
             mmu.walker.tracer = self.tracer
         # Kernel-initiated shootdowns (process exit, PCID recycling)
         # reach every core the same way fault-time ones do, and teardown
         # reports freed frames into the sanitizer's quarantine.
-        kernel.invalidation_sink = self._broadcast_invalidations
+        kernel.invalidation_sink = broadcast
         kernel.tracer = self.tracer
         if self.sanitizer is not None:
             kernel.on_frames_freed = self.sanitizer.quarantine_frames

@@ -6,12 +6,15 @@ name-based cache key silently returned the stock config's run for them.
 """
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import common
 from repro.experiments.common import (
     build_environment,
     clear_run_cache,
@@ -43,6 +46,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.table2 import run_table2
 from repro.obs.live import ProgressMonitor
+from repro.sim.simulator import Simulator
 from repro.workloads.profiles import APP_PROFILES
 
 SMALL = dict(cores=1, scale=0.08)
@@ -180,7 +184,10 @@ class TestDiskCache:
         from repro.kernel.frames import FrameKind
         set_disk_cache(DiskRunCache(tmp_path, fingerprint="fp-a"))
         live = run_app("httpd", config_by_name("BabelFish"), **SMALL)
-        kernel = live.env.kernel
+        # A cached run carries no environment: read the kernel off a
+        # fresh live run of the same request.
+        kernel = run_app("httpd", config_by_name("BabelFish"),
+                         use_cache=False, **SMALL).env.kernel
         assert live.kernel_snapshot["frame_counts"]["PAGE_TABLE"] \
             == kernel.allocator.count(FrameKind.PAGE_TABLE)
         assert live.kernel_snapshot["policy_registry_len"] \
@@ -259,6 +266,102 @@ _NOT_AN_ENTRY = (
 
 _FUZZ = settings(max_examples=60, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _cached_shape(kind, run):
+    """What every ``use_cache=True`` run of ``kind`` must look like: no
+    live environment, and the summary artifacts."""
+    assert run.env is None
+    if kind == "app":
+        assert run.deployment is None
+    else:
+        assert run.containers is None
+    return run.result.as_dict(), run.kernel_snapshot
+
+
+def _cached_call(kind):
+    if kind == "app":
+        return run_app("httpd", config_by_name("BabelFish"), **SMALL)
+    return run_functions(config_by_name("BabelFish"), dense=True, **SMALL)
+
+
+class TestCachedRunShape:
+    @pytest.mark.parametrize("kind", ["app", "functions"])
+    def test_one_shape_on_every_path(self, tmp_path, kind):
+        """The simulating call, a memo hit, a disk hit and ``execute``
+        all return a summary-shaped run with the same artifacts."""
+        set_disk_cache(DiskRunCache(tmp_path, fingerprint="fp-a"))
+        before = simulation_run_count()
+        simulated = _cached_shape(kind, _cached_call(kind))
+        assert simulation_run_count() == before + 1
+        assert _cached_shape(kind, _cached_call(kind)) == simulated
+        clear_run_cache()
+        assert _cached_shape(kind, _cached_call(kind)) == simulated
+        assert simulation_run_count() == before + 1
+        set_disk_cache(None)
+        clear_run_cache()
+        request = RunRequest(kind=kind, app="httpd" if kind == "app" else None,
+                             config_name="BabelFish", **SMALL)
+        (executed,) = execute([request], jobs=1)
+        assert simulation_run_count() == before + 2
+        assert _cached_shape(kind, executed) == simulated
+
+    def test_violations_survive_the_memo(self, tmp_path, monkeypatch):
+        """The summary keeps only the violation count, but the memoized
+        run still carries the live run's violation records; the disk
+        store skips the incoherent run."""
+        finish = Simulator._finish
+
+        def finish_with_violation(sim):
+            result = finish(sim)
+            result.coherence_violations.append("injected")
+            return result
+
+        monkeypatch.setattr(Simulator, "_finish", finish_with_violation)
+        cache = DiskRunCache(tmp_path, fingerprint="fp-a")
+        set_disk_cache(cache)
+        first = run_app("httpd", config_by_name("Baseline"), **SMALL)
+        assert first.result.coherence_violations == ["injected"]
+        assert first.result.as_dict()["coherence_violations"] == 1
+        hit = run_app("httpd", config_by_name("Baseline"), **SMALL)
+        assert hit.result.coherence_violations == ["injected"]
+        assert cache.entries() == []
+
+
+class TestEnvironmentLifetime:
+    def test_finished_runs_free_their_simulator(self, monkeypatch):
+        """A finished stock run leaves no live ``Simulator``: reference
+        counting frees the environment as soon as the last reference to
+        it drops, with no cyclic garbage left for the collector."""
+        simulators = []
+        build = common.build_environment
+
+        def capturing_build(config, cores=8):
+            env = build(config, cores=cores)
+            simulators.append(weakref.ref(env.sim))
+            return env
+
+        monkeypatch.setattr(common, "build_environment", capturing_build)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for name in ("Baseline", "BabelFish"):
+                config = config_by_name(name)
+                for call in (
+                        lambda **kw: run_app("httpd", config, **kw),
+                        lambda **kw: run_functions(config, dense=True, **kw)):
+                    call(**SMALL)
+                    live = call(use_cache=False, **SMALL)
+                    assert live.env is not None
+                    del live
+                    assert len(simulators) == 2
+                    assert [ref() for ref in simulators] == [None, None]
+                    simulators.clear()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDiskCacheEntryFuzz:
