@@ -13,7 +13,6 @@ from repro.analysis.lint.rules.parallel_safety import (
     ParallelSafetyRule,
     UnorderedFoldRule,
 )
-from repro.analysis.lint.rules.policy_flags import PolicyFlagRule
 
 _RULE_CLASSES = (
     LayeringRule,
@@ -26,7 +25,6 @@ _RULE_CLASSES = (
     TeardownOrderRule,
     ParallelSafetyRule,
     UnorderedFoldRule,
-    PolicyFlagRule,
 )
 
 #: Findings the engine emits itself (no rule class): parse failures and

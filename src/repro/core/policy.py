@@ -1,20 +1,20 @@
 """The translation-policy registry: every TLB policy the simulator knows.
 
 BabelFish is one point in a wide translation-architecture design space.
-Policy selection used to be a pair of booleans (``babelfish_tlb`` /
-``babelfish_pt``) checked ad hoc across the MMU and experiment layers —
-a dispatch pattern in which "not BabelFish" silently meant
-"conventional", which breaks the moment a third policy exists. This
-module replaces it with an explicit registry: a
-:class:`TranslationPolicy` object per named policy, carrying
+Policy selection used to be a pair of booleans checked ad hoc across
+the MMU and experiment layers — a dispatch pattern in which "not
+BabelFish" silently meant "conventional", which breaks the moment a
+third policy exists. This module replaces it with an explicit registry:
+a :class:`TranslationPolicy` object per named design, and the only
+statement of what that design shares. Each carries
 
-- **capability queries** (``uses_ccid``, ``coalesces``,
-  ``has_victim_level``) the MMU, sanitizer, and experiments branch on
-  instead of raw config flags (lint rule BF701 forbids the flags outside
-  ``sim/config.py`` and this module);
-- **structure geometry** (:meth:`TranslationPolicy.l2_tlb_params`,
-  :meth:`TranslationPolicy.victim_tlb_params`) — how the policy carves
-  the Table I L2 TLB budget, and whether it backs it with a
+- **capability queries** (``uses_ccid``, ``shares_page_tables``,
+  ``coalesces``, ``has_victim_level``) the kernel, MMU, sanitizer, and
+  experiments branch on;
+- **structure geometry** (``l2_tlb_scale``,
+  :meth:`TranslationPolicy.l2_tlb_params`,
+  :meth:`TranslationPolicy.victim_tlb_params`) — how big the Table I
+  L2 TLB is, how the policy carves it, and whether it backs it with a
   cache-resident victim level;
 - the **fill rule** (:meth:`TranslationPolicy.fill_l2`): what TLB entry
   a completed page walk installs, and which resident entries it may
@@ -32,17 +32,14 @@ Registered policies:
 ``conventional``
     Per-process entries, private tables — the paper's Baseline.
 ``conventional_2x``
-    The same lookup over a scaled L2 TLB ("larger conventional TLB",
-    Section VII-C); the scale factor itself stays a config knob
-    (``l2_tlb_scale``) so area sweeps remain one config away.
+    The same lookup over a 2x L2 TLB ("larger conventional TLB",
+    Section VII-C).
 ``babelfish``
-    CCID-tagged entry sharing (Section III-A). The page-table half
-    (Section III-B) stays an orthogonal config knob (``babelfish_pt``)
-    because it is a kernel policy, not a TLB policy.
+    CCID-tagged entry sharing (Section III-A) over shared page tables
+    (Section III-B).
 ``babelfish_tlb`` / ``babelfish_pt``
-    The two Table II ablations, registered under their own names so the
-    ablation grid, run-cache keys, and serve requests name them
-    explicitly (``babelfish_pt`` has a conventional TLB).
+    The two Table II ablations: one mechanism each (``babelfish_pt``
+    has a conventional TLB, ``babelfish_tlb`` private page tables).
 ``victima``
     Victima-style cache-backed TLB reach (PAPERS.md): conventional
     L1/L2 semantics plus a large L3 victim level carved out of the L2
@@ -117,10 +114,21 @@ class TranslationPolicy:
     #: Entries are CCID-tagged and looked up with Figure 8's shared-entry
     #: rules (BabelFish); False means conventional VPN+PCID matching.
     uses_ccid = False
+    #: The kernel runs BabelFish's shared page tables (Section III-B,
+    #: :class:`repro.core.shared_pt.SharedPTManager`).
+    shares_page_tables = False
+    #: Scale factor on the Table I L2 TLB entries
+    #: (``MachineParams.scale_l2_tlb``).
+    l2_tlb_scale = 1.0
     #: Fills may install entries spanning several contiguous 4K vpns.
     coalesces = False
     #: An L3 victim TLB level sits between the L2 TLB and the walker.
     has_victim_level = False
+
+    def __init__(self, name, shares_page_tables=False, l2_tlb_scale=1.0):
+        self.name = name
+        self.shares_page_tables = shares_page_tables
+        self.l2_tlb_scale = l2_tlb_scale
 
     def l2_tlb_params(self, mmu_params):
         """How this policy carves the L2 TLB budget: a tuple of
@@ -150,10 +158,7 @@ def _conventional_entry(proc, vpn_group, pte):
 
 
 class ConventionalPolicy(TranslationPolicy):
-    """Per-process TLB entries over private tables (the Baseline)."""
-
-    def __init__(self, name="conventional"):
-        self.name = name
+    """Per-process TLB entries (the Baseline)."""
 
     def fill_l2(self, kernel, proc, vpn_group, pte, leaf_table):
         return _conventional_entry(proc, vpn_group, pte), REPLACE_SAME_PCID
@@ -163,9 +168,6 @@ class BabelFishPolicy(TranslationPolicy):
     """CCID-tagged entry sharing (Section III-A / Figure 8)."""
 
     uses_ccid = True
-
-    def __init__(self, name="babelfish"):
-        self.name = name
 
     def fill_l2(self, kernel, proc, vpn_group, pte, leaf_table):
         size = pte.page_size
@@ -187,9 +189,6 @@ class VictimaPolicy(ConventionalPolicy):
     """
 
     has_victim_level = True
-
-    def __init__(self, name="victima"):
-        super().__init__(name)
 
     def victim_tlb_params(self, machine):
         cache = machine.l2
@@ -225,8 +224,8 @@ class CoalescedPolicy(TranslationPolicy):
 
     coalesces = True
 
-    def __init__(self, name="coalesced", span=COALESCED_SPAN_4):
-        self.name = name
+    def __init__(self, name, span=COALESCED_SPAN_4):
+        super().__init__(name)
         self.span = span
 
     def l2_tlb_params(self, mmu_params):
@@ -283,9 +282,9 @@ def register_policy(policy):
 
 
 register_policy(ConventionalPolicy("conventional"))
-register_policy(ConventionalPolicy("conventional_2x"))
-register_policy(ConventionalPolicy("babelfish_pt"))
-register_policy(BabelFishPolicy("babelfish"))
+register_policy(ConventionalPolicy("conventional_2x", l2_tlb_scale=2.0))
+register_policy(ConventionalPolicy("babelfish_pt", shares_page_tables=True))
+register_policy(BabelFishPolicy("babelfish", shares_page_tables=True))
 register_policy(BabelFishPolicy("babelfish_tlb"))
 register_policy(VictimaPolicy("victima"))
 register_policy(CoalescedPolicy("coalesced"))

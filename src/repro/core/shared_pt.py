@@ -46,7 +46,6 @@ class SharedPTManager(PrivatePTPolicy):
     """BabelFish page-table sharing policy for a kernel instance."""
 
     name = "babelfish"
-    is_babelfish = True
 
     def __init__(self, mask_dir=None, share_huge=True):
         self.mask_dir = mask_dir or MaskPageDirectory()

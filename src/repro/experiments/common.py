@@ -293,7 +293,7 @@ def summarize_run(key_data, run):
     if key_data["kind"] == "functions":
         summary["bringup_cycles"] = run.bringup_cycles
         summary["exec_cycles"] = dict(run.exec_cycles)
-    summary["result"] = runcache.result_to_dict(run.result)
+    summary["result"] = run.result.as_dict()
     summary["kernel"] = run.kernel_snapshot
     return summary
 

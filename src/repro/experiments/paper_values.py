@@ -4,16 +4,10 @@ Values marked approximate (~) are read off figures; exact ones come from
 the text or tables. All reductions are "percent lower than Baseline".
 """
 
-#: Section VII / abstract headline numbers.
+#: Section VII / abstract headline numbers not already in a figure's
+#: table below (Figure 11 and Figure 9 hold the others).
 HEADLINE = {
-    "serving_mean_latency_reduction_pct": 11.0,
-    "serving_tail_latency_reduction_pct": 18.0,
-    "compute_exec_reduction_pct": 11.0,
     "function_bringup_reduction_pct": 8.0,
-    "function_exec_reduction_dense_pct": 10.0,
-    "function_exec_reduction_sparse_pct": 55.0,
-    "shared_translations_containerized_pct": 53.0,
-    "shared_translations_serverless_pct": 93.0,
 }
 
 #: Figure 9 (Section VII-A): pte_t shareability. Shareable fraction of
@@ -61,13 +55,8 @@ TABLE2 = {
     "sparse_average": 0.01,
 }
 
-#: Table III: L2 TLB CACTI parameters at 22nm.
-TABLE3 = {
-    "Baseline": {"area_mm2": 0.030, "access_time_ps": 327.0,
-                 "dyn_energy_pj": 10.22, "leakage_mw": 4.16},
-    "BabelFish": {"area_mm2": 0.062, "access_time_ps": 456.0,
-                  "dyn_energy_pj": 21.97, "leakage_mw": 6.22},
-}
+# Table III's rows are the CACTI calibration points:
+# repro.hw.cacti.PAPER_TABLE3.
 
 #: Section VII-C: larger conventional L2 TLB instead of BabelFish.
 LARGER_TLB = {

@@ -20,8 +20,8 @@ the tracked metric is the fast/reference *ratio*; the raw accesses/sec
 figures ride along for local context only and are expected to differ
 across machines.
 
-Entry points: ``python -m repro.experiments perf [--smoke]`` and
-``benchmarks/bench_hotpath.py`` both call :func:`run_harness`.
+Entry point: ``python -m repro.experiments perf [--smoke]`` calls
+:func:`run_harness`.
 """
 
 import json

@@ -131,17 +131,6 @@ def functions_key_data(config, dense, cores, scale):
 # -- summary (de)serialization ------------------------------------------------------
 
 
-def result_to_dict(result):
-    """``RunResult`` -> JSON-ready summary (the Figure 10/11 artifacts).
-
-    Delegates to :meth:`~repro.sim.stats.RunResult.as_dict`, the one
-    canonical summary shape (dense-pid normalization, latency
-    percentiles, obs snapshot) shared by the disk cache, pool workers,
-    and the trace-capture CLI.
-    """
-    return result.as_dict()
-
-
 def result_from_dict(data):
     result = RunResult(data["config_name"])
     for name, value in data["stats"].items():

@@ -5,8 +5,8 @@ Produced by the CACTI-style analytical model of :mod:`repro.hw.cacti`
 docstring for why this is the faithful reproduction).
 """
 
-from repro.hw.cacti import SRAMModel, babelfish_l2_geometry, baseline_l2_geometry
-from repro.experiments.paper_values import TABLE3
+from repro.hw.cacti import (PAPER_TABLE3, SRAMModel, babelfish_l2_geometry,
+                            baseline_l2_geometry)
 
 
 def run_table3(pc_bitmask_bits=32):
@@ -15,7 +15,7 @@ def run_table3(pc_bitmask_bits=32):
     for name, geometry in (("Baseline", baseline_l2_geometry()),
                            ("BabelFish", babelfish_l2_geometry(pc_bitmask_bits))):
         measured = model.report(geometry).as_row()
-        paper = TABLE3[name]
+        paper = PAPER_TABLE3[name].as_row()
         row = {"config": name, "bits_per_entry": geometry.bits_per_entry}
         for key, value in measured.items():
             row["%s" % key] = value

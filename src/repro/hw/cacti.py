@@ -197,8 +197,9 @@ def same_area_conventional_scale(policy_name, model=None,
 
     The factor a conventional L2 TLB's entry count should be multiplied
     by to occupy the same SRAM area as ``policy_name``'s L2 arrays —
-    what ``l2_tlb_scale`` (and the Section VII-C "larger conventional
-    TLB" arm) should be set to when comparing against that policy.
+    what a conventional policy's ``l2_tlb_scale`` (the Section VII-C
+    "larger conventional TLB" arm) should be when comparing against
+    that policy.
     ``MachineParams.scale_l2_tlb`` snaps the resulting entry count to a
     buildable power-of-two set count.
     """

@@ -65,7 +65,6 @@ class PrivatePTPolicy:
     """Conventional Linux: private page tables, fork replicates the tree."""
 
     name = "private"
-    is_babelfish = False
 
     def fork_tables(self, kernel, parent, child):
         """Deep-copy the parent's tables into the child, marking CoW.

@@ -227,7 +227,7 @@ def wire_to_request(data):
                          % (config_name, exc))
     except ValueError as exc:
         # SimConfig validation errors name the offending field
-        # (e.g. an unknown or flag-inconsistent 'policy').
+        # (e.g. an unknown 'policy').
         raise BadRequest("bad overrides for config %r: %s"
                          % (config_name, exc))
     cores = data.get("cores", 8)

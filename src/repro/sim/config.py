@@ -1,8 +1,10 @@
 """Simulation configurations: Baseline, BabelFish, ablations, BigTLB.
 
-A :class:`SimConfig` selects which of BabelFish's two mechanisms are
-enabled (Section VII separates "L2 TLB effects" from "page table effects"
-in Table II), the ASLR mode, and scaling knobs.
+A :class:`SimConfig` names the design it runs — a translation-policy
+registry entry (:mod:`repro.core.policy`), which alone says whether TLB
+entries and page tables are shared (Section VII separates "L2 TLB
+effects" from "page table effects" in Table II) and how big the L2 TLB
+is — plus the ASLR mode and ablation knobs.
 """
 
 import dataclasses
@@ -15,22 +17,13 @@ from repro.kernel.costs import KernelCosts
 @dataclasses.dataclass(frozen=True)
 class SimConfig:
     name: str
-    #: CCID-tagged TLB entry sharing (Section III-A).
-    babelfish_tlb: bool = False
-    #: Shared page tables (Section III-B).
-    babelfish_pt: bool = False
-    #: Translation-policy registry name (:mod:`repro.core.policy`): which
-    #: TLB policy the MMUs run. ``""`` (the default) derives the legacy
-    #: mapping from the flags above — ``babelfish`` when
-    #: ``babelfish_tlb`` is set, else ``conventional`` — so existing
-    #: configs keep meaning what they meant. The normalized name is a
-    #: real field: it flows into ``dataclasses.asdict`` and therefore
-    #: into every run-cache key and serve wire request.
-    policy: str = ""
+    #: Translation-policy registry name (:mod:`repro.core.policy`): the
+    #: design the kernel and MMUs run. It flows into
+    #: ``dataclasses.asdict`` and therefore into every run-cache key and
+    #: serve wire request.
+    policy: str = "conventional"
     aslr_mode: ASLRMode = ASLRMode.INHERITED
     thp_enabled: bool = True
-    #: Scale factor on L2 TLB entries ("larger conventional TLB" study).
-    l2_tlb_scale: float = 1.0
     #: The ORPC optimization (Figure 5b): when disabled, every shared-entry
     #: L2 TLB access pays the long (PC-bitmask) access time. Ablation knob.
     orpc_enabled: bool = True
@@ -75,28 +68,14 @@ class SimConfig:
     batch = False
 
     def __post_init__(self):
-        if not self.policy:
-            derived = "babelfish" if self.babelfish_tlb else "conventional"
-            object.__setattr__(self, "policy", derived)
-        policy = get_policy(self.policy)  # unknown names raise ValueError
-        if policy.uses_ccid != bool(self.babelfish_tlb):
-            raise ValueError(
-                "inconsistent config: policy %r %s CCID-shared entries but "
-                "babelfish_tlb=%r — set both through one builder"
-                % (self.policy,
-                   "uses" if policy.uses_ccid else "does not use",
-                   self.babelfish_tlb))
+        get_policy(self.policy)  # unknown names raise ValueError
 
     @property
     def translation_policy(self):
         """The :class:`repro.core.policy.TranslationPolicy` singleton —
         the one dispatch point; everything below branches on its
-        capability queries, never on the raw flags."""
+        capability queries."""
         return get_policy(self.policy)
-
-    @property
-    def is_babelfish(self):
-        return self.babelfish_tlb or self.babelfish_pt
 
     @property
     def shared_tlb_entries(self):
@@ -108,9 +87,8 @@ class SimConfig:
     @property
     def shares_page_tables(self):
         """The kernel runs BabelFish's shared page tables
-        (:class:`repro.core.shared_pt.SharedPTManager`). A kernel-policy
-        capability, deliberately not part of the TLB-policy registry."""
-        return self.babelfish_pt
+        (:class:`repro.core.shared_pt.SharedPTManager`)."""
+        return self.translation_policy.shares_page_tables
 
     @property
     def share_l1_tlb(self):
@@ -122,40 +100,37 @@ class SimConfig:
 
 def baseline_config(**overrides):
     """Conventional server: per-process TLB entries and page tables."""
-    overrides.setdefault("policy", "conventional")
     return SimConfig(name="Baseline", **overrides)
 
 
 def babelfish_config(aslr_mode=ASLRMode.HW, **overrides):
     """Full BabelFish; ASLR-HW by default, as in the paper's evaluation."""
     overrides.setdefault("policy", "babelfish")
-    return SimConfig(name="BabelFish", babelfish_tlb=True, babelfish_pt=True,
-                     aslr_mode=aslr_mode, **overrides)
+    return SimConfig(name="BabelFish", aslr_mode=aslr_mode, **overrides)
 
 
 def babelfish_pt_only_config(**overrides):
     """Ablation: page-table sharing without TLB entry sharing (used to
     attribute Table II's 'fraction from L2 TLB effects')."""
     overrides.setdefault("policy", "babelfish_pt")
-    return SimConfig(name="BabelFish-PT", babelfish_pt=True,
-                     aslr_mode=ASLRMode.HW, **overrides)
+    return SimConfig(name="BabelFish-PT", aslr_mode=ASLRMode.HW, **overrides)
 
 
 def babelfish_tlb_only_config(**overrides):
     """Ablation: TLB entry sharing with conventional private page tables."""
     overrides.setdefault("policy", "babelfish_tlb")
-    return SimConfig(name="BabelFish-TLB", babelfish_tlb=True,
-                     aslr_mode=ASLRMode.HW, **overrides)
+    return SimConfig(name="BabelFish-TLB", aslr_mode=ASLRMode.HW,
+                     **overrides)
 
 
-def bigtlb_config(scale=2.0, **overrides):
+def bigtlb_config(**overrides):
     """Section VII-C: spend BabelFish's extra TLB bits on a larger
     conventional L2 TLB instead (the CCID+O-PC bits roughly double the
-    array, so the default is a 2x-entries conventional TLB;
+    array, so ``conventional_2x`` has a 2x-entries conventional TLB;
     ``repro.hw.cacti.same_area_conventional_scale`` prices the honest
     factor, which the power-of-two set snap rounds back to 2x)."""
     overrides.setdefault("policy", "conventional_2x")
-    return SimConfig(name="BigTLB", l2_tlb_scale=scale, **overrides)
+    return SimConfig(name="BigTLB", **overrides)
 
 
 def victima_config(**overrides):

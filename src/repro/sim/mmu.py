@@ -114,8 +114,7 @@ class MMU:
         #: translate() still allocates unless ``into`` is passed).
         self._tr_scratch = TranslationResult()
         # Per-config constants prebound for the translate pass (none of
-        # these can change over a run). All policy capability
-        # queries, never raw config flags (lint rule BF701).
+        # these can change over a run), all from the policy registry.
         self._share_l1 = config.share_l1_tlb
         self._bf_tlb = policy.uses_ccid
         self._aslr_transform = (policy.uses_ccid

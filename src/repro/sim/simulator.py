@@ -34,22 +34,23 @@ K_IFETCH, K_LOAD, K_STORE = 0, 1, 2
 
 
 def _weak_sink(method):
-    """An invalidation sink calling ``method`` through a weak reference;
-    once its simulator is gone no MMU is left to invalidate, so it is a
-    no-op."""
+    """A callback calling ``method`` through a weak reference; once its
+    owner is gone it is a no-op (no MMU is left to invalidate, no
+    sanitizer to quarantine frames)."""
     ref = weakref.WeakMethod(method)
 
-    def sink(proc, invalidations):
-        broadcast = ref()
-        if broadcast is not None:
-            broadcast(proc, invalidations)
+    def sink(*args):
+        target = ref()
+        if target is not None:
+            target(*args)
     return sink
 
 
 class Simulator:
     def __init__(self, machine, config, kernel):
-        if config.l2_tlb_scale != 1.0:
-            machine = machine.scale_l2_tlb(config.l2_tlb_scale)
+        scale = config.translation_policy.l2_tlb_scale
+        if scale != 1.0:
+            machine = machine.scale_l2_tlb(scale)
         self.machine = machine
         self.config = config
         self.kernel = kernel
@@ -66,10 +67,11 @@ class Simulator:
         self.tracer = Tracer(trace_options) if trace_options else None
         self.mmus = [MMU(core, machine, config, self.hierarchy, kernel)
                      for core in range(machine.cores)]
-        # The kernel and the MMUs hold the broadcast weakly: a strong
-        # bound method would close a cycle through this simulator, and a
-        # finished environment would then wait for a full GC instead of
-        # dying with its last reference.
+        # The kernel and the MMUs hold the broadcast (and the kernel the
+        # sanitizer's quarantine) weakly: a strong bound method would
+        # close a cycle through the kernel, and a finished environment
+        # would then wait for a full GC instead of dying with its last
+        # reference.
         broadcast = _weak_sink(self._broadcast_invalidations)
         for mmu in self.mmus:
             mmu.invalidation_sink = broadcast
@@ -82,7 +84,8 @@ class Simulator:
         kernel.invalidation_sink = broadcast
         kernel.tracer = self.tracer
         if self.sanitizer is not None:
-            kernel.on_frames_freed = self.sanitizer.quarantine_frames
+            kernel.on_frames_freed = _weak_sink(
+                self.sanitizer.quarantine_frames)
         self.scheduler = Scheduler(machine.cores, config.quantum_instructions)
         self.scheduler.tracer = self.tracer
         self.core_cycles = [0] * machine.cores

@@ -110,13 +110,16 @@ class TestErrors:
 
 class TestSimConfigs:
     def test_preset_flags(self):
-        assert not baseline_config().is_babelfish
-        assert babelfish_config().is_babelfish
+        base = baseline_config()
+        assert not base.shared_tlb_entries and not base.shares_page_tables
+        full = babelfish_config()
+        assert full.shared_tlb_entries and full.shares_page_tables
         pt = babelfish_pt_only_config()
-        assert pt.babelfish_pt and not pt.babelfish_tlb
+        assert pt.shares_page_tables and not pt.shared_tlb_entries
         tlb = babelfish_tlb_only_config()
-        assert tlb.babelfish_tlb and not tlb.babelfish_pt
-        assert bigtlb_config().l2_tlb_scale == 2.0
+        assert tlb.shared_tlb_entries and not tlb.shares_page_tables
+        assert bigtlb_config().translation_policy.l2_tlb_scale == 2.0
+        assert base.translation_policy.l2_tlb_scale == 1.0
 
     def test_share_l1_rules(self):
         assert not babelfish_config(aslr_mode=ASLRMode.HW).share_l1_tlb

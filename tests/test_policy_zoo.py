@@ -5,22 +5,20 @@ names), ``SimConfig.policy`` validation and cache-key separation, the
 serve daemon's policy rejection, the same-area accounting used by the
 BigTLB arm, the two new policies' mechanisms (Victima's L3 victim
 level, coalesced span fills), the sanitizer's span-aware freed-frame
-quarantine, and the BF701 lint rule that keeps raw policy-flag
-dispatch out of the tree.
+quarantine, and the design table each stock config builds.
 """
 
 import json
-import textwrap
 
 import pytest
 
 from conftest import MiniSystem
 
-from repro.analysis.lint.engine import LintEngine
 from repro.analysis.sanitizer import TranslationSanitizer
 from repro.core import policy as policy_mod
 from repro.core.policy import get_policy, known_policies
 from repro.experiments import runcache, zoo
+from repro.experiments.common import build_environment, config_by_name
 from repro.experiments.runcache import DiskRunCache, app_key_data
 from repro.hw.cache import CacheHierarchy
 from repro.hw.cacti import policy_l2_geometries, same_area_conventional_scale
@@ -97,20 +95,11 @@ class TestConfigPolicy:
         assert coalesced_config().policy == "coalesced"
 
     def test_legacy_flags_derive_policy(self):
-        # Configs built without an explicit policy (old callers, cached
-        # field dicts from before the registry) keep their meaning.
         assert SimConfig(name="x").policy == "conventional"
-        assert SimConfig(name="x", babelfish_tlb=True).policy == "babelfish"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             baseline_config(policy="nope")
-
-    def test_flag_policy_inconsistency_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            SimConfig(name="x", babelfish_tlb=True, policy="conventional")
-        with pytest.raises(ValueError, match="inconsistent"):
-            baseline_config(policy="babelfish")
 
     def test_capability_properties(self):
         assert victima_config().translation_policy is get_policy("victima")
@@ -118,6 +107,36 @@ class TestConfigPolicy:
         assert not victima_config().shared_tlb_entries
         assert babelfish_config().shares_page_tables
         assert not coalesced_config().shares_page_tables
+
+
+#: The paper's designs as the stock configs build them: registry name,
+#: CCID-tagged TLB sharing, shared page tables, and the entry count of
+#: each L2 TLB structure (probe order) in a built MMU.
+_L2_STOCK = (1536, 1536, 16)
+DESIGN_TABLE = {
+    "Baseline": ("conventional", False, False, _L2_STOCK),
+    "BigTLB": ("conventional_2x", False, False, (3072, 3072, 32)),
+    "BabelFish": ("babelfish", True, True, _L2_STOCK),
+    "BabelFish-TLB": ("babelfish_tlb", True, False, _L2_STOCK),
+    "BabelFish-PT": ("babelfish_pt", False, True, _L2_STOCK),
+    "Victima": ("victima", False, False, _L2_STOCK),
+    "Coalesced": ("coalesced", False, False, (768, 768, 1536, 16)),
+}
+
+
+class TestDesignTable:
+    @pytest.mark.parametrize("name", zoo.ZOO_CONFIGS)
+    def test_stock_config_design(self, name):
+        policy, shared_tlb, shared_pt, l2_entries = DESIGN_TABLE[name]
+        config = config_by_name(name)
+        assert config.policy == policy
+        assert config.shared_tlb_entries is shared_tlb
+        assert config.shares_page_tables is shared_pt
+        # The configs that share TLB entries run ASLR-HW: private L1s.
+        assert config.share_l1_tlb is False
+        mmu = build_environment(config, cores=1).sim.mmus[0]
+        assert tuple(tlb.params.entries
+                     for tlb in mmu.l2.tlbs.values()) == l2_entries
 
 
 # -- cache-key separation -------------------------------------------------------
@@ -163,10 +182,13 @@ class TestServePolicy:
                                    "overrides": {"policy": "victima"}})
         assert ("policy", "victima") in request.overrides
 
-    def test_inconsistent_policy_flags_rejected(self):
-        with pytest.raises(BadRequest, match="policy"):
-            wire_to_request({"app": "mongodb", "config_name": "BabelFish",
-                             "overrides": {"policy": "conventional"}})
+    def test_removed_flag_override_is_bad_request(self):
+        # The registry entry is the only statement of what a design
+        # shares: the old flag fields are no config field at all.
+        for field in ("babelfish_tlb", "babelfish_pt", "l2_tlb_scale"):
+            with pytest.raises(BadRequest, match=field):
+                wire_to_request({"app": "mongodb", "config_name": "BabelFish",
+                                 "overrides": {field: True}})
 
 
 # -- same-area accounting -------------------------------------------------------
@@ -384,50 +406,6 @@ class TestChurnNewPolicies:
             ref = run_churn(cycles=20, config_name=name, sanitize=False,
                             fastpath=False)
         assert fast.summary() == ref.summary()
-
-
-# -- BF701 lint rule ------------------------------------------------------------
-
-
-SNIPPET = """
-def pick(config):
-    if config.babelfish_tlb:
-        return "shared"
-    return "private"
-"""
-
-
-class TestPolicyFlagLint:
-    def lint(self, source, path):
-        return LintEngine().lint_source(textwrap.dedent(source), path=path)
-
-    def test_raw_flag_read_is_flagged(self):
-        findings = self.lint(SNIPPET, "src/repro/sim/mmu.py")
-        assert [f.rule_id for f in findings] == ["BF701"]
-
-    def test_all_three_flags_covered(self):
-        for flag in ("babelfish_tlb", "babelfish_pt", "is_babelfish"):
-            findings = self.lint("x = config.%s\n" % flag,
-                                 "src/repro/experiments/foo.py")
-            assert [f.rule_id for f in findings] == ["BF701"]
-
-    def test_policy_layer_files_are_exempt(self):
-        assert self.lint(SNIPPET, "src/repro/sim/config.py") == []
-        assert self.lint(SNIPPET, "src/repro/core/policy.py") == []
-
-    def test_tests_are_exempt(self):
-        assert self.lint(SNIPPET, "tests/test_whatever.py") == []
-
-    def test_store_is_not_a_read(self):
-        findings = self.lint("config.babelfish_tlb = True\n",
-                             "src/repro/sim/mmu.py")
-        assert findings == []
-
-    def test_tree_is_clean(self):
-        # The refactor's end state: no raw policy-flag dispatch anywhere
-        # in the source tree (the whole point of BF701).
-        findings = LintEngine().lint_paths(["src/repro"])
-        assert [f for f in findings if f.rule_id == "BF701"] == []
 
 
 # -- zoo experiment plumbing ----------------------------------------------------

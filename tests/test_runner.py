@@ -329,10 +329,7 @@ class TestCachedRunShape:
 
 
 class TestEnvironmentLifetime:
-    def test_finished_runs_free_their_simulator(self, monkeypatch):
-        """A finished stock run leaves no live ``Simulator``: reference
-        counting frees the environment as soon as the last reference to
-        it drops, with no cyclic garbage left for the collector."""
+    def _assert_runs_free_their_simulator(self, monkeypatch, configs):
         simulators = []
         build = common.build_environment
 
@@ -346,8 +343,7 @@ class TestEnvironmentLifetime:
         gc.collect()
         gc.disable()
         try:
-            for name in ("Baseline", "BabelFish"):
-                config = config_by_name(name)
+            for config in configs:
                 for call in (
                         lambda **kw: run_app("httpd", config, **kw),
                         lambda **kw: run_functions(config, dense=True, **kw)):
@@ -362,6 +358,20 @@ class TestEnvironmentLifetime:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_finished_runs_free_their_simulator(self, monkeypatch):
+        """A finished stock run leaves no live ``Simulator``: reference
+        counting frees the environment as soon as the last reference to
+        it drops, with no cyclic garbage left for the collector."""
+        self._assert_runs_free_their_simulator(
+            monkeypatch, [config_by_name(name)
+                          for name in ("Baseline", "BabelFish")])
+
+    def test_sanitized_runs_free_their_simulator(self, monkeypatch):
+        """The sanitizer's freed-frame quarantine hook leaves no cycle
+        through the kernel either."""
+        self._assert_runs_free_their_simulator(
+            monkeypatch, [config_by_name("BabelFish", sanitize=True)])
 
 
 class TestDiskCacheEntryFuzz:

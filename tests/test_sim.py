@@ -333,7 +333,7 @@ class TestSimulator:
 
     def test_bigtlb_scales_structures(self):
         sys = MiniSystem(babelfish=False)
-        sim = Simulator(baseline_machine(cores=1), bigtlb_config(2.0),
+        sim = Simulator(baseline_machine(cores=1), bigtlb_config(),
                         sys.kernel)
         l2 = sim.mmus[0].l2.tlbs
         from repro.hw.types import PageSize

@@ -1,7 +1,7 @@
 """MMUStats derived-metric edges, percentile(), and the canonical
 ``RunResult.as_dict`` summary shape."""
 
-from repro.experiments.runcache import result_from_dict, result_to_dict
+from repro.experiments.runcache import result_from_dict
 from repro.sim.stats import MMUStats, RunResult, percentile
 
 
@@ -136,7 +136,7 @@ class TestRunResultAsDict:
 
     def test_runcache_roundtrip_is_canonical(self):
         original = _sample_result()
-        restored = result_from_dict(result_to_dict(original))
+        restored = result_from_dict(original.as_dict())
         assert restored.as_dict() == original.as_dict()
         assert restored.stats.as_dict() == original.stats.as_dict()
         assert restored.obs is None
@@ -160,5 +160,5 @@ class TestRunResultAsDict:
                           {"kind": "minor", "pid": 1}]
         # The live result is untouched: only the summary view is remapped.
         assert result.obs["metrics"]["counters"][0]["labels"]["pid"] == 203
-        restored = result_from_dict(result_to_dict(result))
+        restored = result_from_dict(result.as_dict())
         assert restored.obs == data["obs"]
