@@ -4,8 +4,9 @@ The page-table *sharing policy* is injected: :class:`PrivatePTPolicy`
 reproduces conventional Linux (separate per-process page tables, fork
 deep-copies the tree), while :class:`repro.core.shared_pt.SharedPTManager`
 implements BabelFish's shared tables. The fault handler itself is common —
-it asks the policy for shared tables (``table_provider``), notifies it of
-installs, and lets it intercept CoW breaks in shared tables.
+it asks the policy for shared tables (``table_provider``) and where each
+install goes (``install_target``), and lets it intercept CoW breaks in
+shared tables.
 """
 
 import dataclasses
@@ -91,9 +92,6 @@ class PrivatePTPolicy:
     def table_provider(self, kernel, proc, vma):
         """No shared tables in the conventional design."""
         return None
-
-    def on_pte_install(self, kernel, proc, vma, vpn, table, index, pte):
-        pass
 
     def cow_break(self, kernel, proc, vma, vpn, table, index, pte):
         """Return None: use the kernel's default (private) CoW break."""
@@ -425,9 +423,9 @@ class Kernel:
                 outcome.cycles += cycles
                 return outcome
 
-        pte, ftype, populate_cycles, _table = self._populate(
-            proc, vma, lookup_vpn, table, index, is_write, use_huge)
-        self._count_fault(proc, ftype)
+        _vpn, pte, ftype, populate_cycles, _usable = self._populate(
+            proc, vma, lookup_vpn, lookup_vpn + 1, table, index, is_write,
+            use_huge)
         return FaultOutcome(ftype, cycles + populate_cycles, [], ppn=pte.ppn)
 
     def _fault_on_present(self, proc, vma, vpn, table, index, pte, is_write):
@@ -450,81 +448,119 @@ class Kernel:
         block = vpn & ~(HUGE_PAGES - 1)
         return block >= vma.start_vpn and block + HUGE_PAGES <= vma.end_vpn
 
-    def _populate(self, proc, vma, vpn, table, index, is_write, use_huge):
-        """Install a new translation for ``vpn`` into the absent slot
-        ``table.entries[index]``: frame or page-cache lookup, the PTE, the
-        policy's install target and its install hook, in that order.
+    def _populate(self, proc, vma, vpn, end, table, index, is_write,
+                  use_huge, lru_touch=None):
+        """Install new translations for ``[vpn, end)`` into the absent
+        slots of ``table`` from ``index`` on, stopping early at a slot
+        that is already filled. Per page, in VPN order: the frame or
+        page-cache calls, the PTE, the policy's install target and, with
+        ``lru_touch``, the page's LRU touch.
 
-        The one copy of the ANON / FILE_SHARED / FILE_PRIVATE branches,
-        shared by :meth:`handle_fault` and :meth:`touch_range`. Counts no
-        fault; returns ``(pte, fault_type, cycles, table)``, where
-        ``table`` is the one the policy installed into.
+        The one copy of the ANON / FILE_SHARED / FILE_PRIVATE branches:
+        :meth:`handle_fault` passes one slot, :meth:`touch_range` a run
+        inside one leaf table. The VMA's kind and everything it fixes
+        (writability, CoW, backing file) are resolved once per call; the
+        install target stays per page, because the policy may answer per
+        VPN. With ``lru_touch``, a page the access cannot use (a write to
+        a read-only page, or an install the policy redirected to another
+        table) ends the call without its LRU touch.
+
+        Counts each fault on the process once its install is done.
+        Returns ``(vpn, pte, fault_type, cycles, usable)``: ``vpn`` is one
+        past the last installed page, ``pte``, ``fault_type`` and
+        ``usable`` describe that page, and ``cycles`` covers every
+        install.
         """
         costs = self.costs
-        if vma.kind is _ANON:
-            ppn = self.allocator.alloc(_DATA, HUGE_PAGES if use_huge else 1)
-            ftype = _MINOR
-            cycles = costs.minor_fault
-            writable, cow = vma.writable, False
-            file, file_index = None, None
+        minor_cycles = costs.minor_fault
+        anon = vma.kind is _ANON
+        if anon:
+            alloc = self.allocator.alloc
+            pages = HUGE_PAGES if use_huge else 1
+            writable, cow, pte_file = vma.writable, False, None
             private_content = True
         else:
+            incref = self.allocator.incref
+            lookup = self.page_cache.lookup
             file = vma.file
-            file_index = vma.file_index(vpn)
-            ppn = self.page_cache.lookup(file, file_index)
-            if ppn is None:
-                ppn = self.page_cache.fill(file, file_index)
-                ftype = _MAJOR
-                cycles = costs.major_fault
-            else:
-                ftype = _MINOR
-                cycles = costs.minor_fault
-            private_content = False
+            file_base = vma.file_offset - vma.start_vpn
+            private_copy = False
             if vma.kind is _FILE_SHARED:
-                self.allocator.incref(ppn)
                 writable, cow = vma.writable, False
-            else:  # FILE_PRIVATE
-                if is_write:
-                    # Write fault on a private mapping: allocate the
-                    # private copy immediately.
-                    ppn = self.allocator.alloc(_DATA)
-                    cycles += costs.cow_extra
-                    ftype = _COW
-                    writable, cow = True, False
-                    file, file_index = None, None
-                    private_content = True
-                else:
-                    self.allocator.incref(ppn)
-                    writable = False
-                    cow = vma.writable
-        # Positional: (ppn, present, writable, user, executable, cow,
-        # page_size, file, file_index).
-        pte = PTE(ppn, True, writable, True, vma.executable, cow,
-                  _SIZE_2M if use_huge else _SIZE_4K, file, file_index)
-        pte.accessed = True
-        pte.dirty = is_write
+            elif is_write:
+                # Write fault on a private mapping: allocate the private
+                # copy immediately.
+                writable, cow = True, False
+                private_copy = True
+            else:  # FILE_PRIVATE read
+                writable, cow = False, vma.writable
+            pte_file = None if private_copy else file
+            private_content = private_copy
         # Private content (anonymous pages; private copies of file pages)
         # must never be installed in a table shared with other group
         # members — they would see this process's private frame. Shareable
         # content must additionally match the shared table's registered
-        # backing; the policy checks both.
-        policy = self.policy
-        table, index, extra = policy.install_target(
-            self, proc, vma, vpn, table, index, private_content)
-        table.entries[index] = pte
-        policy.on_pte_install(self, proc, vma, vpn, table, index, pte)
-        return pte, ftype, cycles + extra, table
+        # backing; the policy checks both, per page.
+        install_target = self.policy.install_target
+        usable = not is_write or writable
+        executable = vma.executable
+        size = _SIZE_2M if use_huge else _SIZE_4K
+        entries = table.entries
+        cycles = 0
+        while True:
+            if anon:
+                ppn = alloc(_DATA, pages)
+                ftype, page_cycles, file_index = _MINOR, minor_cycles, None
+            else:
+                file_index = file_base + vpn
+                ppn = lookup(file, file_index)
+                if ppn is None:
+                    ppn = self.page_cache.fill(file, file_index)
+                    ftype, page_cycles = _MAJOR, costs.major_fault
+                else:
+                    ftype, page_cycles = _MINOR, minor_cycles
+                if private_copy:
+                    ppn = self.allocator.alloc(_DATA)
+                    ftype = _COW
+                    page_cycles += costs.cow_extra
+                    file_index = None
+                else:
+                    incref(ppn)
+            # Positional: (ppn, present, writable, user, executable, cow,
+            # page_size, file, file_index).
+            pte = PTE(ppn, True, writable, True, executable, cow, size,
+                      pte_file, file_index)
+            pte.accessed = True
+            pte.dirty = is_write
+            installed, slot, extra = install_target(
+                self, proc, vma, vpn, table, index, private_content)
+            installed.entries[slot] = pte
+            if ftype is _MINOR:
+                proc.minor_faults += 1
+            elif ftype is _MAJOR:
+                proc.major_faults += 1
+            else:
+                proc.cow_faults += 1
+            cycles += page_cycles + extra
+            vpn += 1
+            index += 1
+            if lru_touch is not None:
+                if installed is not table or not usable:
+                    return vpn, pte, ftype, cycles, False
+                lru_touch(ppn)
+            if vpn == end or index in entries:
+                return vpn, pte, ftype, cycles, usable
 
     def _cow_break(self, proc, vma, vpn, table, index, pte):
         """Write to a CoW page: delegate to the policy (shared tables),
         falling back to the conventional private break."""
         outcome = self.policy.cow_break(self, proc, vma, vpn, table, index, pte)
         if outcome is not None:
-            self._count_fault(proc, FaultType.COW)
+            proc.cow_faults += 1
             self.shootdowns += len(outcome.invalidations)
             return outcome
         outcome = self.default_cow_break(proc, vpn, table, index, pte)
-        self._count_fault(proc, FaultType.COW)
+        proc.cow_faults += 1
         return outcome
 
     def default_cow_break(self, proc, vpn, table, index, pte):
@@ -549,14 +585,6 @@ class Kernel:
             FaultType.COW,
             costs.minor_fault + copy_cost + costs.tlb_shootdown,
             [invalidation], ppn=new_ppn)
-
-    def _count_fault(self, proc, ftype):
-        if ftype is _MINOR:
-            proc.minor_faults += 1
-        elif ftype is _MAJOR:
-            proc.major_faults += 1
-        elif ftype is _COW:
-            proc.cow_faults += 1
 
     # -- software touch (warm-up / tests) ----------------------------------------
 
@@ -596,7 +624,9 @@ class Kernel:
         boundary, the VMA end or the range end; each run resolves its
         VMA, THP verdict and leaf table once. Then, per slot:
 
-        - an absent slot is populated (:meth:`_populate`);
+        - a run of absent slots is populated by one :meth:`_populate`
+          call, which resolves the VMA kind once and touches each page
+          it installs;
         - a present, usable PTE gets its accessed/dirty bits and an LRU
           touch;
         - anything else (no VMA, a THP block, a missing upper level or a
@@ -605,8 +635,6 @@ class Kernel:
           :meth:`touch` loop for that page, one lookup fewer if this path
           already served a fault there, and the leaf slot is resolved
           again.
-
-        Fault counts are added to the process once per run.
         """
         end = vpn + count
         find = proc.mm.find
@@ -622,43 +650,35 @@ class Kernel:
                 vpn = run_end
                 continue
             run_end = min(run_end, vma.end_vpn)
-            minor = major = cow = 0
-            try:
-                level, table, index, _entry = leaf_slot(vpn)
-                while vpn < run_end:
-                    attempts = _TOUCH_ATTEMPTS
-                    if level == PTE_LEVEL:
-                        entry = table.entries.get(index)
-                        if entry is None:
-                            entry, ftype, _cycles, installed = populate(
-                                proc, vma, vpn, table, index, is_write, False)
-                            if ftype is _MINOR:
-                                minor += 1
-                            elif ftype is _MAJOR:
-                                major += 1
-                            else:
-                                cow += 1
-                            # That fault spent the page's first lookup.
-                            attempts -= 1
-                            usable = installed is table
-                        else:
-                            usable = entry.present
-                        if usable and (not is_write or (entry.writable
-                                                        and not entry.cow)):
-                            entry.accessed = True
-                            if is_write:
-                                entry.dirty = True
-                            lru_touch(entry.ppn)
-                            vpn += 1
-                            index += 1
+            level, table, index, _entry = leaf_slot(vpn)
+            while vpn < run_end:
+                attempts = _TOUCH_ATTEMPTS
+                if level == PTE_LEVEL:
+                    entry = table.entries.get(index)
+                    if entry is None:
+                        stop, _pte, _ftype, _cycles, usable = populate(
+                            proc, vma, vpn, run_end, table, index, is_write,
+                            False, lru_touch)
+                        if usable:
+                            index += stop - vpn
+                            vpn = stop
                             continue
-                    self._touch(proc, vpn, is_write, attempts)
-                    vpn += 1
-                    level, table, index, _entry = leaf_slot(vpn)
-            finally:
-                proc.minor_faults += minor
-                proc.major_faults += major
-                proc.cow_faults += cow
+                        # The last install's fault spent that page's first
+                        # lookup.
+                        vpn = stop - 1
+                        attempts -= 1
+                    elif entry.present and (not is_write or (
+                            entry.writable and not entry.cow)):
+                        entry.accessed = True
+                        if is_write:
+                            entry.dirty = True
+                        lru_touch(entry.ppn)
+                        vpn += 1
+                        index += 1
+                        continue
+                self._touch(proc, vpn, is_write, attempts)
+                vpn += 1
+                level, table, index, _entry = leaf_slot(vpn)
 
     # -- statistics ----------------------------------------------------------------
 

@@ -99,28 +99,39 @@ class SimConfig:
 
 
 def baseline_config(**overrides):
-    """Conventional server: per-process TLB entries and page tables."""
+    """Conventional server: per-process TLB entries and page tables. The
+    one builder that takes any ``policy`` override."""
     return SimConfig(name="Baseline", **overrides)
+
+
+def _design_config(name, policy, /, **fields):
+    """A config named for one design. Its ``policy`` field may only
+    repeat that design's policy: an override naming another would run a
+    different design under this one's name."""
+    chosen = fields.setdefault("policy", policy)
+    if chosen != policy:
+        raise ValueError("field 'policy' is %r, but config %r runs policy "
+                         "%r" % (chosen, name, policy))
+    return SimConfig(name=name, **fields)
 
 
 def babelfish_config(aslr_mode=ASLRMode.HW, **overrides):
     """Full BabelFish; ASLR-HW by default, as in the paper's evaluation."""
-    overrides.setdefault("policy", "babelfish")
-    return SimConfig(name="BabelFish", aslr_mode=aslr_mode, **overrides)
+    return _design_config("BabelFish", "babelfish", aslr_mode=aslr_mode,
+                          **overrides)
 
 
 def babelfish_pt_only_config(**overrides):
     """Ablation: page-table sharing without TLB entry sharing (used to
     attribute Table II's 'fraction from L2 TLB effects')."""
-    overrides.setdefault("policy", "babelfish_pt")
-    return SimConfig(name="BabelFish-PT", aslr_mode=ASLRMode.HW, **overrides)
+    return _design_config("BabelFish-PT", "babelfish_pt",
+                          aslr_mode=ASLRMode.HW, **overrides)
 
 
 def babelfish_tlb_only_config(**overrides):
     """Ablation: TLB entry sharing with conventional private page tables."""
-    overrides.setdefault("policy", "babelfish_tlb")
-    return SimConfig(name="BabelFish-TLB", aslr_mode=ASLRMode.HW,
-                     **overrides)
+    return _design_config("BabelFish-TLB", "babelfish_tlb",
+                          aslr_mode=ASLRMode.HW, **overrides)
 
 
 def bigtlb_config(**overrides):
@@ -129,22 +140,19 @@ def bigtlb_config(**overrides):
     array, so ``conventional_2x`` has a 2x-entries conventional TLB;
     ``repro.hw.cacti.same_area_conventional_scale`` prices the honest
     factor, which the power-of-two set snap rounds back to 2x)."""
-    overrides.setdefault("policy", "conventional_2x")
-    return SimConfig(name="BigTLB", **overrides)
+    return _design_config("BigTLB", "conventional_2x", **overrides)
 
 
 def victima_config(**overrides):
     """Policy-zoo arm: Victima-style cache-backed TLB reach — a large L3
     victim TLB level carved from the L2 cache, probed before the walk."""
-    overrides.setdefault("policy", "victima")
-    return SimConfig(name="Victima", **overrides)
+    return _design_config("Victima", "victima", **overrides)
 
 
 def coalesced_config(**overrides):
     """Policy-zoo arm: CoLT-style coalesced TLB — one L2 entry per
     aligned run of 4 contiguous 4K translations."""
-    overrides.setdefault("policy", "coalesced")
-    return SimConfig(name="Coalesced", **overrides)
+    return _design_config("Coalesced", "coalesced", **overrides)
 
 
 #: Re-exported for layers (serve) that may import ``sim`` but not

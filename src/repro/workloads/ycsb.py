@@ -7,6 +7,7 @@ unit the paper's mean/95th-percentile latency metrics are computed over.
 """
 
 import dataclasses
+import functools
 import random
 
 from repro.workloads.zipf import ZipfGenerator
@@ -19,6 +20,15 @@ class Request:
     reads: list
     #: Data set pages written (updates).
     writes: list
+
+
+@functools.lru_cache(maxsize=16)
+def _key_scramble(records):
+    """The fixed key->page permutation over ``records`` pages, built once
+    per record count: every driver shares one immutable tuple."""
+    pages = list(range(records))
+    random.Random(1234).shuffle(pages)
+    return tuple(pages)
 
 
 class YCSBDriver:
@@ -34,8 +44,7 @@ class YCSBDriver:
         self._next_id = request_base
         #: Record popularity is scattered: page i being popular does not
         #: mean page i+1 is, so scramble key->page with a fixed permutation.
-        self._scramble = list(range(records))
-        random.Random(1234).shuffle(self._scramble)
+        self._scramble = _key_scramble(records)
 
     def next_request(self):
         reads = []

@@ -403,3 +403,56 @@ class TestTouchRangeDifferential:
         # Dropped installs leak their frame by design.
         if policy_name != "dropping":
             assert findings == []
+
+
+def _per_page(leg, vpn, count, is_write):
+    """A loop of ``touch`` calls over ``[vpn, vpn + count)``; returns the
+    exception it raised, or None."""
+    kernel, procs, _starts = leg
+    try:
+        for page in range(vpn, vpn + count):
+            kernel.touch(procs[0], page, is_write)
+    except ProtectionFault as exc:
+        return exc
+    return None
+
+
+class TestTouchRangeRunEdges:
+    """Deterministic cases of the run install next to the differential."""
+
+    def test_write_run_over_read_only_shared_file(self):
+        # The run's first install cannot serve a write: the protection
+        # fault comes at that page and no later page is populated.
+        vmas = [(0, 64, "file-shared", False, True)]
+        ranged = _differential_leg("private", 2, vmas, [0])
+        per_page = _differential_leg("private", 2, vmas, [0])
+        kernel, (proc,), (start,) = ranged
+        with pytest.raises(ProtectionFault) as info:
+            kernel.touch_range(proc, start, 64, is_write=True)
+        assert (info.value.pid, info.value.vpn) == (proc.pid, start)
+        assert proc.tables.lookup_pte(start).present
+        assert all(proc.tables.lookup_pte(vpn) is None
+                   for vpn in range(start + 1, start + 64))
+        assert proc.minor_faults == 1
+        assert _per_page(per_page, start, 64, True).vpn == start
+        assert kernel_state(kernel) == kernel_state(per_page[0])
+
+    def test_shared_table_redirect_at_backing_change(self):
+        # Two files share one 512-page leaf table. The table is registered
+        # with the first file's backing, so installs for the second VMA
+        # are redirected into a private copy partway through the range.
+        vmas = [(0, 256, "file-shared", True, True),
+                (0, 256, "file-shared", True, True)]
+        ranged = _differential_leg("shared", 32, vmas, [0])
+        per_page = _differential_leg("shared", 32, vmas, [0])
+        start = ranged[2][1] - 8
+        for leg in (ranged, per_page):
+            leg[0].touch(leg[1][0], leg[2][0])  # registers the table
+        kernel, (proc,), _starts = ranged
+        kernel.touch_range(proc, start, 40)
+        assert _per_page(per_page, start, 40, False) is None
+        assert kernel.pte_pages_copied == 1
+        _level, table, _index, entry = proc.tables.leaf_slot(start + 39)
+        assert table.owned_by == proc.pid and entry.present
+        assert kernel_state(kernel) == kernel_state(per_page[0])
+        assert _audit(kernel) == []

@@ -101,6 +101,21 @@ class TestConfigPolicy:
         with pytest.raises(ValueError, match="policy"):
             baseline_config(policy="nope")
 
+    @pytest.mark.parametrize("name", [n for n in zoo.ZOO_CONFIGS
+                                      if n != "Baseline"])
+    def test_design_builder_rejects_other_policy(self, name):
+        # A design-named config runs its own design: an override naming
+        # another would run it under the wrong name.
+        own = config_by_name(name).policy
+        other = "babelfish" if own == "conventional" else "conventional"
+        with pytest.raises(ValueError, match="'policy'"):
+            config_by_name(name, policy=other)
+        assert config_by_name(name, policy=own) == config_by_name(name)
+
+    def test_baseline_takes_any_policy(self):
+        assert baseline_config(policy="victima").policy == "victima"
+        assert baseline_config(policy="victima").name == "Baseline"
+
     def test_capability_properties(self):
         assert victima_config().translation_policy is get_policy("victima")
         assert babelfish_config().shared_tlb_entries
@@ -181,6 +196,16 @@ class TestServePolicy:
         request = wire_to_request({"app": "mongodb",
                                    "overrides": {"policy": "victima"}})
         assert ("policy", "victima") in request.overrides
+
+    def test_other_design_policy_is_bad_request(self):
+        with pytest.raises(BadRequest, match="'policy'") as exc:
+            wire_to_request({"app": "mongodb", "config_name": "BabelFish",
+                             "overrides": {"policy": "conventional"}})
+        assert "BabelFish" in str(exc.value)
+        request = wire_to_request({"app": "mongodb",
+                                   "config_name": "BabelFish",
+                                   "overrides": {"policy": "babelfish"}})
+        assert ("policy", "babelfish") in request.overrides
 
     def test_removed_flag_override_is_bad_request(self):
         # The registry entry is the only statement of what a design

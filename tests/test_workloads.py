@@ -2,6 +2,8 @@
 
 import collections
 import itertools
+import math
+import random
 
 import pytest
 
@@ -15,8 +17,8 @@ from repro.workloads.profiles import (
     FUNCTION_PROFILES,
     SERVING_APPS,
 )
-from repro.workloads.ycsb import YCSBDriver
-from repro.workloads.zipf import ZipfGenerator
+from repro.workloads.ycsb import YCSBDriver, _key_scramble
+from repro.workloads.zipf import ZipfGenerator, _zeta
 
 
 class TestZipf:
@@ -89,6 +91,49 @@ class TestYCSB:
         sizes = {len(r.reads) + len(r.writes) for r in driver.requests(300)}
         assert len(sizes) > 1
         assert max(sizes) <= 16
+
+
+class TestGeneratorTables:
+    """The O(n) generator setup is built once per input and shared."""
+
+    def test_scramble_is_the_fixed_permutation(self):
+        for records in (1, 64, 6144):
+            fresh = list(range(records))
+            random.Random(1234).shuffle(fresh)
+            cached = _key_scramble(records)
+            assert isinstance(cached, tuple)
+            assert list(cached) == fresh
+            assert _key_scramble(records) is cached
+        driver = YCSBDriver(64, 0.5, seed=1)
+        assert driver._scramble is _key_scramble(64)
+
+    def test_cached_zeta_is_the_direct_sum(self):
+        for n, theta in ((1, 0.99), (2, 0.6), (416, 0.5), (6144, 0.92),
+                         (100, 0.0)):
+            direct = sum(1.0 / math.pow(i, theta) for i in range(1, n + 1))
+            assert _zeta(n, theta) == direct
+            assert _zeta(n, theta) == direct  # served from the cache
+
+    def test_traces_equal_cold_and_warm(self):
+        def streams():
+            return (list(serving_trace(APP_PROFILES["mongodb"], 3,
+                                       requests=40)),
+                    list(compute_trace(APP_PROFILES["fio"], 2,
+                                       iterations=40)))
+
+        _zeta.cache_clear()
+        _key_scramble.cache_clear()
+        cold = streams()
+        assert _zeta.cache_info().currsize > 0
+        assert _key_scramble.cache_info().currsize > 0
+        assert streams() == cold
+
+    def test_caches_are_bounded(self):
+        assert _zeta.cache_info().maxsize == 64
+        assert _key_scramble.cache_info().maxsize == 16
+        for n in range(1, 100):
+            _zeta(n, 0.3)
+        assert _zeta.cache_info().currsize <= 64
 
 
 def record_ok(profile, record):
