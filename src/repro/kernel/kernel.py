@@ -703,8 +703,12 @@ class Kernel:
 
     def clear_accessed_bits(self):
         """Age all pages (kswapd-style); Figure 9's 'active' measurement
-        counts pte_ts re-referenced after this."""
+        counts pte_ts re-referenced after this. A table that processes
+        share is cleared once, not once per sharer."""
+        seen = set()
         for proc in self.processes.values():
-            for _vpn, _lvl, _table, _idx, pte in proc.tables.iter_leaves():
-                pte.accessed = False
+            for table in proc.tables.iter_tables(seen=seen):
+                for entry in table.entries.values():
+                    if isinstance(entry, PTE):
+                        entry.accessed = False
         self.lru.reset()

@@ -261,9 +261,10 @@ class AddressSpaceTables:
 
     # -- iteration / accounting --------------------------------------------
 
-    def iter_tables(self, include_shared=True):
-        """All reachable tables, each yielded once."""
-        seen = set()
+    def iter_tables(self, include_shared=True, seen=None):
+        """All reachable tables, each yielded once. Calls on several
+        trees that pass one ``seen`` set yield a shared table once."""
+        seen = set() if seen is None else seen
         stack = [self.pgd]
         while stack:
             table = stack.pop()

@@ -21,7 +21,7 @@ from repro.kernel.audit import audit_kernel
 from repro.kernel.fault import FaultType
 from repro.kernel.frames import FrameKind
 from repro.kernel.kernel import Kernel, KernelConfig, PrivatePTPolicy
-from repro.kernel.page_table import PageTable
+from repro.kernel.page_table import PTE, PageTable
 from repro.kernel.vma import SegmentKind, VMAKind
 
 from conftest import MiniSystem
@@ -276,6 +276,37 @@ class TestCounters:
         assert pte.accessed
         sys.kernel.clear_accessed_bits()
         assert not pte.accessed
+
+    def test_clear_accessed_bits_visits_shared_leaves_once(self,
+                                                          monkeypatch):
+        """A BabelFish deployment's containers share PTE tables; aging
+        clears each shared leaf once, not once per sharer."""
+        from repro.experiments.common import (build_environment,
+                                              config_by_name, deploy_app)
+        from repro.workloads.profiles import APP_PROFILES
+        env = build_environment(config_by_name("BabelFish"), cores=2)
+        deploy_app(env, APP_PROFILES["mongodb"])
+        kernel = env.kernel
+        leaves = {id(pte): pte for proc in kernel.processes.values()
+                  for *_path, pte in proc.tables.iter_leaves()}
+        assert any(pte.accessed for pte in leaves.values())
+
+        slot = PTE.__dict__["accessed"]
+        writes = []
+
+        class CountingSlot:
+            def __get__(self, pte, owner=None):
+                return self if pte is None else slot.__get__(pte, owner)
+
+            def __set__(self, pte, value):
+                writes.append(id(pte))
+                slot.__set__(pte, value)
+
+        monkeypatch.setattr(PTE, "accessed", CountingSlot())
+        kernel.clear_accessed_bits()
+        monkeypatch.undo()
+        assert len(writes) == len(set(writes)) == len(leaves)
+        assert not any(pte.accessed for pte in leaves.values())
 
 
 _VMA_KINDS = {
