@@ -1,8 +1,9 @@
 """Shared benchmark configuration and reporting.
 
-Every benchmark regenerates one table or figure of the paper and prints a
-paper-vs-measured report (also written under ``benchmarks/out/``). Run
-with ``pytest benchmarks/ --benchmark-only -s`` to see the tables inline.
+Each item of ``bench_artifacts.py`` regenerates one table or figure of
+the paper and prints its paper-vs-measured report (also written under
+``benchmarks/out/``). Run with ``pytest benchmarks/ --benchmark-only -s``
+to see the tables inline.
 
 Scale: ``REPRO_BENCH_SCALE`` (default 1.0) multiplies the measured
 request/iteration counts; ``REPRO_BENCH_CORES`` (default 8) sets the core
@@ -13,7 +14,7 @@ the full config and a source fingerprint), so re-running a figure after
 an unrelated edit — or running several figures that share runs — skips
 finished simulations.  ``REPRO_BENCH_DISK_CACHE=0`` opts out;
 ``REPRO_BENCH_JOBS`` (default 1) fans independent runs out across worker
-processes for the harnesses that take ``jobs=``.
+processes.
 """
 
 import os
@@ -39,21 +40,3 @@ def report(name, text):
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / ("%s.txt" % name)).write_text(text + "\n")
 
-
-def paper_vs_measured(pairs):
-    """Render [(label, paper, measured), ...] rows."""
-    width = max(len(label) for label, _p, _m in pairs)
-    lines = ["%s  %10s  %10s" % ("metric".ljust(width), "paper", "measured"),
-             "-" * (width + 26)]
-    for label, paper, measured in pairs:
-        lines.append("%s  %10s  %10s" % (
-            label.ljust(width), _fmt(paper), _fmt(measured)))
-    return "\n".join(lines)
-
-
-def _fmt(value):
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return "%.2f" % value
-    return str(value)

@@ -13,6 +13,7 @@ Run:  python examples/data_serving_latency.py [app] [cores]
 
 import sys
 
+from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.common import (
     build_environment,
     config_by_name,
@@ -46,11 +47,14 @@ def main():
                  stats.minor_faults))
 
     base, bf = results["Baseline"], results["BabelFish"]
+    paper = ARTIFACTS["fig11_latency"].paper
     print("\nBabelFish vs Baseline:")
-    print("  mean latency  -%.1f%%   (paper: ~11%% serving average)"
-          % pct_reduction(base.mean_latency, bf.mean_latency))
-    print("  p95 latency   -%.1f%%   (paper: ~18%% serving average)"
-          % pct_reduction(base.tail_latency(), bf.tail_latency()))
+    print("  mean latency  -%.1f%%   (paper: ~%.0f%% serving average)"
+          % (pct_reduction(base.mean_latency, bf.mean_latency),
+             paper["serving_mean_pct"]))
+    print("  p95 latency   -%.1f%%   (paper: ~%.0f%% serving average)"
+          % (pct_reduction(base.tail_latency(), bf.tail_latency()),
+             paper["serving_tail_pct"]))
     print("  data MPKI     -%.1f%%"
           % pct_reduction(base.stats.mpki("d"), bf.stats.mpki("d")))
     print("  instr MPKI    -%.1f%%"

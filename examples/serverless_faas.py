@@ -13,6 +13,7 @@ Run:  python examples/serverless_faas.py [dense|sparse]
 
 import sys
 
+from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.common import (
     config_by_name,
     pct_reduction,
@@ -38,20 +39,22 @@ def main():
                             for fn in FUNCTION_NAMES)))
 
     base, bf = runs["Baseline"], runs["BabelFish"]
+    paper_exec = ARTIFACTS["fig11_latency"].paper["functions_%s_pct" % label]
     print("\nBabelFish vs Baseline (%s):" % label)
-    print("  bring-up time  -%.1f%%  (paper: ~8%%)"
-          % pct_reduction(base.bringup_cycles, bf.bringup_cycles))
+    print("  bring-up time  -%.1f%%  (paper: ~%.0f%%)"
+          % (pct_reduction(base.bringup_cycles, bf.bringup_cycles),
+             ARTIFACTS["bringup"].paper["reduction_pct"]))
     for fn in FUNCTION_NAMES:
-        print("  %-8s exec  -%.1f%%  (paper: ~%s)"
+        print("  %-8s exec  -%.1f%%  (paper: ~%.0f%%)"
               % (fn, pct_reduction(base.exec_cycles[fn], bf.exec_cycles[fn]),
-                 "10%" if dense else "55%"))
+                 paper_exec))
     print("\n%d%% of BabelFish's translations were shared hits; "
           "minor faults fell from %d to %d."
           % (100 * bf.result.stats.shared_hit_fraction(),
              base.result.stats.minor_faults, bf.result.stats.minor_faults))
     print("(this example runs at reduced scale, which shortens the compute "
           "phase and\n inflates fault-dominated reductions; the calibrated "
-          "numbers come from\n pytest benchmarks/bench_fig11_latency.py)")
+          "numbers come from\n pytest benchmarks/bench_artifacts.py -k fig11_latency)")
 
 
 if __name__ == "__main__":

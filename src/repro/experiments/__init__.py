@@ -3,12 +3,14 @@ plus the extension studies (ablations, density, churn, policy zoo).
 
 Every harness exposes a ``run_*`` function returning plain dict rows;
 Figures 9-11 and Table II add a ``summarize`` that reduces them to the
-figures :mod:`repro.experiments.paper_values` holds. A harness that reads
-stock simulation runs declares them once, as a
-:class:`~repro.experiments.runner.RunRequest` list, and computes its rows
-from the runs one :func:`~repro.experiments.runner.execute` call returns.
-The benchmarks under ``benchmarks/`` are thin wrappers over these that
-render the rows with :func:`repro.experiments.common.format_table`.
+numbers the paper quotes. A harness that reads stock simulation runs
+declares them once, as a :class:`~repro.experiments.runner.RunRequest`
+list, and computes its rows from the runs one
+:func:`~repro.experiments.runner.execute` call returns.
+:mod:`repro.experiments.artifacts` declares each table and figure once
+on top of these: its run, the paper's values, its rendering and its
+shape checks. ``python -m repro.report`` and ``benchmarks/`` both read
+that registry.
 """
 
 from repro.experiments.common import (

@@ -520,6 +520,17 @@ def format_table(rows, columns, title=""):
     return "\n".join(lines)
 
 
+def paper_vs_measured(pairs):
+    """Render [(label, paper, measured), ...] rows."""
+    width = max(len(label) for label, _p, _m in pairs)
+    lines = ["%s  %10s  %10s" % ("metric".ljust(width), "paper", "measured"),
+             "-" * (width + 26)]
+    for label, paper, measured in pairs:
+        lines.append("%s  %10s  %10s" % (
+            label.ljust(width), _fmt(paper), _fmt(measured)))
+    return "\n".join(lines)
+
+
 def _fmt(value):
     if value is None:
         return "-"

@@ -1,9 +1,14 @@
 """One-shot reproduction report: ``python -m repro.report [--quick]``.
 
-Runs a compact version of every experiment and prints a single-page
-paper-vs-measured summary. ``--quick`` shrinks cores and scale for a
-~1-minute pass; the default takes a few minutes (the full benchmark
-harness under ``benchmarks/`` remains the canonical reproduction).
+Runs a compact version of the paper's evaluation and prints a single-page
+paper-vs-measured summary: one section per
+:data:`repro.experiments.artifacts.ARTIFACTS` entry that carries a
+:class:`~repro.experiments.artifacts.ReportSection` (Figures 9 and 11,
+bring-up, Table III and the Section VII-D resources), with the paper's
+values read from the same entries the benchmarks render. ``--quick``
+shrinks cores and scale for a ~1-minute pass; the default takes a few
+minutes (the full benchmark harness under ``benchmarks/`` remains the
+canonical reproduction).
 
 ``--jobs N`` fans each section's independent runs out across N worker
 processes: Figure 9's rows, and Figure 11's run set, which bring-up then
@@ -19,14 +24,9 @@ import time
 
 from repro.experiments import clear_run_cache
 from repro.experiments.__main__ import resolve_scale_args
-from repro.experiments.bringup import run_bringup
+from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.common import set_disk_cache
-from repro.experiments.fig9 import run_fig9, summarize as fig9_summary
-from repro.experiments.fig11 import run_fig11, summarize as fig11_summary
-from repro.experiments.paper_values import FIG9, FIG11, HEADLINE, RESOURCES
-from repro.experiments.resources import run_resources
 from repro.experiments.runcache import DiskRunCache
-from repro.experiments.table3 import run_table3
 
 
 def _row(label, paper, measured, unit="%"):
@@ -90,51 +90,19 @@ def _report(args, cores, scale, started):
               "functions); use scale=1\nfor the calibrated numbers.")
     print()
 
-    print("Figure 9 — translation shareability")
-    fig9 = fig9_summary(run_fig9(scale=scale, jobs=args.jobs))
-    print(_row("shareable fraction, containerized",
-               100 * FIG9["avg_shareable_fraction"],
-               100 * fig9["avg_shareable_fraction"]))
-    print(_row("shareable fraction, serverless",
-               100 * FIG9["functions_shareable_fraction"],
-               100 * fig9["functions_shareable_fraction"]))
-
-    print("\nFigure 11 — performance")
-    fig11 = fig11_summary(run_fig11(cores=cores, scale=scale,
-                                     jobs=args.jobs))
-    print(_row("serving mean latency reduction",
-               FIG11["serving_mean_pct"], fig11["serving_mean_pct"]))
-    print(_row("serving tail latency reduction",
-               FIG11["serving_tail_pct"], fig11["serving_tail_pct"]))
-    print(_row("compute execution reduction",
-               FIG11["compute_exec_pct"], fig11["compute_exec_pct"]))
-    print(_row("functions execution reduction (dense)",
-               FIG11["functions_dense_pct"], fig11["functions_dense_pct"]))
-    print(_row("functions execution reduction (sparse)",
-               FIG11["functions_sparse_pct"], fig11["functions_sparse_pct"]))
-
-    print("\nBring-up")
-    bringup = run_bringup(cores=cores, scale=scale)
-    print(_row("function bring-up reduction",
-               HEADLINE["function_bringup_reduction_pct"],
-               bringup["reduction_pct"]))
-
-    print("\nTable III — L2 TLB at 22nm (CACTI model)")
-    for row in run_table3():
-        print("  %-10s area %.3f mm2 (paper %.3f)   access %3.0f ps "
-              "(paper %3.0f)" % (row["config"], row["area_mm2"],
-                                 row["paper_area_mm2"],
-                                 row["access_time_ps"],
-                                 row["paper_access_time_ps"]))
-
-    print("\nSection VII-D — resources")
-    resources = run_resources(include_measured=False)
-    print(_row("core area overhead",
-               RESOURCES["core_area_overhead_pct"],
-               resources["core_area_overhead_pct"]))
-    print(_row("memory space overhead",
-               RESOURCES["total_space_overhead_pct"],
-               resources["total_space_overhead_pct"]))
+    reported = [artifact for artifact in ARTIFACTS.values()
+                if artifact.report is not None]
+    for index, artifact in enumerate(reported):
+        section = artifact.report
+        print(("\n" if index else "") + section.title)
+        rows = (section.run or artifact.run)(cores, scale, args.jobs)
+        if section.lines is not None:
+            for line in section.lines(rows):
+                print(line)
+        summary = artifact.summary(rows)
+        for label, key, factor in section.rows:
+            print(_row(label, factor * artifact.paper[key],
+                       factor * summary[key]))
 
     print("\ndone in %.0fs" % (time.time() - started))
     return 0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.experiments import paper_values
 from repro.experiments.fig10 import _mpki_row
 from repro.experiments.table2 import _fraction
 from repro.sim.stats import MMUStats
@@ -50,8 +49,3 @@ class TestFig10Row:
         row = _mpki_row("x", base, bf)
         assert row["shared_hits_d"] == pytest.approx(0.4)
 
-
-class TestPaperValues:
-    def test_table2_complete(self):
-        for app in ("mongodb", "arangodb", "httpd", "graphchi", "fio"):
-            assert app in paper_values.TABLE2
