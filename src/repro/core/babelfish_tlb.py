@@ -49,8 +49,7 @@ def babelfish_lookup(multi, vpn4k, proc, is_write, domain_fn):
     ``consulted_bitmask`` means the PC bitmask was read, so an L2 access
     takes the long (12-cycle) time; ``cow_fault`` means the hit entry is
     CoW and the access is a write (boxes 5/6). A hit moves the entry to
-    the most-recent end of its set and counts a hit; each size probed
-    without a hit counts a miss.
+    the most-recent end of its set.
     """
     pcid = proc.pcid
     ccid = proc.ccid
@@ -79,9 +78,7 @@ def babelfish_lookup(multi, vpn4k, proc, is_write, domain_fn):
                 lru = tlb._lru[index]
                 del lru[entry]
                 lru[entry] = None
-                tlb.hits += 1
                 return entry, size, consulted, (is_write and entry.cow)
-        tlb.misses += 1
     return None, None, consulted, False
 
 
@@ -101,9 +98,7 @@ def conventional_lookup(multi, vpn4k, pcid, is_write):
                 lru = tlb._lru[index]
                 del lru[entry]
                 lru[entry] = None
-                tlb.hits += 1
                 return entry, size, (is_write and entry.cow)
-        tlb.misses += 1
     return None, None, False
 
 

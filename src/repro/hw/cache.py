@@ -1,4 +1,4 @@
-"""Set-associative write-back caches and the 3-level hierarchy of Table I.
+"""Set-associative caches and the 3-level hierarchy of Table I.
 
 The timing model is sequential-lookup: an access probes L1, then L2, then
 the shared L3, then DRAM, accumulating each level's access time. Fills
@@ -7,8 +7,9 @@ This is the level of fidelity the paper's translation study needs: what
 matters is *which level* a page-walk request or data access hits in, which
 is determined by sharing of physical lines across containers.
 
-Each set is one recency-ordered dict mapping ``tag -> dirty`` (a bool),
-so the dirty bit lives with the line. :meth:`CacheHierarchy.access`,
+Each set is one recency-ordered dict mapping ``tag -> None``: the model
+keeps which lines a level holds and their LRU order, nothing more (no
+dirty bit: write-backs cost no cycles here). :meth:`CacheHierarchy.access`,
 built from :meth:`SetAssociativeCache.lookup` and
 :meth:`~SetAssociativeCache.insert`, is the reference formulation of an
 access. The simulator's hot paths inline the same state changes:
@@ -21,7 +22,7 @@ from repro.hw.types import AccessKind, MemoryLevel
 
 
 class SetAssociativeCache:
-    """A single set-associative, write-back, LRU cache."""
+    """A single set-associative LRU cache."""
 
     def __init__(self, params):
         self.params = params
@@ -34,13 +35,9 @@ class SetAssociativeCache:
         self._tag_shift = self.num_sets.bit_length() - 1
         self.access_cycles = params.access_cycles
         self.ways = params.ways
-        # One recency-ordered dict per set (tag -> dirty, oldest first;
+        # One recency-ordered dict per set (tag -> None, oldest first;
         # hits delete + reinsert), so the LRU victim is the first key.
         self._sets = [dict() for _ in range(self.num_sets)]
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writebacks = 0
         #: Monotonic change counter: bumped on insert and on any
         #: invalidate/flush that removed a line. Hits reorder LRU state
         #: but do not change residency, so they leave it alone; the
@@ -51,42 +48,32 @@ class SetAssociativeCache:
         line = paddr >> self.line_bits
         return line & self.set_mask, line >> self._tag_shift
 
-    def lookup(self, paddr, is_write=False):
-        """Probe the cache; returns True on hit and updates LRU/dirty state."""
+    def lookup(self, paddr):
+        """Probe the cache; returns True on hit and updates LRU state."""
         line = paddr >> self.line_bits
-        index = line & self.set_mask
+        cset = self._sets[line & self.set_mask]
         tag = line >> self._tag_shift
-        cset = self._sets[index]
         if tag in cset:
-            dirty = cset[tag]
             del cset[tag]
-            cset[tag] = dirty or is_write
-            self.hits += 1
+            cset[tag] = None
             return True
-        self.misses += 1
         return False
 
-    def insert(self, paddr, is_write=False):
+    def insert(self, paddr):
         """Fill a line, evicting the LRU way if the set is full."""
         line = paddr >> self.line_bits
-        index = line & self.set_mask
+        cset = self._sets[line & self.set_mask]
         tag = line >> self._tag_shift
-        cset = self._sets[index]
         if tag in cset:
-            is_write = cset.pop(tag) or is_write
+            del cset[tag]
         elif len(cset) >= self.ways:
-            self.evictions += 1
-            if cset.pop(next(iter(cset))):
-                self.writebacks += 1
-        cset[tag] = is_write
+            del cset[next(iter(cset))]
+        cset[tag] = None
         self.epoch += 1
 
     def invalidate(self, paddr):
         index, tag = self._index_tag(paddr)
         cset = self._sets[index]
-        # Membership, not pop-default: a set stores the dirty bit as the
-        # per-tag value, which a falsy-pop test would misread as
-        # "absent" for a clean line and skip the epoch bump.
         if tag in cset:
             del cset[tag]
             self.epoch += 1
@@ -101,8 +88,8 @@ class SetAssociativeCache:
         return sum(len(s) for s in self._sets)
 
     def __repr__(self):
-        return "<%s %dB %d-way hits=%d misses=%d>" % (
-            self.name, self.params.size_bytes, self.ways, self.hits, self.misses)
+        return "<%s %dB %d-way>" % (
+            self.name, self.params.size_bytes, self.ways)
 
 
 class CacheHierarchy:
@@ -129,8 +116,8 @@ class CacheHierarchy:
         #: structure (0=ifetch, 1=data), the last line that hit in L1 as
         #: ``(line, epoch-at-hit)``. A repeat access to the same line
         #: while the L1's epoch is unchanged (line still resident)
-        #: replays the hit path (recency, dirty, hit counter) without the
-        #: lookup call chain.
+        #: replays the hit path (the recency touch) without the lookup
+        #: call chain.
         self._line_memo = [[None, None] for _ in range(machine.cores)]
 
     def access(self, core_id, paddr, kind=AccessKind.LOAD, skip_l1=False):
@@ -143,37 +130,36 @@ class CacheHierarchy:
         matching the paper's Figure 7 where walk requests are shown
         probing L2 then L3 then memory).
         """
-        is_write = kind is AccessKind.STORE
         cycles = 0
         l1 = None
         if not skip_l1:
             l1 = (self.l1i[core_id] if kind is AccessKind.IFETCH
                   else self.l1d[core_id])
             cycles += l1.access_cycles
-            if l1.lookup(paddr, is_write):
+            if l1.lookup(paddr):
                 return cycles, MemoryLevel.L1
 
         l2 = self.l2[core_id]
         cycles += l2.access_cycles
-        if l2.lookup(paddr, is_write):
+        if l2.lookup(paddr):
             if not skip_l1:
-                l1.insert(paddr, is_write)
+                l1.insert(paddr)
             return cycles, MemoryLevel.L2
 
         cycles += self.l3.access_cycles
-        if self.l3.lookup(paddr, is_write):
+        if self.l3.lookup(paddr):
             level = MemoryLevel.L3
         else:
             cycles += self.dram.access(paddr)
-            self.l3.insert(paddr, is_write)
+            self.l3.insert(paddr)
             level = MemoryLevel.DRAM
 
-        l2.insert(paddr, is_write)
+        l2.insert(paddr)
         if not skip_l1:
-            l1.insert(paddr, is_write)
+            l1.insert(paddr)
         return cycles, level
 
-    def walk_access(self, core_id, paddr, is_write=False):
+    def walk_access(self, core_id, paddr):
         """:meth:`access` below L1 (``skip_l1``), with the cycles alone
         returned: the one inlined L2 -> L3 -> DRAM probe and fill. The
         page walker calls it for each memory reference (a load), and
@@ -184,38 +170,27 @@ class CacheHierarchy:
         tag = line >> l2._tag_shift
         cset = l2._sets[line & l2.set_mask]
         if tag in cset:
-            dirty = cset[tag]
             del cset[tag]
-            cset[tag] = dirty or is_write
-            l2.hits += 1
+            cset[tag] = None
             return l2.access_cycles
-        l2.misses += 1
         l3 = self.l3
         cycles = l2.access_cycles + l3.access_cycles
         tag3 = line >> l3._tag_shift
         cset3 = l3._sets[line & l3.set_mask]
         if tag3 in cset3:
-            dirty = cset3[tag3]
             del cset3[tag3]
-            cset3[tag3] = dirty or is_write
-            l3.hits += 1
         else:
-            l3.misses += 1
             cycles += self.dram.access(paddr)
             # SetAssociativeCache.insert of an absent tag.
             if len(cset3) >= l3.ways:
-                l3.evictions += 1
-                if cset3.pop(next(iter(cset3))):
-                    l3.writebacks += 1
-            cset3[tag3] = is_write
+                del cset3[next(iter(cset3))]
             l3.epoch += 1
+        cset3[tag3] = None
         # The tag missed in this core's private L2 above, so it is still
         # absent: the fill only has to make room.
         if len(cset) >= l2.ways:
-            l2.evictions += 1
-            if cset.pop(next(iter(cset))):
-                l2.writebacks += 1
-        cset[tag] = is_write
+            del cset[next(iter(cset))]
+        cset[tag] = None
         l2.epoch += 1
         return cycles
 
@@ -227,7 +202,6 @@ class CacheHierarchy:
         below L1, and a plain cycle count returned instead of a
         ``(cycles, level)`` tuple. State changes are identical to
         :meth:`access`; the only user of the line memo."""
-        is_write = kind_code == 2
         ifetch = kind_code == 0
         l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
         line = paddr >> self.line_bits
@@ -238,28 +212,21 @@ class CacheHierarchy:
         cached = slot[way]
         if cached is not None and cached[0] == line \
                 and cached[1] == l1.epoch:
-            dirty = cset[tag]
             del cset[tag]
-            cset[tag] = dirty or is_write
-            l1.hits += 1
+            cset[tag] = None
             return l1.access_cycles
         if tag in cset:
             # Inline SetAssociativeCache.lookup hit.
-            dirty = cset[tag]
             del cset[tag]
-            cset[tag] = dirty or is_write
-            l1.hits += 1
+            cset[tag] = None
             slot[way] = (line, l1.epoch)
             return l1.access_cycles
-        l1.misses += 1
-        cycles = l1.access_cycles + self.walk_access(core_id, paddr, is_write)
+        cycles = l1.access_cycles + self.walk_access(core_id, paddr)
         # SetAssociativeCache.insert of the absent tag, after the levels
         # below have filled (the order access() fills in).
         if len(cset) >= l1.ways:
-            l1.evictions += 1
-            if cset.pop(next(iter(cset))):
-                l1.writebacks += 1
-        cset[tag] = is_write
+            del cset[next(iter(cset))]
+        cset[tag] = None
         l1.epoch += 1
         slot[way] = (line, l1.epoch)
         return cycles
@@ -271,15 +238,3 @@ class CacheHierarchy:
             self.l1d[core_id].invalidate(paddr)
             self.l2[core_id].invalidate(paddr)
         self.l3.invalidate(paddr)
-
-    def stats(self):
-        return {
-            "l1d_hits": sum(c.hits for c in self.l1d),
-            "l1d_misses": sum(c.misses for c in self.l1d),
-            "l1i_hits": sum(c.hits for c in self.l1i),
-            "l1i_misses": sum(c.misses for c in self.l1i),
-            "l2_hits": sum(c.hits for c in self.l2),
-            "l2_misses": sum(c.misses for c in self.l2),
-            "l3_hits": self.l3.hits,
-            "l3_misses": self.l3.misses,
-        }

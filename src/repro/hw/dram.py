@@ -18,8 +18,6 @@ class DRAMModel:
         self.num_banks = p.channels * p.ranks_per_channel * p.banks_per_rank
         self.row_bits = p.row_size_bytes.bit_length() - 1
         self._open_rows = [None] * self.num_banks
-        self.row_hits = 0
-        self.row_misses = 0
 
     def _bank_row(self, paddr):
         row_addr = paddr >> self.row_bits
@@ -31,16 +29,6 @@ class DRAMModel:
         """Return the latency, in core cycles, of one DRAM access."""
         bank, row = self._bank_row(paddr)
         if self._open_rows[bank] == row:
-            self.row_hits += 1
             return self.params.row_hit_cycles
         self._open_rows[bank] = row
-        self.row_misses += 1
         return self.params.row_miss_cycles
-
-    @property
-    def accesses(self):
-        return self.row_hits + self.row_misses
-
-    def reset_stats(self):
-        self.row_hits = 0
-        self.row_misses = 0

@@ -22,8 +22,6 @@ class PageWalkCache:
         #: delete + reinsert), so the LRU victim is the first key. The
         #: page walker probes these dicts inline.
         self._levels = {level: {} for level in PWC_LEVELS}
-        self.hits = 0
-        self.misses = 0
 
     def _key(self, entry_paddr):
         return entry_paddr // PTE_BYTES
@@ -37,9 +35,7 @@ class PageWalkCache:
         if key in cache:
             del cache[key]
             cache[key] = None
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     def insert(self, level, entry_paddr):

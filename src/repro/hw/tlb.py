@@ -101,16 +101,12 @@ class SetAssocTLB:
             raise ValueError("TLB sets must be a power of two: %d" % self.num_sets)
         self.set_mask = self.num_sets - 1
         self.ways = params.ways
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.invalidations = 0
         self._buckets = [dict() for _ in range(self.num_sets)]
         self._lru = [dict() for _ in range(self.num_sets)]
         self._set_epochs = [0] * self.num_sets
 
     def lookup(self, vpn, match):
-        """Find a hit using predicate ``match(entry)``; updates LRU and stats."""
+        """Find a hit using predicate ``match(entry)``; updates LRU."""
         index = vpn & self.set_mask
         bucket = self._buckets[index].get(vpn)
         if bucket:
@@ -119,9 +115,7 @@ class SetAssocTLB:
                     lru = self._lru[index]
                     del lru[entry]
                     lru[entry] = None
-                    self.hits += 1
                     return entry
-        self.misses += 1
         return None
 
     def insert(self, entry, replace=None):
@@ -149,7 +143,6 @@ class SetAssocTLB:
                 bucket[i] = entry
                 del lru[old]
                 lru[entry] = None
-                self.insertions += 1
                 self._set_epochs[index] += 1
                 return old
         evicted = None
@@ -167,7 +160,6 @@ class SetAssocTLB:
         else:
             bucket.append(entry)
         lru[entry] = None
-        self.insertions += 1
         self._set_epochs[index] += 1
         return evicted
 
@@ -187,7 +179,6 @@ class SetAssocTLB:
                 removed += 1
         if not bucket:
             del self._buckets[index][vpn]
-        self.invalidations += removed
         if removed:
             self._set_epochs[index] += 1
         return removed
@@ -213,7 +204,6 @@ class SetAssocTLB:
             if here:
                 self._set_epochs[index] += 1
                 removed += here
-        self.invalidations += removed
         return removed
 
     def entries(self):
@@ -227,9 +217,8 @@ class SetAssocTLB:
         return sum(len(lru) for lru in self._lru)
 
     def __repr__(self):
-        return "<%s %d entries %d-way hits=%d misses=%d>" % (
-            self.params.name, self.params.entries, self.ways,
-            self.hits, self.misses)
+        return "<%s %d entries %d-way>" % (
+            self.params.name, self.params.entries, self.ways)
 
 
 #: Old name, kept because perfbench/design.json wraps
@@ -262,14 +251,6 @@ class MultiSizeTLB:
 
     def flush(self, pred=None):
         return sum(tlb.flush(pred) for tlb in self.tlbs.values())
-
-    @property
-    def hits(self):
-        return sum(t.hits for t in self.tlbs.values())
-
-    @property
-    def misses(self):
-        return sum(t.misses for t in self.tlbs.values())
 
     def entries(self):
         for tlb in self.tlbs.values():

@@ -426,7 +426,7 @@ class Kernel:
         _vpn, pte, ftype, populate_cycles, _usable = self._populate(
             proc, vma, lookup_vpn, lookup_vpn + 1, table, index, is_write,
             use_huge)
-        return FaultOutcome(ftype, cycles + populate_cycles, [], ppn=pte.ppn)
+        return FaultOutcome(ftype, cycles + populate_cycles, (), pte.ppn)
 
     def _fault_on_present(self, proc, vma, vpn, table, index, pte, is_write):
         if is_write and pte.cow:

@@ -1,64 +1,42 @@
-"""Active/inactive page LRU lists (Section VII-A's "Active pte_ts" proxy).
+"""Active/inactive page membership (Section VII-A's "Active pte_ts" proxy).
 
 Linux keeps referenced pages on an active list and ages them to an
 inactive list; Figure 9's central bar counts pte_ts whose page is on the
-active list. We reproduce the two-list design with second-chance
+active list. We keep the two-list membership with second-chance
 promotion: a first touch lands a page on the inactive list, a second touch
-promotes it to active.
+promotes it to active. Nothing ages pages off the active list (our
+simulated workloads fit in the 32GB of Table I, so there is no reclaim
+pressure) and nothing reads recency order, so one dict holds it all.
 """
-
-import collections
 
 
 class ActiveInactiveLRU:
-    def __init__(self, active_capacity=None):
-        #: Optional cap on the active list; None = unbounded (our simulated
-        #: workloads fit in the 32GB of Table I, so no reclaim pressure).
-        self.active_capacity = active_capacity
-        self._active = collections.OrderedDict()
-        self._inactive = collections.OrderedDict()
-        self.promotions = 0
-        self.demotions = 0
+    def __init__(self):
+        #: ``ppn -> active`` in first-touch order: False after the first
+        #: touch (inactive), True from the second on (active).
+        self._refs = {}
 
     def touch(self, ppn):
         """Record a reference to a physical page."""
-        if ppn in self._active:
-            self._active.move_to_end(ppn)
-            return
-        if ppn in self._inactive:
-            del self._inactive[ppn]
-            self._active[ppn] = True
-            self.promotions += 1
-            self._maybe_demote()
-            return
-        self._inactive[ppn] = True
-
-    def _maybe_demote(self):
-        if self.active_capacity is None:
-            return
-        while len(self._active) > self.active_capacity:
-            ppn, _ = self._active.popitem(last=False)
-            self._inactive[ppn] = True
-            self.demotions += 1
+        refs = self._refs
+        refs[ppn] = ppn in refs
 
     def drop(self, ppn):
-        self._active.pop(ppn, None)
-        self._inactive.pop(ppn, None)
+        self._refs.pop(ppn, None)
 
     def is_active(self, ppn):
-        return ppn in self._active
+        return self._refs.get(ppn, False)
 
     def is_tracked(self, ppn):
-        return ppn in self._active or ppn in self._inactive
+        return ppn in self._refs
 
     def reset(self):
-        self._active.clear()
-        self._inactive.clear()
+        self._refs.clear()
 
     @property
     def active_count(self):
-        return len(self._active)
+        return sum(self._refs.values())
 
     @property
     def inactive_count(self):
-        return len(self._inactive)
+        return len(self._refs) - self.active_count

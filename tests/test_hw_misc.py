@@ -63,15 +63,6 @@ class TestDRAM:
         dram.access(dram.params.row_size_bytes)  # next bank
         assert dram.access(8) == dram.params.row_hit_cycles
 
-    def test_stats(self):
-        dram = DRAMModel()
-        dram.access(0)
-        dram.access(4)
-        assert dram.accesses == 2
-        assert dram.row_hits == 1
-        dram.reset_stats()
-        assert dram.accesses == 0
-
 
 class TestPWC:
     def make(self):

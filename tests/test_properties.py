@@ -22,14 +22,13 @@ VPN48 = st.integers(min_value=0, max_value=(1 << 36) - 1)
 
 
 class TestCacheProperties:
-    @given(st.lists(st.tuples(st.integers(0, 1 << 20), st.booleans()),
-                    max_size=200))
+    @given(st.lists(st.integers(0, 1 << 20), max_size=200))
     @settings(max_examples=50)
-    def test_occupancy_never_exceeds_capacity(self, ops):
+    def test_occupancy_never_exceeds_capacity(self, addrs):
         cache = SetAssociativeCache(CacheParams("p", 512, 2, 64, 1))
         capacity = cache.num_sets * cache.ways
-        for addr, is_write in ops:
-            cache.insert(addr, is_write)
+        for addr in addrs:
+            cache.insert(addr)
             assert cache.occupancy <= capacity
 
     @given(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=100))
@@ -43,13 +42,28 @@ class TestCacheProperties:
     @given(st.lists(st.integers(0, 1 << 16), max_size=100))
     @settings(max_examples=30)
     def test_hits_plus_misses_equals_lookups(self, addrs):
+        # Every lookup is a hit or a miss, and it hits exactly when the
+        # line is resident in an LRU model of its set (a list, least
+        # recently used first).
         cache = SetAssociativeCache(CacheParams("p", 1024, 2, 64, 1))
+        model = [[] for _ in range(cache.num_sets)]
+        hits = misses = 0
         for addr in addrs:
+            line = addr >> cache.line_bits
+            ways = model[line & cache.set_mask]
+            resident = line in ways
             if cache.lookup(addr):
-                pass
+                assert resident
+                hits += 1
+                ways.remove(line)
             else:
+                assert not resident
+                misses += 1
                 cache.insert(addr)
-        assert cache.hits + cache.misses == len(addrs)
+                if len(ways) >= cache.ways:
+                    del ways[0]
+            ways.append(line)
+        assert hits + misses == len(addrs)
 
 
 class TestTLBProperties:
@@ -211,13 +225,28 @@ class TestLRUProperties:
                 if touches.count(ppn) == 1:
                     assert not lru.is_active(ppn)
 
-    @given(st.lists(st.integers(1, 50), max_size=200), st.integers(1, 5))
-    @settings(max_examples=40)
-    def test_capacity_respected(self, touches, capacity):
-        lru = ActiveInactiveLRU(active_capacity=capacity)
-        for ppn in touches:
-            lru.touch(ppn)
-            assert lru.active_count <= capacity
+    @given(st.lists(st.one_of(st.integers(1, 20), st.none()),
+                    max_size=200))
+    @settings(max_examples=60)
+    def test_active_iff_touched_twice_since_reset(self, ops):
+        # A stream of touches (a ppn) and resets (None): a page is
+        # active exactly when it was touched at least twice since the
+        # last reset, and tracked once it was touched at all.
+        lru = ActiveInactiveLRU()
+        touches = {}
+        for op in ops:
+            if op is None:
+                lru.reset()
+                touches.clear()
+            else:
+                lru.touch(op)
+                touches[op] = touches.get(op, 0) + 1
+            for ppn in range(1, 21):
+                assert lru.is_active(ppn) == (touches.get(ppn, 0) >= 2)
+                assert lru.is_tracked(ppn) == (ppn in touches)
+        active = sum(1 for n in touches.values() if n >= 2)
+        assert (lru.active_count, lru.inactive_count) == (
+            active, len(touches) - active)
 
 
 class TestPercentileProperties:

@@ -39,10 +39,10 @@ class TestWalker:
         hierarchy = CacheHierarchy(machine, DRAMModel(machine.dram))
         from repro.hw.pwc import PageWalkCache
         walker = PageWalker(0, hierarchy, PageWalkCache(machine.mmu.pwc))
-        result = walker.walk(sys.zygote, sys.vpn(sys.zygote, MMAP, 0))
-        assert not result.fault
-        assert result.pte is pte
-        assert result.cycles > 0
+        found, _table, cycles = walker.walk(sys.zygote,
+                                            sys.vpn(sys.zygote, MMAP, 0))
+        assert found is pte
+        assert cycles > 0
 
     def test_walk_fault_on_missing(self, mini_baseline):
         sys = mini_baseline
@@ -50,8 +50,9 @@ class TestWalker:
         hierarchy = CacheHierarchy(machine, DRAMModel(machine.dram))
         from repro.hw.pwc import PageWalkCache
         walker = PageWalker(0, hierarchy, PageWalkCache(machine.mmu.pwc))
-        result = walker.walk(sys.zygote, sys.vpn(sys.zygote, MMAP, 99))
-        assert result.fault
+        pte, _table, _cycles = walker.walk(sys.zygote,
+                                           sys.vpn(sys.zygote, MMAP, 99))
+        assert pte is None
 
     def test_second_walk_cheaper_via_pwc(self, mini_baseline):
         sys = mini_baseline
@@ -61,9 +62,9 @@ class TestWalker:
         hierarchy = CacheHierarchy(machine, DRAMModel(machine.dram))
         from repro.hw.pwc import PageWalkCache
         walker = PageWalker(0, hierarchy, PageWalkCache(machine.mmu.pwc))
-        first = walker.walk(sys.zygote, sys.vpn(sys.zygote, MMAP, 0))
-        second = walker.walk(sys.zygote, sys.vpn(sys.zygote, MMAP, 1))
-        assert second.cycles < first.cycles
+        first = walker.walk(sys.zygote, sys.vpn(sys.zygote, MMAP, 0))[2]
+        second = walker.walk(sys.zygote, sys.vpn(sys.zygote, MMAP, 1))[2]
+        assert second < first
 
 
 class TestMMU:
