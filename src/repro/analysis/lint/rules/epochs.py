@@ -1,9 +1,12 @@
-"""BF401: epoch-coverage for the TLB and cache backing stores (``hw/``).
+"""BF401: epoch-coverage for the TLB backing stores (``hw/``).
 
 The exact fast path (:mod:`repro.sim.fastpath`, DESIGN §11) is only
-correct because every *content* change to a TLB/cache structure bumps
-its epoch counters — the L0 translation memo and the same-line cache
-memo replay a previous hit iff the epochs they recorded are unchanged.
+correct because every *content* change to a TLB structure bumps its set
+epoch — the L0 translation memo replays a previous hit iff the set
+epochs it recorded are unchanged. :class:`repro.hw.tlb.SetAssocTLB`'s
+``_set_epochs`` are the only epochs in ``hw/`` (the caches keep none: no
+memo replays a cache hit), but the rule finds its classes by marker, so
+any class that grows an ``epoch`` or ``_set_epochs`` is checked too.
 PR 4's one real bug was exactly a missed bump: ``invalidate`` removed a
 line but skipped ``epoch += 1`` on a path where a ``pop``-result test
 misread a set's ``None`` values.

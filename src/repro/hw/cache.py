@@ -8,9 +8,11 @@ matters is *which level* a page-walk request or data access hits in, which
 is determined by sharing of physical lines across containers.
 
 Each set is one recency-ordered dict mapping ``tag -> None``: the model
-keeps which lines a level holds and their LRU order, nothing more (no
-dirty bit: write-backs cost no cycles here). :meth:`CacheHierarchy.access`,
-built from :meth:`SetAssociativeCache.lookup` and
+keeps which lines a level holds and their LRU order, nothing more: no
+dirty bit (write-backs cost no cycles here) and no change counter (no
+memo replays a cache hit, so nothing asks whether a set changed).
+:meth:`CacheHierarchy.access`, built from
+:meth:`SetAssociativeCache.lookup` and
 :meth:`~SetAssociativeCache.insert`, is the reference formulation of an
 access. The simulator's hot paths inline the same state changes:
 :meth:`CacheHierarchy.walk_access` is the one L2 -> L3 -> DRAM probe and
@@ -38,15 +40,6 @@ class SetAssociativeCache:
         # One recency-ordered dict per set (tag -> None, oldest first;
         # hits delete + reinsert), so the LRU victim is the first key.
         self._sets = [dict() for _ in range(self.num_sets)]
-        #: Monotonic change counter: bumped on insert and on any
-        #: invalidate/flush that removed a line. Hits reorder LRU state
-        #: but do not change residency, so they leave it alone; the
-        #: hierarchy's same-line memo relies on exactly that contract.
-        self.epoch = 0
-
-    def _index_tag(self, paddr):
-        line = paddr >> self.line_bits
-        return line & self.set_mask, line >> self._tag_shift
 
     def lookup(self, paddr):
         """Probe the cache; returns True on hit and updates LRU state."""
@@ -69,23 +62,6 @@ class SetAssociativeCache:
         elif len(cset) >= self.ways:
             del cset[next(iter(cset))]
         cset[tag] = None
-        self.epoch += 1
-
-    def invalidate(self, paddr):
-        index, tag = self._index_tag(paddr)
-        cset = self._sets[index]
-        if tag in cset:
-            del cset[tag]
-            self.epoch += 1
-
-    def flush(self):
-        for cset in self._sets:
-            cset.clear()
-        self.epoch += 1
-
-    @property
-    def occupancy(self):
-        return sum(len(s) for s in self._sets)
 
     def __repr__(self):
         return "<%s %dB %d-way>" % (
@@ -96,7 +72,6 @@ class CacheHierarchy:
     """Per-core L1I/L1D + private L2, shared L3, and DRAM behind it."""
 
     def __init__(self, machine, dram):
-        self.machine = machine
         self.dram = dram
         levels = (machine.l1i, machine.l1d, machine.l2, machine.l3)
         line_sizes = {params.line_size for params in levels}
@@ -112,13 +87,6 @@ class CacheHierarchy:
         self.l1d = [SetAssociativeCache(machine.l1d) for _ in cores]
         self.l2 = [SetAssociativeCache(machine.l2) for _ in cores]
         self.l3 = SetAssociativeCache(machine.l3)
-        #: Same-line memo for :meth:`data_access`: per core, per L1
-        #: structure (0=ifetch, 1=data), the last line that hit in L1 as
-        #: ``(line, epoch-at-hit)``. A repeat access to the same line
-        #: while the L1's epoch is unchanged (line still resident)
-        #: replays the hit path (the recency touch) without the lookup
-        #: call chain.
-        self._line_memo = [[None, None] for _ in range(machine.cores)]
 
     def access(self, core_id, paddr, kind=AccessKind.LOAD, skip_l1=False):
         """Run one access through the hierarchy.
@@ -184,42 +152,29 @@ class CacheHierarchy:
             # SetAssociativeCache.insert of an absent tag.
             if len(cset3) >= l3.ways:
                 del cset3[next(iter(cset3))]
-            l3.epoch += 1
         cset3[tag3] = None
         # The tag missed in this core's private L2 above, so it is still
         # absent: the fill only has to make room.
         if len(cset) >= l2.ways:
             del cset[next(iter(cset))]
         cset[tag] = None
-        l2.epoch += 1
         return cycles
 
     def data_access(self, core_id, paddr, kind_code):
         """:meth:`access` specialized for the trace loop: demand
         accesses only (never ``skip_l1``), trace-record kind codes
         (0=ifetch, 1=load, 2=store) instead of :class:`AccessKind`, the
-        L1 probe, L1 fill and same-line memo inlined, :meth:`walk_access`
-        below L1, and a plain cycle count returned instead of a
-        ``(cycles, level)`` tuple. State changes are identical to
-        :meth:`access`; the only user of the line memo."""
-        ifetch = kind_code == 0
-        l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
+        L1 probe and L1 fill inlined, :meth:`walk_access` below L1, and
+        a plain cycle count returned instead of a ``(cycles, level)``
+        tuple. State changes are identical to :meth:`access`."""
+        l1 = self.l1i[core_id] if kind_code == 0 else self.l1d[core_id]
         line = paddr >> self.line_bits
         tag = line >> l1._tag_shift
         cset = l1._sets[line & l1.set_mask]
-        slot = self._line_memo[core_id]
-        way = 0 if ifetch else 1
-        cached = slot[way]
-        if cached is not None and cached[0] == line \
-                and cached[1] == l1.epoch:
-            del cset[tag]
-            cset[tag] = None
-            return l1.access_cycles
         if tag in cset:
             # Inline SetAssociativeCache.lookup hit.
             del cset[tag]
             cset[tag] = None
-            slot[way] = (line, l1.epoch)
             return l1.access_cycles
         cycles = l1.access_cycles + self.walk_access(core_id, paddr)
         # SetAssociativeCache.insert of the absent tag, after the levels
@@ -227,14 +182,4 @@ class CacheHierarchy:
         if len(cset) >= l1.ways:
             del cset[next(iter(cset))]
         cset[tag] = None
-        l1.epoch += 1
-        slot[way] = (line, l1.epoch)
         return cycles
-
-    def invalidate_line(self, paddr):
-        """Drop a line everywhere (used when the kernel rewrites a pte page)."""
-        for core_id in range(self.machine.cores):
-            self.l1i[core_id].invalidate(paddr)
-            self.l1d[core_id].invalidate(paddr)
-            self.l2[core_id].invalidate(paddr)
-        self.l3.invalidate(paddr)

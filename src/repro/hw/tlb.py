@@ -212,10 +212,6 @@ class SetAssocTLB:
         for lru in self._lru:
             yield from lru
 
-    @property
-    def occupancy(self):
-        return sum(len(lru) for lru in self._lru)
-
     def __repr__(self):
         return "<%s %d entries %d-way>" % (
             self.params.name, self.params.entries, self.ways)

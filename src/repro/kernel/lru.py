@@ -21,22 +21,8 @@ class ActiveInactiveLRU:
         refs = self._refs
         refs[ppn] = ppn in refs
 
-    def drop(self, ppn):
-        self._refs.pop(ppn, None)
-
     def is_active(self, ppn):
         return self._refs.get(ppn, False)
 
-    def is_tracked(self, ppn):
-        return ppn in self._refs
-
     def reset(self):
         self._refs.clear()
-
-    @property
-    def active_count(self):
-        return sum(self._refs.values())
-
-    @property
-    def inactive_count(self):
-        return len(self._refs) - self.active_count

@@ -58,10 +58,3 @@ class PageCache:
                 pages[key] = alloc(FrameKind.FILE)
         if end > file.npages:
             raise ValueError("page %d beyond EOF of %r" % (file.npages, file))
-
-    def cached_pages(self, file):
-        return sum(1 for fid, _ in self._pages if fid == file.fid)
-
-    @property
-    def total_pages(self):
-        return len(self._pages)

@@ -45,7 +45,7 @@ class SimConfig:
     #: it defaults on. ``False`` — or ``REPRO_FASTPATH=0`` — sends every
     #: access through the full translate pass; ``sanitize`` and ``trace``
     #: runs do the same, so their hooks see every lookup. The trace loop
-    #: and the same-line cache memo are the same in every run.
+    #: and the cache hierarchy are the same in every run.
     fastpath: bool = True
     #: Enable the translation-coherence sanitizer: a shadow MMU that
     #: cross-checks every TLB fill/hit/invalidation against an independent

@@ -12,8 +12,8 @@ architectural observable:
   (sanitized, traced and memo-off ones included): prebound locals, a
   tuple-indexed kind table, a per-core reused
   :class:`~repro.sim.mmu.TranslationResult`, batched stats counters,
-  ``CacheHierarchy.data_access`` with its same-line memo, and the L0
-  memo's guard-and-replay inlined. A record is served from the memo
+  ``CacheHierarchy.data_access`` for the data side, and the L0 memo's
+  guard-and-replay inlined. A record is served from the memo
   only when it proves the translate pass would return the same entry
   with the same side effects (see DESIGN.md §11 for the exactness
   argument); otherwise the access goes to ``MMU.translate``, which

@@ -486,8 +486,3 @@ class MMU:
             return None
         offset = vpn_group - proc.layout_group.base(segment)
         return proc.layout_proc.base(segment) + offset
-
-    def flush_all(self):
-        for _name, tlb in self._tlb_levels:
-            tlb.flush()
-        self.pwc.flush()

@@ -57,8 +57,8 @@ class PageWalker:
             index = (vpn >> _SHIFTS[level]) & _INDEX_MASK
             key = (table.frame << _FRAME_TO_KEY) + index
             if level > PTE_LEVEL:
-                # PageWalkCache.lookup, then PageWalkCache.insert on a
-                # miss (the key is absent, so only the eviction remains).
+                # The PWC probe, then its LRU fill on a miss (the key
+                # is absent, so only the eviction remains).
                 cache = pwc_levels[level]
                 if key in cache:
                     del cache[key]

@@ -12,6 +12,9 @@ paper's figures:
 - :class:`LinearCacheHierarchy`: the hierarchy with walker references
   routed through ``access`` and so through the oracle caches'
   ``lookup``/``insert``.
+- :func:`pwc_lookup` / :func:`pwc_insert`: the page walk cache's probe
+  and fill one level at a time, the reference for the walker's inlined
+  PWC probe.
 - :func:`babelfish_lookup` / :func:`conventional_lookup`: Figure 8's and
   Figure 1's lookups as closures handed to ``LinearMultiSizeTLB.lookup``.
 - :func:`reference_run_quantum`: the trace loop with one ``translate``
@@ -26,7 +29,7 @@ such a run must leave the L0 memo off (the fixture sees to it).
 
 from repro.hw.cache import CacheHierarchy, SetAssociativeCache
 from repro.hw.tlb import REPLACE_SAME_PCID, REPLACE_SHARED
-from repro.hw.types import AccessKind
+from repro.hw.types import PTE_BYTES, AccessKind
 from repro.sim.simulator import K_IFETCH, K_LOAD, K_STORE
 
 _KIND = {K_IFETCH: AccessKind.IFETCH, K_LOAD: AccessKind.LOAD,
@@ -139,10 +142,6 @@ class LinearSetAssocTLB:
         for tset, stamps in zip(self._sets, self._stamps):
             yield from sorted(tset, key=lambda e: stamps[id(e)])
 
-    @property
-    def occupancy(self):
-        return sum(len(tset) for tset in self._sets)
-
 
 class LinearMultiSizeTLB:
     """A TLB level holding one :class:`LinearSetAssocTLB` per page size."""
@@ -185,6 +184,10 @@ class LinearSetAssociativeCache(SetAssociativeCache):
         super().__init__(params)
         self._stamp = 0
 
+    def _index_tag(self, paddr):
+        line = paddr >> self.line_bits
+        return line & self.set_mask, line >> self._tag_shift
+
     def lookup(self, paddr):
         index, tag = self._index_tag(paddr)
         cset = self._sets[index]
@@ -201,7 +204,6 @@ class LinearSetAssociativeCache(SetAssociativeCache):
             del cset[min(cset, key=cset.get)]
         self._stamp += 1
         cset[tag] = self._stamp
-        self.epoch += 1
 
 
 def recency(cache):
@@ -232,6 +234,33 @@ class LinearCacheHierarchy(CacheHierarchy):
 
     def walk_access(self, core_id, paddr):
         return self.access(core_id, paddr, AccessKind.LOAD, skip_l1=True)[0]
+
+
+def pwc_lookup(pwc, level, entry_paddr):
+    """Probe a :class:`~repro.hw.pwc.PageWalkCache` for the table entry
+    at ``entry_paddr`` on ``level``; True on a hit, which makes the
+    entry the level's most recent. The leaf level is never cached."""
+    cache = pwc._levels.get(level)
+    key = entry_paddr // PTE_BYTES
+    if cache is None or key not in cache:
+        return False
+    del cache[key]
+    cache[key] = None
+    return True
+
+
+def pwc_insert(pwc, level, entry_paddr):
+    """Fill the entry at ``entry_paddr`` into ``level`` as its most
+    recent, evicting the level's LRU entry when it is full."""
+    cache = pwc._levels.get(level)
+    if cache is None:
+        return
+    key = entry_paddr // PTE_BYTES
+    if key in cache:
+        del cache[key]
+    elif len(cache) >= pwc.params.entries_per_level:
+        del cache[next(iter(cache))]
+    cache[key] = None
 
 
 def babelfish_lookup(multi, vpn4k, proc, is_write, domain_fn):

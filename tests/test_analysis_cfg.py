@@ -8,6 +8,7 @@ flagged by its family, while the corrected variant must lint clean.
 """
 
 import ast
+import pathlib
 import textwrap
 
 from repro.analysis.lint.cfg import (
@@ -16,6 +17,7 @@ from repro.analysis.lint.cfg import (
     function_statements,
 )
 from repro.analysis.lint.engine import LintEngine
+from repro.hw import tlb as tlb_module
 
 
 def lint(source, path):
@@ -288,6 +290,59 @@ class TestEpochCoverageBF401:
                     self._buckets[key] = value
             """, HW_PATH)
         assert findings == []
+
+
+TLB_PATH = "src/repro/hw/tlb.py"
+TLB_BUMP = "self._set_epochs[index] += 1"
+
+
+def _tlb_bump_mutants():
+    """The real ``repro/hw/tlb.py`` with one set-epoch bump at a time
+    replaced by ``pass`` (a bare deletion would leave an ``if removed:``
+    block empty), as ``(SetAssocTLB method that lost the bump, source)``."""
+    source = pathlib.Path(tlb_module.__file__).read_text()
+    tree = ast.parse(source)
+    tlb_class = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "SetAssocTLB")
+    methods = [node for node in tlb_class.body
+               if isinstance(node, ast.FunctionDef)]
+    lines = source.splitlines(keepends=True)
+    mutants = []
+    for lineno, text in enumerate(lines, 1):
+        if text.strip() != TLB_BUMP:
+            continue
+        method = next(m for m in methods
+                      if m.lineno <= lineno <= m.end_lineno)
+        mutated = lines[:]
+        mutated[lineno - 1] = text.replace(TLB_BUMP, "pass")
+        mutants.append((method, "".join(mutated)))
+    return mutants
+
+
+class TestEpochCoverageRealTLB:
+    """BF401 on the production TLB, the one ``hw/`` class that carries
+    epochs: the file lints clean, and each set-epoch bump is load-bearing
+    for the rule."""
+
+    def test_real_tlb_lints_clean(self):
+        source = pathlib.Path(tlb_module.__file__).read_text()
+        assert lint(source, TLB_PATH) == []
+
+    def test_each_deleted_bump_is_flagged_in_its_method(self):
+        mutants = _tlb_bump_mutants()
+        # insert's overwrite and fill paths, invalidate, flush.
+        assert [method.name for method, _source in mutants] == [
+            "insert", "insert", "invalidate", "flush"]
+        for method, source in mutants:
+            findings = lint(source, TLB_PATH)
+            assert findings
+            assert set(rule_ids(findings)) == {"BF401"}
+            # Each uncovered store mutation is its own finding; all of
+            # them sit in the method that lost its bump.
+            for finding in findings:
+                assert method.lineno <= finding.line <= method.end_lineno
+                assert "SetAssocTLB.%s()" % method.name in finding.message
 
 
 class TestTeardownOrderBF501:

@@ -56,48 +56,32 @@ class TestSetAssociativeCache:
         line = 64
         cache.insert(0)
         cache.insert(cache.num_sets * line)
-        assert cache.occupancy == 1
+        assert sum(map(len, cache._sets)) == 1
         assert not cache.lookup(0)
         assert cache.lookup(cache.num_sets * line)
-
-    def test_invalidate(self):
-        cache = small_cache()
-        cache.insert(0x2000)
-        cache.invalidate(0x2000)
-        assert not cache.lookup(0x2000)
-
-    def test_flush(self):
-        cache = small_cache()
-        for addr in range(0, 512, 64):
-            cache.insert(addr)
-        cache.flush()
-        assert cache.occupancy == 0
 
     def test_occupancy_bounded_by_capacity(self):
         cache = small_cache(size=1024, ways=2)
         for addr in range(0, 1 << 16, 64):
             cache.insert(addr)
-        assert cache.occupancy <= cache.num_sets * cache.ways
+        assert all(len(cset) <= cache.ways for cset in cache._sets)
 
     def test_non_power_of_two_sets_rejected(self):
         with pytest.raises(ValueError):
             SetAssociativeCache(CacheParams("bad", 192, 1, 64, 1))
 
     def test_hit_miss_counters(self):
-        # Neither outcome of a lookup changes residency, so neither
-        # moves the epoch the hierarchy's same-line memo checks; a hit
-        # only makes its line the most recent of its set.
+        # A miss changes nothing; a hit changes no residency and only
+        # makes its line the most recent of its set.
         cache = small_cache(size=256, ways=2)
-        other = cache.num_sets * 64
+        other = cache.num_sets * 64  # set 0, tag 1
         assert not cache.lookup(0)
-        assert (cache.occupancy, cache.epoch) == (0, 0)
+        assert recency(cache) == [[]] * cache.num_sets
         cache.insert(0)
         cache.insert(other)
-        epoch = cache.epoch
+        assert recency(cache)[0] == [0, 1]
         assert cache.lookup(0)
-        assert cache.epoch == epoch
-        tag = {paddr: cache._index_tag(paddr)[1] for paddr in (0, other)}
-        assert recency(cache)[0] == [tag[other], tag[0]]
+        assert recency(cache)[0] == [1, 0]
 
 
 class TestCacheHierarchy:
@@ -138,16 +122,8 @@ class TestCacheHierarchy:
         hierarchy.access(0, 0x8000, AccessKind.IFETCH)
         _c, level = hierarchy.access(0, 0x8000, AccessKind.IFETCH)
         assert level is MemoryLevel.L1
-        assert hierarchy.l1i[0].occupancy == 1
-        assert hierarchy.l1d[0].occupancy == 0
-
-    def test_invalidate_line_everywhere(self):
-        hierarchy = self.make()
-        hierarchy.access(0, 0xA000)
-        hierarchy.access(1, 0xA000)
-        hierarchy.invalidate_line(0xA000)
-        _c, level = hierarchy.access(0, 0xA000)
-        assert level is MemoryLevel.DRAM
+        assert sum(map(len, hierarchy.l1i[0]._sets)) == 1
+        assert sum(map(len, hierarchy.l1d[0]._sets)) == 0
 
     def test_private_l2_isolation(self):
         hierarchy = self.make()
@@ -162,9 +138,9 @@ def _caches(hierarchy):
 
 
 def _hierarchy_snapshot(hierarchy):
-    """Every level's epoch and per-set LRU order (oldest first), and the
-    DRAM banks' open rows, of either backing."""
-    return ([(c.epoch, recency(c)) for c in _caches(hierarchy)],
+    """Every level's per-set LRU order (oldest first), and the DRAM
+    banks' open rows, of either backing."""
+    return ([recency(c) for c in _caches(hierarchy)],
             hierarchy.dram._open_rows)
 
 
@@ -172,10 +148,10 @@ def _hierarchy_snapshot(hierarchy):
                          ids=["reference", "fast"])
 def test_walk_access_matches_skip_l1_load(linear, linear_structures):
     # The production walk_access and data_access against a twin driven
-    # through access(): walker references (skip_l1 loads), demand
-    # ifetches, loads and stores, with invalidate_line and
-    # whole-hierarchy flushes mid-stream. Small L1D/L2/L3s so the stream
-    # sees hits at every level, DRAM fills and evictions. The reference
+    # through access(): walker references (skip_l1 loads) and demand
+    # ifetches, loads and stores, with the whole state compared
+    # mid-stream. Small L1D/L2/L3s so the stream sees hits at every
+    # level, DRAM fills and evictions. The reference
     # twin is the oracle hierarchy on the linear-scan caches; the fast
     # twin is a production one.
     machine = dataclasses.replace(
@@ -191,7 +167,7 @@ def test_walk_access_matches_skip_l1_load(linear, linear_structures):
     rng = random.Random(9)
     kinds = (AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE)
     last = [0, 0]
-    invalidations = flushes = 0
+    snapshots = 0
     levels = set()
     for _ in range(8000):
         core = rng.randrange(2)
@@ -211,22 +187,15 @@ def test_walk_access_matches_skip_l1_load(linear, linear_structures):
                                         skip_l1=True)
             assert prod.walk_access(core, paddr) == cycles
             levels.add(level)
-        elif op < 0.999:
-            assert _hierarchy_snapshot(prod) == _hierarchy_snapshot(twin)
-            prod.invalidate_line(paddr)
-            twin.invalidate_line(paddr)
-            invalidations += 1
         else:
             assert _hierarchy_snapshot(prod) == _hierarchy_snapshot(twin)
-            for cache in _caches(prod) + _caches(twin):
-                cache.flush()
-            flushes += 1
+            snapshots += 1
     assert _hierarchy_snapshot(prod) == _hierarchy_snapshot(twin)
-    assert invalidations and flushes
+    assert snapshots
     assert levels == set(MemoryLevel)
     # The 64KB footprint overflows the 16KB L3, so its sets fill up and
     # evict.
-    assert prod.l3.occupancy == prod.l3.num_sets * prod.l3.ways
+    assert all(len(cset) == prod.l3.ways for cset in prod.l3._sets)
 
 
 def test_unequal_line_sizes_rejected():
@@ -239,11 +208,11 @@ def test_unequal_line_sizes_rejected():
 
 
 def test_data_access_matches_access():
-    # The trace loop's data_access (kind codes, same-line memo) against
-    # access() on a twin hierarchy: same cycles per access and the same
-    # final state, recency order included. Half the accesses repeat the
-    # previous line on the same core, so the memo's replay (the recency
-    # touch) carries much of the stream.
+    # The trace loop's data_access (kind codes, inlined L1 probe and
+    # fill) against access() on a twin hierarchy: same cycles per access
+    # and the same final state, recency order included. Half the
+    # accesses repeat the previous line on the same core, so the L1 hit
+    # path (the recency touch) carries much of the stream.
     machine = dataclasses.replace(
         baseline_machine(cores=2),
         l1d=CacheParams("L1D", 2048, 2, 64, 4),

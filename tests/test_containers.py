@@ -29,7 +29,9 @@ class TestImage:
                               "infra"}
         assert files["libs"].npages == 64
         # Pre-created image: page cache warm.
-        assert env.kernel.page_cache.cached_pages(files["libs"]) == 64
+        libs = files["libs"].fid
+        assert sum(fid == libs for fid, _index
+                   in env.kernel.page_cache._pages) == 64
 
 
 class TestEngine:

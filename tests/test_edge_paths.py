@@ -1,5 +1,5 @@
 """Edge-path coverage: non-present PTEs, read-only shared files, THP-off
-environments, MMU flush, engine stop accounting."""
+environments, MMU PCID flush, engine stop accounting."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.hw.params import baseline_machine
 from repro.hw.pwc import PageWalkCache
 from repro.hw.types import AccessKind
 from repro.kernel.errors import ProtectionFault
-from repro.kernel.fault import FaultType
+from repro.kernel.fault import FaultType, InvalidationScope, TLBInvalidation
 from repro.kernel.vma import SegmentKind, VMAKind
 from repro.sim.config import baseline_config
 from repro.sim.mmu import MMU
@@ -78,14 +78,18 @@ class TestTHPOffEnvironment:
 
 
 class TestMMUFlush:
-    def test_flush_all_clears_everything(self, mini_baseline):
+    def test_pcid_flush_clears_every_level(self, mini_baseline):
+        # A process-exit flush of the only PCID with entries empties
+        # every TLB level, wherever the fills put them.
         sys = mini_baseline
         machine = baseline_machine(cores=1)
         hierarchy = CacheHierarchy(machine, DRAMModel(machine.dram))
         mmu = MMU(0, machine, baseline_config(), hierarchy, sys.kernel)
         mmu.translate(sys.zygote, MMAP, 0, AccessKind.LOAD)
         mmu.translate(sys.zygote, LIBS, 0, AccessKind.IFETCH)
-        mmu.flush_all()
+        assert list(mmu.l1d.entries()) and list(mmu.l2.entries())
+        mmu.apply_invalidation(sys.zygote, TLBInvalidation(
+            0, InvalidationScope.PCID_FLUSH, pcid=sys.zygote.pcid))
         assert not list(mmu.l1d.entries())
         assert not list(mmu.l1i.entries())
         assert not list(mmu.l2.entries())

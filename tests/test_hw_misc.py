@@ -16,6 +16,8 @@ from repro.hw.pwc import PageWalkCache, PWC_LEVELS
 from repro.hw.params import PWCParams
 from repro.hw.types import AccessKind, PageSize, line_addr, vpn_for
 
+from structure_oracle import pwc_insert, pwc_lookup
+
 
 class TestTypes:
     def test_page_size_bytes(self):
@@ -73,38 +75,26 @@ class TestPWC:
 
     def test_miss_then_hit(self):
         pwc = self.make()
-        assert not pwc.lookup(4, 0x1000)
-        pwc.insert(4, 0x1000)
-        assert pwc.lookup(4, 0x1000)
+        assert not pwc_lookup(pwc, 4, 0x1000)
+        pwc_insert(pwc, 4, 0x1000)
+        assert pwc_lookup(pwc, 4, 0x1000)
 
     def test_leaf_level_not_cached(self):
         pwc = self.make()
-        pwc.insert(1, 0x1000)
-        assert not pwc.lookup(1, 0x1000)
+        pwc_insert(pwc, 1, 0x1000)
+        assert not pwc_lookup(pwc, 1, 0x1000)
 
     def test_levels_independent(self):
         pwc = self.make()
-        pwc.insert(4, 0x1000)
-        assert not pwc.lookup(3, 0x1000)
+        pwc_insert(pwc, 4, 0x1000)
+        assert not pwc_lookup(pwc, 3, 0x1000)
 
     def test_capacity_eviction(self):
         pwc = self.make()
         for i in range(5):
-            pwc.insert(2, i * 8)
-        assert pwc.occupancy(2) == 4
-        assert not pwc.lookup(2, 0)  # LRU victim
-
-    def test_invalidate_entry(self):
-        pwc = self.make()
-        pwc.insert(3, 0x2000)
-        pwc.invalidate_entry(3, 0x2000)
-        assert not pwc.lookup(3, 0x2000)
-
-    def test_flush(self):
-        pwc = self.make()
-        pwc.insert(4, 0x10)
-        pwc.flush()
-        assert pwc.occupancy(4) == 0
+            pwc_insert(pwc, 2, i * 8)
+        assert len(pwc._levels[2]) == 4
+        assert not pwc_lookup(pwc, 2, 0)  # LRU victim
 
 
 class TestCACTI:

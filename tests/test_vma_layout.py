@@ -152,7 +152,7 @@ class TestPageCache:
         cache = PageCache(FrameAllocator())
         file = FileObject("f", 8)
         cache.populate(file)
-        assert cache.cached_pages(file) == 8
+        assert len(cache._pages) == 8
 
     def test_populate_fills_like_a_fill_loop(self):
         # The same frames in the same order as one fill() per page,
@@ -169,7 +169,7 @@ class TestPageCache:
         # Pages 6 and 7 fill before the range runs past EOF.
         with pytest.raises(ValueError, match="beyond EOF"):
             bulk.populate(file, 6, 4)
-        assert bulk.cached_pages(file) == 7
+        assert len(bulk._pages) == 7
 
     def test_distinct_files_distinct_frames(self):
         alloc = FrameAllocator()
@@ -184,8 +184,7 @@ class TestPageCache:
         ppn = cache.fill(file, 0)
         assert cache.lookup(file, 0) == ppn
         assert cache.fill(file, 0) == ppn
-        assert cache.total_pages == 1
-        assert cache.cached_pages(file) == 1
+        assert list(cache._pages) == [(file.fid, 0)]
 
 
 class TestLRU:
@@ -196,23 +195,15 @@ class TestLRU:
         lru.touch(1)
         assert lru.is_active(1)
 
-    def test_drop(self):
-        lru = ActiveInactiveLRU()
-        lru.touch(1)
-        lru.touch(1)
-        lru.drop(1)
-        assert not lru.is_tracked(1)
-
     def test_reset(self):
         lru = ActiveInactiveLRU()
         lru.touch(1)
         lru.reset()
-        assert lru.inactive_count == 0
+        assert lru._refs == {}
 
     def test_counts(self):
         lru = ActiveInactiveLRU()
         lru.touch(1)
         lru.touch(2)
         lru.touch(2)
-        assert lru.inactive_count == 1
-        assert lru.active_count == 1
+        assert lru._refs == {1: False, 2: True}

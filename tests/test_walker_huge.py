@@ -15,7 +15,7 @@ from repro.kernel.vma import SegmentKind, VMAKind
 from repro.sim.walker import PageWalker
 
 from conftest import MiniSystem
-from structure_oracle import recency
+from structure_oracle import pwc_insert, pwc_lookup, recency
 
 MMAP = SegmentKind.MMAP
 HEAP = SegmentKind.HEAP
@@ -36,15 +36,15 @@ class TestPWCBehaviour:
         machine, _hier, pwc, walker = walker_setup()
         vpn = sys.vpn(sys.zygote, MMAP, 0)
         walker.walk(sys.zygote, vpn)
-        assert pwc.occupancy(4) == 1
-        assert pwc.occupancy(3) == 1
-        assert pwc.occupancy(2) == 1
+        assert len(pwc._levels[4]) == 1
+        assert len(pwc._levels[3]) == 1
+        assert len(pwc._levels[2]) == 1
         # The leaf pte level is what the TLB caches, not the PWC: the
         # next page's walk hits PGD/PUD/PMD in the PWC and reads its pte
         # from the L2 line the first walk brought in.
         _pte, _table, cycles = walker.walk(sys.zygote, vpn + 1)
         assert cycles == 3 * pwc.access_cycles + machine.l2.access_cycles
-        assert [pwc.occupancy(level) for level in PWC_LEVELS] == [1, 1, 1]
+        assert [len(pwc._levels[level]) for level in PWC_LEVELS] == [1, 1, 1]
 
     def test_cross_region_walk_misses_pwc(self):
         sys = MiniSystem(babelfish=False)
@@ -56,7 +56,7 @@ class TestPWCBehaviour:
         # Different segment => different PUD/PMD entries: only the PGD
         # entry may hit (different index here, so all three miss and
         # each level caches a second entry).
-        assert [pwc.occupancy(level) for level in PWC_LEVELS] == [2, 2, 2]
+        assert [len(pwc._levels[level]) for level in PWC_LEVELS] == [2, 2, 2]
 
     def test_shared_tables_share_walk_lines_across_cores(self):
         """Figure 7: container B's walk hits the L3 lines container A's
@@ -147,13 +147,13 @@ class TestWalkAccounting:
         assert pte is None and leaf_table is None
         # Nothing mapped: the walk stops at the PGD, the only level it
         # read, so the PWC holds a PGD entry and nothing below it.
-        assert [pwc.occupancy(level) for level in PWC_LEVELS] == [1, 0, 0]
+        assert [len(pwc._levels[level]) for level in PWC_LEVELS] == [1, 0, 0]
 
 
 def _reference_walk(proc, vpn, hierarchy, pwc, pwc_outcomes):
     """Figure 2's walk one level at a time through the public pieces:
-    ``table_index``, ``entry_paddr``, the PWC's lookup/insert and the
-    hierarchy's skip-L1 load. Returns ``(pte, leaf_table, cycles)`` and
+    ``table_index``, ``entry_paddr``, the oracle's PWC probe and fill
+    and the hierarchy's skip-L1 load. Returns ``(pte, leaf_table, cycles)`` and
     the level the walk stopped at; adds each PWC probe's outcome (True
     on a hit) to ``pwc_outcomes``."""
     cycles = 0
@@ -161,7 +161,7 @@ def _reference_walk(proc, vpn, hierarchy, pwc, pwc_outcomes):
     while True:
         index = table_index(vpn, level)
         paddr = table.entry_paddr(index)
-        hit = level > PTE_LEVEL and pwc.lookup(level, paddr)
+        hit = level > PTE_LEVEL and pwc_lookup(pwc, level, paddr)
         if level > PTE_LEVEL:
             pwc_outcomes.add(hit)
         if hit:
@@ -170,7 +170,7 @@ def _reference_walk(proc, vpn, hierarchy, pwc, pwc_outcomes):
             cycles += hierarchy.access(0, paddr, AccessKind.LOAD,
                                        skip_l1=True)[0]
             if level > PTE_LEVEL:
-                pwc.insert(level, paddr)
+                pwc_insert(pwc, level, paddr)
         entry = table.entries.get(index)
         if isinstance(entry, TableRef):
             table, level = entry.table, level - 1
