@@ -4,12 +4,11 @@ With no paths, lints the ``repro`` package the module was imported from
 plus a sibling ``tests/`` directory when present, so a bare invocation
 covers the whole repo.
 
-Exit codes: ``0`` clean; ``1`` findings (errors by default; any new
+Exit codes: ``0`` clean; ``1`` findings (errors by default; any
 finding — warnings included — under ``--strict``); ``2`` usage errors.
-A checked-in ``analysis-baseline.json`` (multiset of accepted findings,
-line numbers ignored) is subtracted first; ``--write-baseline``
-regenerates it, ``--sarif-out`` / ``--format sarif`` emit SARIF 2.1.0
-for code-scanning upload.
+A finding the repo accepts is suppressed on its line with
+``# bfa: disable=<rule>``. ``--sarif-out`` / ``--format sarif`` emit
+SARIF 2.1.0 for code-scanning upload.
 """
 
 import argparse
@@ -17,12 +16,9 @@ import json
 import pathlib
 import sys
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.lint.engine import LintEngine
 from repro.analysis.lint.rules import rule_catalog
 from repro.analysis.sarif import to_sarif
-
-DEFAULT_BASELINE = "analysis-baseline.json"
 
 
 def default_paths():
@@ -48,16 +44,8 @@ def main(argv=None):
                         default="text")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-    parser.add_argument("--baseline", type=pathlib.Path, default=None,
-                        help="baseline file of accepted findings "
-                             "(default: ./%s when present)"
-                             % DEFAULT_BASELINE)
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline from current findings "
-                             "and exit 0")
     parser.add_argument("--strict", action="store_true",
-                        help="fail on any non-baselined finding, warnings "
-                             "included")
+                        help="fail on any finding, warnings included")
     parser.add_argument("--sarif-out", type=pathlib.Path, default=None,
                         help="also write SARIF 2.1.0 to this file")
     args = parser.parse_args(argv)
@@ -78,47 +66,28 @@ def main(argv=None):
     root = pathlib.Path.cwd()
     findings = LintEngine().lint_paths(paths)
 
-    baseline_path = args.baseline or pathlib.Path(DEFAULT_BASELINE)
-    if args.write_baseline:
-        baseline_mod.write(baseline_path, findings, root)
-        print("wrote %d finding%s to %s"
-              % (len(findings), "" if len(findings) == 1 else "s",
-                 baseline_path))
-        return 0
-    try:
-        known = baseline_mod.load(baseline_path)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    fresh = baseline_mod.subtract(findings, known, root)
-    baselined = len(findings) - len(fresh)
-
     sarif = None
     if args.sarif_out is not None or args.format == "sarif":
-        sarif = to_sarif(fresh, root)
+        sarif = to_sarif(findings, root)
     if args.sarif_out is not None:
         args.sarif_out.write_text(json.dumps(sarif, indent=2) + "\n",
                                   encoding="utf-8")
 
     if args.format == "json":
-        print(json.dumps({"count": len(fresh),
-                          "baselined": baselined,
-                          "findings": [f.as_dict() for f in fresh]},
+        print(json.dumps({"count": len(findings),
+                          "findings": [f.as_dict() for f in findings]},
                          indent=2))
     elif args.format == "sarif":
         print(json.dumps(sarif, indent=2))
     else:
-        for finding in fresh:
+        for finding in findings:
             print(finding.format())
-        summary = "%d finding%s" % (len(fresh),
-                                    "" if len(fresh) == 1 else "s")
-        if baselined:
-            summary += " (%d baselined)" % baselined
-        print(summary)
+        print("%d finding%s" % (len(findings),
+                                "" if len(findings) == 1 else "s"))
 
     if args.strict:
-        return 1 if fresh else 0
-    errors = [f for f in fresh if str(f.severity) == "error"]
+        return 1 if findings else 0
+    errors = [f for f in findings if str(f.severity) == "error"]
     return 1 if errors else 0
 
 

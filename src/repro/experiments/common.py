@@ -32,7 +32,7 @@ from repro.core.mask_page import MaskPageDirectory
 from repro.core.shared_pt import SharedPTManager
 from repro.hw.params import baseline_machine
 from repro.kernel.frames import FrameAllocator
-from repro.kernel.kernel import Kernel, KernelConfig
+from repro.kernel.kernel import Kernel
 from repro.kernel.vma import SegmentKind, VMAKind
 from repro.containers.image import align_pages
 from repro.workloads.compute import compute_trace
@@ -100,14 +100,8 @@ def build_environment(config, cores=8):
     allocator = FrameAllocator()
     policy = None
     if config.shares_page_tables:
-        policy = SharedPTManager(
-            mask_dir=MaskPageDirectory(
-                allocator, max_writers=config.pc_bitmask_bits,
-                per_range_lists=config.pc_overflow_indirection),
-            share_huge=config.share_huge)
-    kernel = Kernel(KernelConfig(thp_enabled=config.thp_enabled,
-                                 costs=config.costs), policy=policy,
-                    allocator=allocator)
+        policy = SharedPTManager(mask_dir=MaskPageDirectory(allocator))
+    kernel = Kernel(policy=policy, allocator=allocator)
     registry = CCIDRegistry()
     engine = ContainerEngine(kernel, registry, config.aslr_mode)
     sim = Simulator(machine, config, kernel)

@@ -24,15 +24,13 @@ Entry point: ``python -m repro.experiments perf [--smoke]`` calls
 :func:`run_harness`.
 """
 
-import json
-import os
-import pathlib
 import random
 import time
 
 from repro.experiments.common import (build_environment, config_by_name,
                                       deploy_app)
 from repro.kernel.vma import SegmentKind
+from repro.obs.perfwatch import repo_baseline_path, write_trajectory
 from repro.workloads.profiles import APP_PROFILES
 
 #: Application deployed under the hot trace (working set comfortably
@@ -154,11 +152,6 @@ def measure_tier(tier, config_name="BabelFish", repeats=None, monitor=None):
     }
 
 
-def default_output_path():
-    """``BENCH_hotpath.json`` at the repository root."""
-    return pathlib.Path(__file__).resolve().parents[3] / "BENCH_hotpath.json"
-
-
 def run_harness(smoke=False, out=None, repeats=None, progress=print,
                 live=False):
     """Run the tier set (smoke: smoke only; full: all tiers), merge
@@ -171,23 +164,13 @@ def run_harness(smoke=False, out=None, repeats=None, progress=print,
     the timed region, which is exactly the overhead the obs benchmark
     bounds).
 
-    The write is read-modify-write: tiers already present in the file
-    but not run this invocation (e.g. ``medium`` during a ``--smoke``
-    CI run) are preserved, so quick runs extend the trajectory instead
-    of erasing it. The file lands via a same-directory temp file and
-    ``os.replace`` so a crash mid-write never truncates the history.
+    The file (``out``, default ``BENCH_hotpath.json`` at the repo root)
+    is written by :func:`repro.obs.perfwatch.write_trajectory`, which
+    keeps the tiers this invocation did not run.
     """
     tiers = ["smoke"] if smoke else ["smoke", "medium"]
-    path = pathlib.Path(out) if out else default_output_path()
+    path = out or repo_baseline_path("BENCH_hotpath.json")
     payload = {"bench": "hotpath", "app": HOT_APP, "tiers": {}}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-        except ValueError:
-            existing = None
-        if (isinstance(existing, dict)
-                and isinstance(existing.get("tiers"), dict)):
-            payload["tiers"].update(existing["tiers"])
     for tier in tiers:
         progress("hotpath %s: cores=%d records=%d ..."
                  % (tier, TIERS[tier]["cores"], TIERS[tier]["records"]))
@@ -201,8 +184,6 @@ def run_harness(smoke=False, out=None, repeats=None, progress=print,
         progress("hotpath %s: %.2fx (%d vs %d accesses/sec, identical=%s)"
                  % (tier, entry["speedup"], entry["fast_accesses_per_sec"],
                     entry["reference_accesses_per_sec"], entry["identical"]))
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    payload = write_trajectory(path, payload)
     progress("wrote %s" % path)
     return payload

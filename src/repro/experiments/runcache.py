@@ -34,7 +34,6 @@ import os
 import pathlib
 
 from repro.core.aslr import ASLRMode
-from repro.kernel.costs import KernelCosts
 from repro.kernel.frames import FrameKind
 from repro.obs.tracer import TraceOptions
 from repro.sim.config import SimConfig
@@ -95,7 +94,6 @@ def config_from_fields(fields):
     """Rebuild the exact ``SimConfig`` a cache entry was produced under."""
     fields = dict(fields)
     fields["aslr_mode"] = ASLRMode(fields["aslr_mode"])
-    fields["costs"] = KernelCosts(**fields["costs"])
     # ``dataclasses.asdict`` flattened any TraceOptions into a plain dict;
     # rebuild the dataclass so rehydrated configs stay hashable.
     if isinstance(fields.get("trace"), dict):

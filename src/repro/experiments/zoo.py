@@ -17,12 +17,10 @@ perfwatch`` on the policy-gain ratios below, which are deterministic
 change, not noise.
 """
 
-import json
 import math
-import os
-import pathlib
 
 from repro.experiments.runner import RunRequest, execute, request_overrides
+from repro.obs.perfwatch import repo_baseline_path, write_trajectory
 from repro.workloads.profiles import COMPUTE_APPS, SERVING_APPS
 
 #: Every config the grid compares: the paper's arms plus the two
@@ -150,30 +148,17 @@ def format_grid(entry):
     return "\n".join(lines)
 
 
-def default_output_path():
-    """``BENCH_zoo.json`` at the repository root."""
-    return pathlib.Path(__file__).resolve().parents[3] / "BENCH_zoo.json"
-
-
 def run_zoo(smoke=False, jobs=1, out=None, progress=print, monitor=None):
     """Run the ablation grid and merge its tier into the trajectory.
 
-    Smoke runs only the ``smoke`` tier; full runs both. As with the
-    hot-path harness, the write is read-modify-write (tiers not run this
-    invocation are preserved) via a same-directory temp file and
-    ``os.replace``.
+    Smoke runs only the ``smoke`` tier; full runs both. The file
+    (``out``, default ``BENCH_zoo.json`` at the repo root) is written by
+    :func:`repro.obs.perfwatch.write_trajectory`, which keeps the tiers
+    this invocation did not run.
     """
     tiers = ("smoke",) if smoke else ("smoke", "full")
-    path = pathlib.Path(out) if out else default_output_path()
+    path = out or repo_baseline_path("BENCH_zoo.json")
     payload = {"bench": "zoo", "tiers": {}}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-        except ValueError:
-            existing = None
-        if (isinstance(existing, dict)
-                and isinstance(existing.get("tiers"), dict)):
-            payload["tiers"].update(existing["tiers"])
     for tier in tiers:
         params = SCALES[tier]
         if progress:
@@ -188,9 +173,7 @@ def run_zoo(smoke=False, jobs=1, out=None, progress=print, monitor=None):
         payload["tiers"][tier] = entry
         if progress:
             progress(format_grid(entry))
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    payload = write_trajectory(path, payload)
     if progress:
         progress("wrote %s" % path)
     return payload

@@ -101,7 +101,12 @@ def _snap_entries(entries, ways, factor):
 
 @dataclasses.dataclass(frozen=True)
 class MachineParams:
-    """The full 8-core server of Table I."""
+    """The full 8-core server of Table I.
+
+    Table I's host/Docker block is defined where it is read:
+    ``SimConfig.quantum_instructions``, ``core.opc.MAX_PRIVATE_COPIES``,
+    ``kernel.lifecycle.PCID_BITS`` and ``core.ccid.CCID_BITS``.
+    """
 
     cores: int = 8
     core: CoreParams = CoreParams()
@@ -111,11 +116,6 @@ class MachineParams:
     l3: CacheParams = CacheParams("L3", 8 * 1024 * 1024, 16, 64, 32, shared=True)
     mmu: MMUParams = MMUParams()
     dram: DRAMParams = DRAMParams()
-    #: Host/Docker parameters (Table I, bottom block).
-    scheduling_quantum_ms: float = 10.0
-    pc_bitmask_bits: int = 32
-    pcid_bits: int = 12
-    ccid_bits: int = 12
 
     def scale_l2_tlb(self, factor):
         """Return a copy with the L2 TLB scaled by ``factor`` entries.

@@ -4,8 +4,9 @@ These feed the timing model: the paper's gains come partly from
 *eliminated kernel work* (redundant minor faults, page-table copies at
 fork) and partly from TLB/cache effects. The constants below are typical
 magnitudes for a 2GHz server (a Linux minor fault is ~1-2us of kernel
-time; a TLB shootdown IPI round is ~1-4us) and are configurable so
-experiments can do sensitivity sweeps.
+time; a TLB shootdown IPI round is ~1-4us). They are set per kernel
+(``KernelConfig.costs``); the simulator reads the context-switch cost
+from the same ``Kernel.costs``, so one kernel states every cost once.
 """
 
 import dataclasses

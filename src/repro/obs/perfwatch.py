@@ -60,6 +60,34 @@ def load_trajectory(path):
     return data
 
 
+def write_trajectory(path, payload):
+    """Merge ``payload`` into the trajectory at ``path``; return the merge.
+
+    Read-modify-write: tiers in the file that ``payload`` did not run
+    (e.g. ``medium`` during a ``--smoke`` run) are kept, so quick runs
+    extend the trajectory instead of erasing it; an unparsable file
+    counts as empty. The file lands via a same-directory temp file and
+    ``os.replace``, so a crash mid-write never truncates the history.
+    """
+    path = os.fspath(path)
+    merged = dict(payload, tiers={})
+    if os.path.exists(path):
+        try:
+            with open(path) as handle:
+                existing = json.load(handle)
+        except ValueError:
+            existing = None
+        if (isinstance(existing, dict)
+                and isinstance(existing.get("tiers"), dict)):
+            merged["tiers"].update(existing["tiers"])
+    merged["tiers"].update(payload["tiers"])
+    tmp = path + ".tmp"
+    with open(tmp, "w") as handle:
+        handle.write(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
+    return merged
+
+
 def compare(fresh, baseline, tolerances=None, default_tolerance=None,
             watched=None):
     """Diff two trajectory payloads; returns ``(rows, regressions)``.

@@ -4,14 +4,21 @@ A :class:`SimConfig` names the design it runs — a translation-policy
 registry entry (:mod:`repro.core.policy`), which alone says whether TLB
 entries and page tables are shared (Section VII separates "L2 TLB
 effects" from "page table effects" in Table II) and how big the L2 TLB
-is — plus the ASLR mode and ablation knobs.
+is — plus the ASLR mode, the ORPC and quantum ablation knobs, and the
+run-mode switches (L0 memo, sanitizer, tracing).
+
+The kernel setup the paper evaluates is not configurable here: THP on,
+a 32-bit PC bitmask, PMD-table merging for huge pages and the default
+:class:`repro.kernel.costs.KernelCosts`. ``build_environment`` builds
+the kernel and the shared-table manager with their defaults; the
+ablations that vary those choices (:mod:`repro.experiments.ablations`)
+build the kernel objects directly.
 """
 
 import dataclasses
 
 from repro.core.aslr import ASLRMode
 from repro.core.policy import get_policy, known_policies
-from repro.kernel.costs import KernelCosts
 
 
 @dataclasses.dataclass(frozen=True)
@@ -23,19 +30,9 @@ class SimConfig:
     #: serve wire request.
     policy: str = "conventional"
     aslr_mode: ASLRMode = ASLRMode.INHERITED
-    thp_enabled: bool = True
     #: The ORPC optimization (Figure 5b): when disabled, every shared-entry
     #: L2 TLB access pays the long (PC-bitmask) access time. Ablation knob.
     orpc_enabled: bool = True
-    #: PC bitmask width: maximum CoW writers per PMD table set before the
-    #: group reverts to non-shared translations (Appendix). Ablation knob.
-    pc_bitmask_bits: int = 32
-    #: Merge PMD tables for 2MB huge pages (Section IV-C). Ablation knob.
-    share_huge: bool = True
-    #: Appendix extension: per-2MB-range pid lists ("an extra
-    #: indirection could support more writing processes"). Raises the CoW
-    #: writer limit from 32 per 1GB region to 32 per 2MB range.
-    pc_overflow_indirection: bool = False
     #: Scheduler quantum in instructions (Table I's 10ms scaled down with
     #: the measurement slice; see DESIGN.md Section 4).
     quantum_instructions: int = 20_000
@@ -62,7 +59,6 @@ class SimConfig:
     #: published atomically by ``Tracer.finalize()``). The
     #: measured-phase snapshot lands on ``RunResult.obs``.
     trace: object = None
-    costs: KernelCosts = dataclasses.field(default_factory=KernelCosts)
 
     #: Not a field: perfbench/worker.py reads it for its tier record.
     batch = False

@@ -48,6 +48,9 @@ FASTPATH_ENV = "REPRO_FASTPATH"
 #: Trace-record kind codes index this directly (0=IFETCH 1=LOAD 2=STORE).
 _KINDS = (AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE)
 
+#: Records per memo table; a full table is cleared before the next seed.
+MEMO_LIMIT = 8192
+
 
 def fastpath_active(config):
     """True when ``config`` and the environment both allow the L0 memo."""
@@ -62,7 +65,7 @@ class TranslationMemo:
     Record layout (one tuple per (pid, segment, page_off) key, separate
     tables for ifetch and data)::
 
-        (entry, tlb, set_idx, set_epoch, ppn4k, page_size,
+        (entry, tlb, set_idx, set_epoch, ppn4k,
          write_ok, write_seeded, mask_domain, pc_mask, pre)
 
     where ``tlb`` is the :class:`~repro.hw.tlb.SetAssocTLB` holding
@@ -80,14 +83,13 @@ class TranslationMemo:
     epochs are a guard only: a reference miss there changes no state.
     """
 
-    __slots__ = ("i", "d", "share_l1", "domain_fn", "limit")
+    __slots__ = ("i", "d", "share_l1", "domain_fn")
 
-    def __init__(self, share_l1, domain_fn, limit=8192):
+    def __init__(self, share_l1, domain_fn):
         self.i = {}
         self.d = {}
         self.share_l1 = share_l1
         self.domain_fn = domain_fn
-        self.limit = limit
 
     def seed(self, proc, segment, page_off, instr, is_write, lookup_vpn,
              entry, multi, ppn4k):
@@ -111,10 +113,10 @@ class TranslationMemo:
             mask_domain = None
             pc_mask = 0
         table = self.i if instr else self.d
-        if len(table) >= self.limit:
+        if len(table) >= MEMO_LIMIT:
             table.clear()
         table[(proc.pid, segment, page_off)] = (
-            entry, tlb, set_idx, tlb._set_epochs[set_idx], ppn4k, size,
+            entry, tlb, set_idx, tlb._set_epochs[set_idx], ppn4k,
             entry.writable and not entry.cow, is_write,
             mask_domain, pc_mask, tuple(pre))
 
@@ -172,8 +174,8 @@ def run_quantum(sim, core_id, proc):
             rec_m = table.get(key)
             tr_cycles = -1
             if rec_m is not None:
-                (entry, tlb, set_idx, set_epoch, ppn4k, _page_size,
-                 write_ok, write_seeded, mask_domain, pc_mask, pre) = rec_m
+                (entry, tlb, set_idx, set_epoch, ppn4k, write_ok,
+                 write_seeded, mask_domain, pc_mask, pre) = rec_m
                 if tlb._set_epochs[set_idx] != set_epoch:
                     # The entry's set changed (fill/invalidate/flush):
                     # the recorded outcome can no longer be trusted.

@@ -94,7 +94,7 @@ class Simulator:
         self._completion = {}
         self._proc_cycles = {}
         self.base_cpi = machine.core.base_cpi
-        self.switch_cost = config.costs.context_switch
+        self.switch_cost = kernel.costs.context_switch
 
     # -- workload attachment -------------------------------------------------
 

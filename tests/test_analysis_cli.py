@@ -68,54 +68,12 @@ class TestCLIOnViolations:
 
 
 class TestStrictAndBaseline:
-    def seed(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "hw" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("from repro.sim.mmu import MMU\n"
-                       "assert MMU\n")
-        return bad
-
-    def test_write_baseline_then_strict_accepts_old_debt(self, tmp_path,
-                                                         capsys):
-        bad = self.seed(tmp_path)
-        bl = tmp_path / "baseline.json"
-        assert main(["--write-baseline", "--baseline", str(bl),
-                     str(bad)]) == 0
-        assert json.loads(bl.read_text())["findings"]
-        assert main(["--strict", "--baseline", str(bl), str(bad)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-
-    def test_strict_fails_on_new_finding_beyond_baseline(self, tmp_path):
-        bad = self.seed(tmp_path)
-        bl = tmp_path / "baseline.json"
-        assert main(["--write-baseline", "--baseline", str(bl),
-                     str(bad)]) == 0
-        bad.write_text(bad.read_text() + "assert MMU is not None\n")
-        assert main(["--strict", "--baseline", str(bl), str(bad)]) == 1
-
-    def test_baseline_match_ignores_line_numbers(self, tmp_path):
-        bad = self.seed(tmp_path)
-        bl = tmp_path / "baseline.json"
-        assert main(["--write-baseline", "--baseline", str(bl),
-                     str(bad)]) == 0
-        # Shift every finding down two lines: still baselined.
-        bad.write_text("# moved\n# moved\n" + bad.read_text())
-        assert main(["--strict", "--baseline", str(bl), str(bad)]) == 0
-
     def test_warnings_fail_only_under_strict(self, tmp_path):
         stale = tmp_path / "src" / "repro" / "hw" / "stale.py"
         stale.parent.mkdir(parents=True)
         stale.write_text("x = 1  # bfa: disable=BF101 -- stale\n")
         assert main([str(stale)]) == 0          # BF001 is a warning
         assert main(["--strict", str(stale)]) == 1
-
-    def test_malformed_baseline_is_a_usage_error(self, tmp_path, capsys):
-        bad = self.seed(tmp_path)
-        bl = tmp_path / "baseline.json"
-        bl.write_text("{\"findings\": 42}")
-        assert main(["--baseline", str(bl), str(bad)]) == 2
-        assert "malformed baseline" in capsys.readouterr().err
 
 
 class TestSarifOutput:

@@ -64,10 +64,8 @@ class TestTHPOffEnvironment:
         from repro.experiments.common import (
             build_environment, config_by_name, deploy_app, measure_app)
         from repro.workloads.profiles import APP_PROFILES
-        import dataclasses
-        config = dataclasses.replace(config_by_name("BabelFish"),
-                                     thp_enabled=False)
-        env = build_environment(config, cores=1)
+        env = build_environment(config_by_name("BabelFish"), cores=1)
+        env.kernel.config.thp_enabled = False
         deployment = deploy_app(env, APP_PROFILES["graphchi"])
         result = measure_app(env, deployment, scale=0.05)
         # No huge leaves anywhere.

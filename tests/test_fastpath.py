@@ -12,6 +12,7 @@ cases (CoW retry, cross-core shootdowns, mid-run measurement reset,
 debug-mode bypass), and the perf harness's trajectory file.
 """
 
+import dataclasses
 import json
 import random
 
@@ -35,6 +36,7 @@ from repro.kernel.fault import InvalidationScope, TLBInvalidation
 from repro.kernel.vma import SegmentKind
 from repro.obs import events as obs_events
 from repro.sim import simulator
+from repro.sim.config import SimConfig
 from repro.sim.fastpath import FASTPATH_ENV, fastpath_active
 from repro.sim.simulator import Simulator
 from repro.workloads.profiles import APP_PROFILES
@@ -310,13 +312,21 @@ def test_post_hoc_tracer_or_sanitizer_disables_memo():
 
 
 def test_batch_is_not_a_config_field():
-    # ``batch`` is a read-only class constant, not a settable field: it
-    # can neither be requested nor leak into run-cache keys.
+    # ``batch`` is a read-only class constant, and the kernel setup the
+    # paper evaluates is fixed: none of these can be requested or leak
+    # into run-cache keys.
     assert config_by_name("BabelFish").batch is False
-    with pytest.raises(TypeError):
-        config_by_name("BabelFish", batch=True)
-    assert "batch" not in runcache.config_field_dict(
-        config_by_name("BabelFish"))
+    assert [f.name for f in dataclasses.fields(SimConfig)] == [
+        "name", "policy", "aslr_mode", "orpc_enabled",
+        "quantum_instructions", "fastpath", "sanitize", "trace"]
+    fields = runcache.config_field_dict(config_by_name("BabelFish"))
+    for name, value in [("batch", True), ("thp_enabled", False),
+                        ("pc_bitmask_bits", 8), ("share_huge", False),
+                        ("pc_overflow_indirection", True),
+                        ("costs", None)]:
+        with pytest.raises(TypeError):
+            config_by_name("BabelFish", **{name: value})
+        assert name not in fields
 
 
 def test_run_cache_key_includes_fastpath():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.ccid import CCID_BITS
+from repro.core.opc import MAX_PRIVATE_COPIES
 from repro.hw.cacti import (
     PAPER_TABLE3,
     SRAMModel,
@@ -15,6 +17,7 @@ from repro.hw.params import baseline_machine
 from repro.hw.pwc import PageWalkCache, PWC_LEVELS
 from repro.hw.params import PWCParams
 from repro.hw.types import AccessKind, PageSize, line_addr, vpn_for
+from repro.kernel.lifecycle import PCID_BITS
 
 from structure_oracle import pwc_insert, pwc_lookup
 
@@ -142,9 +145,9 @@ class TestParams:
         assert machine.mmu.l2_4k.long_access_cycles == 12
         assert machine.mmu.l1d_4k.entries == 64
         assert machine.mmu.pwc.entries_per_level == 16
-        assert machine.pc_bitmask_bits == 32
-        assert machine.pcid_bits == 12
-        assert machine.ccid_bits == 12
+        assert MAX_PRIVATE_COPIES == 32
+        assert PCID_BITS == 12
+        assert CCID_BITS == 12
 
     def test_scale_l2_tlb(self):
         machine = baseline_machine().scale_l2_tlb(2.0)

@@ -2,6 +2,7 @@
 and the cross-validation guarantee that trace-derived aggregates exactly
 match the simulator's own ``MMUStats`` counters."""
 
+import functools
 import json
 
 import pytest
@@ -16,7 +17,9 @@ from repro.experiments.common import (
     simulation_run_count,
 )
 from repro.experiments.runner import RunRequest, execute
+from repro.kernel import kernel as kernel_module
 from repro.kernel.costs import KernelCosts
+from repro.kernel.kernel import KernelConfig
 from repro.obs import events as ev_mod
 from repro.obs.__main__ import main as obs_main
 from repro.obs.events import event_to_dict
@@ -283,19 +286,23 @@ def _counter_items(snapshot, name):
 
 
 class TestDiffLocalizesChanges:
-    def test_cost_change_only_moves_affected_metrics(self):
+    def test_cost_change_only_moves_affected_metrics(self, monkeypatch):
         """Doubling the minor-fault cost must shift fault/quantum cycle
         metrics and nothing else (same request stream, same TLB walk).
 
+        The costs are a kernel setting, so the slow run's kernel gets
+        them through the ``KernelConfig`` that ``Kernel()`` defaults to.
         Diffed over the dense-pid ``as_dict`` snapshots — raw pids come
         from a process-global counter, so two sequential runs would
         otherwise differ in every pid label."""
         base = run_functions(config_by_name("Baseline", trace=True),
                              **SMALL, use_cache=False)
-        slow = run_functions(
-            config_by_name("Baseline", trace=True,
-                           costs=KernelCosts(minor_fault=4800)),
-            **SMALL, use_cache=False)
+        monkeypatch.setattr(
+            kernel_module, "KernelConfig",
+            functools.partial(KernelConfig,
+                              costs=KernelCosts(minor_fault=4800)))
+        slow = run_functions(config_by_name("Baseline", trace=True),
+                             **SMALL, use_cache=False)
         rows = diff(base.result.as_dict()["obs"],
                     slow.result.as_dict()["obs"])
         changed = [key for key, _a, _b, delta in rows if delta]

@@ -9,6 +9,7 @@ quarantine, and the design table each stock config builds.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.hw.dram import DRAMModel
 from repro.hw.params import baseline_machine
 from repro.hw.types import AccessKind, PageSize
 from repro.kernel.vma import SegmentKind
+from repro.obs.perfwatch import repo_baseline_path
 from repro.serve.protocol import BadRequest, wire_to_request
 from repro.sim.config import (KNOWN_POLICIES, SimConfig, baseline_config,
                               babelfish_config, coalesced_config,
@@ -467,7 +469,7 @@ class TestZoo:
         assert on_disk["tiers"]["full"]["identical"] is True
 
     def test_bench_zoo_checked_in_and_identical(self):
-        path = zoo.default_output_path()
+        path = pathlib.Path(repo_baseline_path("BENCH_zoo.json"))
         assert path.exists(), "run `python -m repro.experiments zoo --smoke`"
         payload = json.loads(path.read_text())
         smoke = payload["tiers"]["smoke"]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.aslr import ASLRMode
 from repro.experiments import common
 from repro.experiments.common import (
     build_environment,
@@ -46,6 +47,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.table2 import run_table2
 from repro.obs.live import ProgressMonitor
+from repro.obs.tracer import TraceOptions
 from repro.sim.simulator import Simulator
 from repro.workloads.profiles import APP_PROFILES
 
@@ -71,15 +73,8 @@ def _isolated_caches():
 class TestConfigKeying:
     def test_same_name_different_fields_distinct_keys(self):
         stock = config_by_name("Baseline")
-        tweaked = config_by_name("Baseline", thp_enabled=False)
+        tweaked = config_by_name("Baseline", orpc_enabled=False)
         assert stock.name == tweaked.name
-        assert _app_key(stock) != _app_key(tweaked)
-
-    def test_costs_fields_participate(self):
-        from repro.kernel.costs import KernelCosts
-        stock = config_by_name("Baseline")
-        tweaked = config_by_name("Baseline",
-                                 costs=KernelCosts(minor_fault=9999))
         assert _app_key(stock) != _app_key(tweaked)
 
     def test_same_name_configs_do_not_share_runs(self):
@@ -87,11 +82,11 @@ class TestConfigKeying:
         call below returned the first call's run."""
         before = simulation_run_count()
         stock = run_app("httpd", config_by_name("Baseline"), **SMALL)
-        tweaked = run_app("httpd", config_by_name("Baseline",
-                                                  thp_enabled=False), **SMALL)
+        tweaked = run_app("httpd", config_by_name(
+            "Baseline", quantum_instructions=10_000), **SMALL)
         assert stock is not tweaked
         assert simulation_run_count() == before + 2
-        assert tweaked.config.thp_enabled is False
+        assert tweaked.config.quantum_instructions == 10_000
 
     def test_identical_configs_still_share(self):
         before = simulation_run_count()
@@ -109,7 +104,8 @@ class TestConfigKeying:
 
     def test_config_roundtrip_through_field_dict(self):
         config = config_by_name("BabelFish", orpc_enabled=False,
-                                pc_bitmask_bits=8)
+                                aslr_mode=ASLRMode.SW,
+                                trace=TraceOptions(buffer_size=256))
         rebuilt = config_from_fields(config_field_dict(config))
         assert rebuilt == config
         assert _app_key(rebuilt) == _app_key(config)
@@ -223,7 +219,8 @@ class TestDiskCache:
         cache = DiskRunCache(tmp_path, fingerprint="fp-a")
         set_disk_cache(cache)
         run_app("httpd", config_by_name("Baseline"), **SMALL)
-        run_app("httpd", config_by_name("Baseline", thp_enabled=False),
+        run_app("httpd", config_by_name("Baseline",
+                                        quantum_instructions=10_000),
                 **SMALL)
         assert len(cache.entries()) == 2
 
@@ -468,9 +465,9 @@ class TestParallelRunner:
     def test_overrides_reach_config(self):
         request = RunRequest(kind="app", app="httpd",
                              config_name="Baseline",
-                             overrides=request_overrides(thp_enabled=False),
+                             overrides=request_overrides(orpc_enabled=False),
                              **SMALL)
-        assert request.config().thp_enabled is False
+        assert request.config().orpc_enabled is False
 
     def test_matrices_cover_report(self):
         matrix = fig11.requests(cores=2, scale=0.25)

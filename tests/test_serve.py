@@ -129,7 +129,7 @@ class TestWireRequest:
     def test_round_trip_preserves_the_request(self):
         request = runner.RunRequest(
             kind="app", app="httpd", config_name="BabelFish",
-            overrides=runner.request_overrides(thp_enabled=False),
+            overrides=runner.request_overrides(orpc_enabled=False),
             cores=2, scale=0.5, containers_per_core=3, dense=True)
         wire = protocol.request_to_wire(request)
         assert protocol.wire_to_request(json.loads(json.dumps(wire))) \
@@ -141,9 +141,11 @@ class TestWireRequest:
             ({"app": "excel"}, "app"),
             ({"app": "mongodb", "config_name": "NoSuch"}, "config"),
             ({"app": "mongodb", "overrides": [1]}, "overrides"),
-            ({"app": "mongodb", "overrides": {"thp_enabled": [1]}},
+            ({"app": "mongodb", "overrides": {"orpc_enabled": [1]}},
              "scalar"),
             ({"app": "mongodb", "overrides": {"batch": True}}, "batch"),
+            ({"app": "mongodb", "overrides": {"share_huge": False}},
+             "share_huge"),
             ({"app": "mongodb", "cores": 0}, "cores"),
             ({"app": "mongodb", "cores": True}, "cores"),
             ({"app": "mongodb", "scale": -1}, "scale"),
